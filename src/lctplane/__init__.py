@@ -13,7 +13,6 @@ rational arithmetic:
 See the ``lctplane`` CLI for the command-line front end.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .classify import (
     SingularityClass,
     all_symbols,
@@ -60,13 +59,11 @@ from .resolution import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BPoly",
     "BinaryForm",
     "Factorization",
     "HighMultAnalysis",
     "INF",
-    "KERNEL_BACKEND",
     "LctError",
     "NEG_INF",
     "ResolutionTree",

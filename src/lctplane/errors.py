@@ -3,7 +3,9 @@
 Every error raised by the public API is a subclass of :class:`LctError`.
 The CLI maps these onto exit codes: parse errors exit 2, precondition
 violations exit 3, irrational blowup centers exit 4 and the internal
-blowup cap exit 5.
+blowup cap exit 5.  Input text with an exponent above
+``parse.MAX_EXPONENT`` (1000) is refused as the precondition violation
+:class:`ExponentTooLarge`, so it exits 3.
 """
 
 
@@ -28,6 +30,11 @@ class NonPolynomial(ParseError):
 
 class PreconditionError(LctError):
     """A documented precondition of an operation was violated."""
+
+
+class ExponentTooLarge(PreconditionError):
+    """A power in the input text exceeds ``parse.MAX_EXPONENT``, either by
+    its exponent or by the degree of its expansion."""
 
 
 class ZeroPolynomial(PreconditionError):

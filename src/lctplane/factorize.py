@@ -8,6 +8,7 @@ re-homogenize and account for the root at infinity (the factor y).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -44,22 +45,16 @@ def factor_univariate(coeffs):
         # normalize to primitive integer with positive leading coefficient
         denom = 1
         for c in fac_coeffs:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
         ints = [c * denom for c in fac_coeffs]
         g = 0
         for c in ints:
-            g = _gcd(g, abs(int(c)))
+            g = math.gcd(g, abs(int(c)))
         sign = 1 if ints[-1] > 0 else -1
         prim = [Fraction(int(c) // (sign * g)) for c in ints]
         unit *= Fraction(sign * g, denom) ** exp
         factors.append((prim, int(exp)))
     return unit, factors
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _homogenize(coeffs, total_degree):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import NotThroughOrigin, ZeroPolynomial
 from .extended import INF
 from .factorize import factor_binary_form
-from .poly import BPoly, gcd_bivariate, gcd_many
+from .poly import BPoly, gcd_bivariate, gcd_many, restrict_coeffs
 
 __all__ = [
     "intersection_multiplicity_origin",
@@ -52,18 +52,6 @@ class WeightedBound:
     leading_part: BPoly
 
 
-def _restrict_y0(f):
-    """Coefficient list of f(x, 0) (index = x-degree); [] if y | f."""
-    xdeg = max((i for i, j in f.terms if j == 0), default=-1)
-    coeffs = [Fraction(0)] * (xdeg + 1)
-    for (i, j), c in f.terms.items():
-        if j == 0:
-            coeffs[i] = c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _extract_y(f):
     """Write f = y^a * h with y not dividing h; return (a, h)."""
     a = min(j for _, j in f.terms)
@@ -93,8 +81,8 @@ def intersection_multiplicity_origin(f, g):
     while True:
         if f.evaluate(0, 0) != 0 or g.evaluate(0, 0) != 0:
             return total
-        fx0 = _restrict_y0(f)
-        gx0 = _restrict_y0(g)
+        fx0 = restrict_coeffs(f, "y")
+        gx0 = restrict_coeffs(g, "y")
         if not fx0 and not gx0:
             raise AssertionError("common factor y slipped past the gcd check")
         if not fx0:

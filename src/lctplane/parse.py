@@ -12,6 +12,12 @@ Division is only part of a rational literal; ``1/x`` and negative
 exponents are rejected as :class:`~lctplane.errors.NonPolynomial`.
 Implicit multiplication by juxtaposition is a syntax error.
 
+A power whose exponent, or whose degree once expanded, exceeds
+``MAX_EXPONENT`` is rejected with
+:class:`~lctplane.errors.ExponentTooLarge` (a precondition error, CLI
+exit 3) before it is expanded: later stages allocate lists as long as the
+largest exponent.
+
 The module is variable-set generic (the CLI parses projective input in
 x, y, z); ``parse_poly`` is the bivariate entry point returning a
 :class:`~lctplane.poly.BPoly`.
@@ -22,10 +28,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import NonPolynomial, ParseError
+from .errors import ExponentTooLarge, NonPolynomial, ParseError
 from .poly import BPoly
 
-__all__ = ["parse_poly", "parse_terms", "parse_rational"]
+__all__ = ["MAX_EXPONENT", "parse_poly", "parse_terms", "parse_rational"]
+
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^()]))")
 
@@ -164,10 +172,16 @@ class _Parser:
 
     def factor(self):
         base = self.base()
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
             n = self.exponent()
+            degree = max((sum(exp) for exp in base), default=0)
+            if max(n, n * degree) > MAX_EXPONENT:
+                raise ExponentTooLarge(
+                    f"power exceeds the exponent limit {MAX_EXPONENT} "
+                    f"(at position {pos})"
+                )
             base = self._pow(base, n)
         return base
 

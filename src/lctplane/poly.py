@@ -11,11 +11,11 @@ lexicographic (total degree first, then x-degree).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from ._kernels import add_terms, mul_terms, scale_terms
 from .errors import (
     BothZero,
     DivisorZero,
@@ -38,12 +38,60 @@ __all__ = [
     "squarefree_decomposition",
     "divides",
     "normalize_primitive",
+    "restrict_coeffs",
 ]
 
 
 def _grlex_key(exp):
     i, j = exp
     return (i + j, i)
+
+
+# ---------------------------------------------------------------------------
+# Term-dict kernels: the inner loops of all polynomial arithmetic.  Terms
+# are plain dicts mapping ``(i, j)`` to nonzero ``Fraction`` coefficients.
+# ---------------------------------------------------------------------------
+
+
+def add_terms(a, b):
+    """Sum of two term dicts, zero coefficients dropped."""
+    out = dict(a)
+    for key, coeff in b.items():
+        acc = out.get(key)
+        if acc is None:
+            out[key] = coeff
+        else:
+            acc = acc + coeff
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out
+
+
+def mul_terms(a, b):
+    """Product of two term dicts, zero coefficients dropped."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            acc = out.get(key)
+            if acc is None:
+                out[key] = c1 * c2
+            else:
+                acc = acc + c1 * c2
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+    return out
+
+
+def scale_terms(a, c):
+    """Term dict multiplied by a nonzero scalar."""
+    return {key: coeff * c for key, coeff in a.items()}
 
 
 class BPoly:
@@ -407,8 +455,6 @@ def normalize_primitive(f):
     whose graded-lex leading coefficient is positive."""
     if f.is_zero:
         raise ZeroPolynomial("cannot normalize the zero polynomial")
-    import math
-
     denom_lcm = 1
     for c in f.terms.values():
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
@@ -437,6 +483,17 @@ def divides(g, f):
 # ---------------------------------------------------------------------------
 # Univariate helpers over Q (coefficient lists, index = degree).
 # ---------------------------------------------------------------------------
+
+
+def restrict_coeffs(f, var_zero):
+    """Coefficient list of f with the variable ``var_zero`` set to 0 (index =
+    degree of the other variable); ``[]`` when ``var_zero`` divides f."""
+    idx = 0 if var_zero == "x" else 1
+    pairs = [(exp[1 - idx], c) for exp, c in f.terms.items() if exp[idx] == 0]
+    coeffs = [Fraction(0)] * (max((d for d, _ in pairs), default=-1) + 1)
+    for d, c in pairs:
+        coeffs[d] = c
+    return coeffs
 
 
 def _u_trim(a):

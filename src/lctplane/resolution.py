@@ -35,7 +35,7 @@ from .errors import (
 )
 from .factorize import rational_roots
 from .localinv import is_square_free
-from .poly import BPoly, X, Y
+from .poly import BPoly, X, Y, restrict_coeffs
 
 __all__ = [
     "ExcDivisor",
@@ -103,17 +103,22 @@ class ResolutionTree:
         raise KeyError(divisor_id)
 
 
-def _extract_power(f, var):
-    """Write f = var^k * h with var not dividing h; return (k, h)."""
-    idx = 0 if var == "x" else 1
-    k = min(exp[idx] for exp in f.terms)
-    if k == 0:
-        return 0, f
-    if var == "x":
-        shifted = {(i - k, j): c for (i, j), c in f.terms.items()}
-    else:
-        shifted = {(i, j - k): c for (i, j), c in f.terms.items()}
-    return k, BPoly(shifted)
+def _charts(f, m):
+    """Strict transforms of ``f``, of multiplicity ``m`` at the origin, in
+    both charts of the point blowup.
+
+    Each chart is an exponent relabelling that divides out the exceptional
+    power ``m``: chart 1, ``(x, y) -> (x, x*y)`` with exceptional divisor
+    ``x = 0``, sends ``x^i y^j`` to ``x^(i+j-m) y^j``; chart 2,
+    ``(x, y) -> (x*y, y)`` with exceptional divisor ``y = 0``, sends it to
+    ``x^i y^(i+j-m)``.  Both maps are injective on exponents, so no
+    coefficients combine.
+    """
+    terms = f.terms.items()
+    return (
+        BPoly({(i + j - m, j): c for (i, j), c in terms}),
+        BPoly({(i, i + j - m): c for (i, j), c in terms}),
+    )
 
 
 def blowup_transform(f_local):
@@ -129,27 +134,8 @@ def blowup_transform(f_local):
     if f_local.evaluate(0, 0) != 0:
         raise NotThroughOrigin("center is not on the curve")
     mu = f_local.multiplicity()
-    total1 = f_local.substitute(X, X * Y)
-    k1, strict1 = _extract_power(total1, "x")
-    total2 = f_local.substitute(X * Y, Y)
-    k2, strict2 = _extract_power(total2, "y")
-    assert k1 == mu and k2 == mu
-    return (strict1, k1), (strict2, k2)
-
-
-def _restrict(f, var_zero):
-    """Coefficient list of f with one variable set to 0 (index = degree
-    of the remaining variable)."""
-    if var_zero == "x":
-        pairs = [(j, c) for (i, j), c in f.terms.items() if i == 0]
-    else:
-        pairs = [(i, c) for (i, j), c in f.terms.items() if j == 0]
-    if not pairs:
-        return []
-    coeffs = [Fraction(0)] * (max(d for d, _ in pairs) + 1)
-    for d, c in pairs:
-        coeffs[d] = c
-    return coeffs
+    strict1, strict2 = _charts(f_local, mu)
+    return (strict1, mu), (strict2, mu)
 
 
 @dataclass
@@ -167,7 +153,7 @@ def _divisor_meeting_point(eq_strict):
     ``eq_strict`` is the strict transform in chart 1; its restriction to
     E is linear.  Returns a rational t or the at-infinity marker.
     """
-    coeffs = _restrict(eq_strict, "x")
+    coeffs = restrict_coeffs(eq_strict, "x")
     assert len(coeffs) <= 2, "old divisor must meet E transversally"
     if len(coeffs) == 2:
         return -coeffs[0] / coeffs[1]
@@ -226,30 +212,20 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
             )
         )
 
-        # chart 1: (u, v) -> (u, u v), E_new = {u = 0}
-        total1 = center.curve.substitute(X, X * Y)
-        k1, strict1 = _extract_power(total1, "x")
-        assert k1 == mu
-        old1 = []
-        for old_div, eq in center.incident:
-            eq_total = eq.substitute(X, X * Y)
-            k, eq_strict = _extract_power(eq_total, "x")
-            assert k == 1
-            old1.append((old_div, eq_strict, _divisor_meeting_point(eq_strict)))
-
-        # chart 2: (u, v) -> (u v, v), E_new = {v = 0}; only its origin
+        # chart 1: (u, v) -> (u, u v), E_new = {u = 0}; chart 2:
+        # (u, v) -> (u v, v), E_new = {v = 0}, of which only the origin
         # (the point t = infinity of E_new) is not covered by chart 1
-        total2 = center.curve.substitute(X * Y, Y)
-        k2, strict2 = _extract_power(total2, "y")
-        assert k2 == mu
+        strict1, strict2 = _charts(center.curve, mu)
+        old1 = []
         old2 = []
         for old_div, eq in center.incident:
-            eq_total = eq.substitute(X * Y, Y)
-            _, eq_strict = _extract_power(eq_total, "y")
-            old2.append((old_div, eq_strict))
+            assert eq.multiplicity() == 1, "old divisor must be smooth here"
+            eq_strict1, eq_strict2 = _charts(eq, 1)
+            old1.append((old_div, eq_strict1, _divisor_meeting_point(eq_strict1)))
+            old2.append((old_div, eq_strict2))
 
         # points of E_new where the curve or an old divisor passes
-        ph = _restrict(strict1, "x")
+        ph = restrict_coeffs(strict1, "x")
         roots, nonlinear = rational_roots(ph) if len(ph) > 1 else ([], [])
         for q_coeffs, exp in nonlinear:
             if exp >= 2:
@@ -257,7 +233,7 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
             # transversal crossing at a non-rational point: already snc
 
         curve_exp = {t0: exp for t0, exp in roots}
-        inf_restriction = _restrict(strict2, "y")
+        inf_restriction = restrict_coeffs(strict2, "y")
         inf_exp = (
             min(i for i, c in enumerate(inf_restriction) if c)
             if strict2.evaluate(0, 0) == 0

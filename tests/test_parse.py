@@ -4,9 +4,31 @@ from fractions import Fraction
 
 import pytest
 
-from lctplane.errors import NonPolynomial, ParseError
-from lctplane.parse import parse_poly, parse_rational, parse_terms
+from lctplane.cli import main
+from lctplane.errors import ExponentTooLarge, NonPolynomial, ParseError
+from lctplane.parse import (
+    MAX_EXPONENT,
+    _Parser,
+    parse_poly,
+    parse_rational,
+    parse_terms,
+)
 from lctplane.poly import BPoly
+
+HOSTILE = ("x^2+y^999999999", f"y^{MAX_EXPONENT + 1}", "(x^40)^40", "(x - x)^5000")
+
+
+@pytest.fixture
+def no_huge_powers(monkeypatch):
+    """Fail at once, instead of expanding, if a power above the limit gets
+    past the parser's check."""
+    expand = _Parser._pow
+
+    def guarded(self, base, n):
+        assert n <= MAX_EXPONENT, f"power ^{n} reached expansion"
+        return expand(self, base, n)
+
+    monkeypatch.setattr(_Parser, "_pow", guarded)
 
 
 class TestGrammar:
@@ -67,6 +89,17 @@ class TestErrors:
     def test_unknown_variable(self):
         with pytest.raises(ParseError):
             parse_poly("x + z")
+
+    def test_exponent_limit(self, no_huge_powers):
+        assert parse_poly(f"y^{MAX_EXPONENT}") == BPoly.monomial(0, MAX_EXPONENT)
+        for text in HOSTILE:
+            with pytest.raises(ExponentTooLarge):
+                parse_poly(text)
+
+    def test_exponent_limit_exit_code(self, no_huge_powers, capsys):
+        for text in HOSTILE:
+            assert main(["lct", text]) == 3
+            assert "exponent limit" in capsys.readouterr().err
 
 
 class TestHelpers:

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from lctplane import _kernel_py, _kernels
 from lctplane.errors import (
     BothZero,
     DivisorZero,
@@ -214,13 +213,3 @@ class TestRender:
             f = P(text)
             assert parse_poly(f.render()) == f
 
-
-class TestKernels:
-    def test_backends_agree(self):
-        a = dict(P("x^2 + 3*x*y - 1/2*y^4").terms)
-        b = dict(P("7*x*y^2 - y + 2/3").terms)
-        assert _kernels.add_terms(a, b) == _kernel_py.add_terms(a, b)
-        assert _kernels.mul_terms(a, b) == _kernel_py.mul_terms(a, b)
-        assert _kernels.scale_terms(a, Fraction(-2, 5)) == _kernel_py.scale_terms(
-            a, Fraction(-2, 5)
-        )

@@ -1,6 +1,7 @@
 """Unit tests for the blowup-based resolution oracle."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from lctplane.errors import (
     ZeroPolynomial,
 )
 from lctplane.parse import parse_poly as P
+from lctplane.poly import BPoly, X, Y
 from lctplane.resolution import (
     ResolutionTree,
     blowup_transform,
@@ -42,6 +44,27 @@ class TestBlowupTransform:
         f = P("y^3 + x^3*y")
         (_, k1), (_, k2) = blowup_transform(f)
         assert k1 == k2 == f.multiplicity() == 3
+
+    def test_charts_match_substitution(self):
+        rng = random.Random(7)
+        germs = [P(t) for t in ("x^2 + y^3", "x*y", "y^3 + x^3*y", "x", "y")]
+        germs.append(Y + Fraction(-3, 2) * X)  # a smooth incident divisor
+        for _ in range(12):
+            terms = {
+                (rng.randint(0, 6), rng.randint(0, 6)): Fraction(
+                    rng.randint(-9, 9), rng.randint(1, 4)
+                )
+                for _ in range(rng.randint(1, 5))
+            }
+            terms.pop((0, 0), None)
+            terms[(rng.randint(1, 3), 0)] = Fraction(1)  # nonzero, through the origin
+            germs.append(BPoly(terms))
+        for f in germs:
+            (s1, k1), (s2, k2) = blowup_transform(f)
+            mu = f.multiplicity()
+            assert k1 == k2 == mu
+            assert s1 == f.substitute(X, X * Y).divide_exact(BPoly.monomial(mu, 0))
+            assert s2 == f.substitute(X * Y, Y).divide_exact(BPoly.monomial(0, mu))
 
     def test_errors(self):
         with pytest.raises(ZeroPolynomial):
