@@ -1,14 +1,14 @@
 """Irreducible factorization over the rationals.
 
 Univariate factorization is delegated to sympy's exact Zassenhaus-based
-``factor_list`` (rational domain, no numerics anywhere).  On top of it we
-factor binary forms completely: dehomogenize to ``F(t, 1)``, factor, then
-re-homogenize and account for the root at infinity (the factor y).
+``factor_list`` (denominators cleared, integer domain, no numerics
+anywhere).  On top of it we factor binary forms completely: dehomogenize
+to ``F(t, 1)``, factor, then re-homogenize and account for the root at
+infinity (the factor y).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import sympy
@@ -36,24 +36,16 @@ def factor_univariate(coeffs):
         raise ZeroPolynomial("factorization of the zero polynomial")
     if len(coeffs) == 1:
         return coeffs[0], []
-    expr = sympy.Poly(list(reversed(coeffs)), _T, domain="QQ")
+    denom, expr = sympy.Poly(list(reversed(coeffs)), _T, domain="QQ").clear_denoms(
+        convert=True
+    )
+    # over ZZ, sympy returns primitive factors with positive leading coefficients
     content, factor_list = expr.factor_list()
-    unit = Fraction(content.p, content.q)
-    factors = []
-    for fac, exp in factor_list:
-        fac_coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        # normalize to primitive integer with positive leading coefficient
-        denom = 1
-        for c in fac_coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        ints = [c * denom for c in fac_coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, abs(int(c)))
-        sign = 1 if ints[-1] > 0 else -1
-        prim = [Fraction(int(c) // (sign * g)) for c in ints]
-        unit *= Fraction(sign * g, denom) ** exp
-        factors.append((prim, int(exp)))
+    unit = Fraction(int(content), int(denom))
+    factors = [
+        ([Fraction(int(c)) for c in reversed(fac.all_coeffs())], int(exp))
+        for fac, exp in factor_list
+    ]
     return unit, factors
 
 

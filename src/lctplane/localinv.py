@@ -145,9 +145,10 @@ def tangent_cone_pattern(f):
 def is_square_free(f):
     """True iff no non-unit square divides f.
 
-    Decided by ``gcd(f, f_x, f_y)`` being constant, which is equivalent
-    over a field of characteristic zero (and, unlike the per-variable
-    test, also correct for factors involving a single variable).
+    Decided by ``gcd(f, f_x, f_y)`` being constant (``gcd_many``, i.e.
+    sympy's exact dense gcd), which is equivalent over a field of
+    characteristic zero (and, unlike the per-variable test, also correct
+    for factors involving a single variable).
     """
     if f.is_zero:
         raise ZeroPolynomial("square-freeness of the zero polynomial")

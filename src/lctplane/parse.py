@@ -86,7 +86,7 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    # term-dict arithmetic (n variables; parsing is not hot, no kernels)
+    # term-dict arithmetic (n variables, separate from the bivariate kernel)
 
     def _zero(self):
         return {}
@@ -118,6 +118,11 @@ class _Parser:
         return out
 
     def _pow(self, a, n):
+        if len(a) == 1:  # a monomial: scale its exponents, no products
+            ((exp, c),) = a.items()
+            return {tuple(e * n for e in exp): c**n}
+        # Repeated multiplication by the short base: squaring a dense
+        # bivariate power costs more than the n - 1 products it saves.
         out = self._const(1)
         for _ in range(n):
             out = self._mul(out, a)

@@ -7,6 +7,10 @@ safe to share between threads.
 
 The term order used for rendering and leading-term extraction is graded
 lexicographic (total degree first, then x-degree).
+
+Bivariate gcds are delegated to sympy's exact dense gcd over ``QQ[x, y]``
+(a heuristic gcd with a PRS fallback); everything else is the term-dict
+kernel below.
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.domains import QQ
+from sympy.polys.euclidtools import dmp_gcd
 
 from .errors import (
     BothZero,
@@ -496,127 +504,16 @@ def restrict_coeffs(f, var_zero):
     return coeffs
 
 
-def _u_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _u_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _u_trim(out)
-
-
-def _u_sub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, cb in enumerate(b):
-        out[i] -= cb
-    return _u_trim(out)
-
-
-def _u_scale(a, c):
-    return _u_trim([ca * c for ca in a])
-
-
-def _u_divmod(a, b):
-    """Division with remainder in Q[t]; ``b`` nonzero."""
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        c = rem[-1] / b[-1]
-        d = len(rem) - len(b)
-        quot[d] = c
-        for i, cb in enumerate(b):
-            rem[i + d] -= c * cb
-        _u_trim(rem)
-    return _u_trim(quot), rem
-
-
-def _u_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _u_divmod(a, b)
-        a, b = b, r
-    if a:
-        a = _u_scale(a, 1 / a[-1])  # monic
-    return a
-
-
 # ---------------------------------------------------------------------------
-# Bivariate gcd via a primitive pseudo-remainder sequence in x over Q[y].
+# Bivariate gcd, delegated to sympy's exact dense gcd over Q[x, y].
 # ---------------------------------------------------------------------------
 
 
-def _to_x_coeffs(f):
-    """BPoly -> list of univariate-in-y coefficient lists, index = x-degree."""
-    xdeg = max((i for i, _ in f.terms), default=0)
-    out = [[] for _ in range(xdeg + 1)]
-    for (i, j), c in f.terms.items():
-        col = out[i]
-        if len(col) <= j:
-            col.extend(Fraction(0) for _ in range(j + 1 - len(col)))
-        col[j] = c
-    return [_u_trim(col) for col in out]
-
-
-def _from_x_coeffs(cols):
-    terms = {}
-    for i, col in enumerate(cols):
-        for j, c in enumerate(col):
-            if c:
-                terms[(i, j)] = c
-    return BPoly(terms)
-
-
-def _x_trim(cols):
-    while cols and not cols[-1]:
-        cols.pop()
-    return cols
-
-
-def _x_content(cols):
-    content = []
-    for col in cols:
-        if col:
-            content = _u_gcd(content, col)
-    return content
-
-
-def _x_primitive(cols):
-    content = _x_content(cols)
-    if not content or content == [Fraction(1)]:
-        return [list(col) for col in cols]
-    out = []
-    for col in cols:
-        if not col:
-            out.append([])
-        else:
-            q, r = _u_divmod(col, content)
-            assert not r
-            out.append(q)
-    return out
-
-
-def _x_prem(f, g):
-    """Pseudo-remainder of ``f`` by ``g`` as x-polynomials over Q[y]."""
-    rem = [list(col) for col in f]
-    gl = g[-1]
-    while _x_trim(rem) and len(rem) >= len(g):
-        rl = rem[-1]
-        d = len(rem) - len(g)
-        rem = [_u_mul(col, gl) for col in rem]
-        for k, gcol in enumerate(g):
-            rem[k + d] = _u_sub(rem[k + d], _u_mul(gcol, rl))
-        _x_trim(rem)
-    return rem
+def _to_dense(f):
+    """``f`` as a sympy dense polynomial in ``QQ[x, y]``."""
+    return dmp_from_dict(
+        {exp: QQ(c.numerator, c.denominator) for exp, c in f._terms.items()}, 1, QQ
+    )
 
 
 def gcd_bivariate(f, g):
@@ -626,26 +523,12 @@ def gcd_bivariate(f, g):
     """
     if f.is_zero and g.is_zero:
         raise BothZero("gcd of two zero polynomials")
-    if f.is_zero:
-        return normalize_primitive(g)[1]
-    if g.is_zero:
-        return normalize_primitive(f)[1]
-    if f.is_constant() or g.is_constant():
-        return ONE
-
-    fc = _x_trim(_to_x_coeffs(f))
-    gc = _x_trim(_to_x_coeffs(g))
-    content = _u_gcd(_x_content(fc), _x_content(gc))
-    r0, r1 = _x_primitive(fc), _x_primitive(gc)
-    if len(r0) < len(r1):
-        r0, r1 = r1, r0
-    while _x_trim(r1):
-        r = _x_prem(r0, r1)
-        r0, r1 = r1, _x_primitive(_x_trim(r)) if _x_trim(r) else []
-    gcd_pp = _from_x_coeffs(_x_primitive(r0))
-    content_poly = BPoly({(0, j): c for j, c in enumerate(content) if c})
-    result = gcd_pp * content_poly
-    return normalize_primitive(result)[1]
+    # Not PolyElement.gcd: over ZZ it runs heugcd with no PRS fallback and can fail.
+    h = dmp_gcd(_to_dense(f), _to_dense(g), 1, QQ)
+    terms = dmp_to_dict(h, 1, QQ)
+    return normalize_primitive(
+        BPoly({exp: Fraction(c.numerator, c.denominator) for exp, c in terms.items()})
+    )[1]
 
 
 def gcd_many(polys):
@@ -667,7 +550,8 @@ def squarefree_decomposition(f):
 
     The returned factors are pairwise coprime, squarefree, primitive and
     normalized; exponents are strictly increasing.  Char-0 Musser scheme
-    driven by ``gcd(f, f_x, f_y)``.
+    driven by ``gcd(f, f_x, f_y)``, each gcd from ``gcd_bivariate`` (sympy's
+    exact dense gcd).
     """
     if f.is_zero:
         raise ZeroPolynomial("squarefree decomposition of zero")

@@ -104,6 +104,11 @@ class TestSquareFree:
         assert is_square_free(P("y"))
         assert not is_square_free(P("y^2"))
         assert not is_square_free(P("x^2*(y + 1)"))
+        # gcd(f, f_x) alone calls the next two non-squarefree, and
+        # x*(y + 1)^2 is squarefree as a polynomial in x over Q(y)
+        assert is_square_free(P("y*(x + 1)"))
+        assert is_square_free(P("(y + 1)*(x^2 + y)"))
+        assert not is_square_free(P("x*(y + 1)^2"))
 
 
 class TestWeightedBound:

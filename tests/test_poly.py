@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctplane.errors import (
     BothZero,
@@ -12,6 +13,7 @@ from lctplane.errors import (
     ZeroPolynomial,
 )
 from lctplane.extended import INF, NEG_INF
+from lctplane.localinv import is_square_free
 from lctplane.parse import parse_poly
 from lctplane.poly import (
     BPoly,
@@ -22,12 +24,22 @@ from lctplane.poly import (
     ZERO,
     divides,
     gcd_bivariate,
+    normalize_primitive,
     squarefree_decomposition,
 )
 
 
 def P(text):
     return parse_poly(text)
+
+
+# Small nonzero polynomials: up to four terms of degree <= 2 in each variable.
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(BPoly)
 
 
 class TestConstruction:
@@ -183,6 +195,31 @@ class TestGcd:
     def test_both_zero(self):
         with pytest.raises(BothZero):
             gcd_bivariate(ZERO, ZERO)
+
+    def test_normalized_results(self):
+        assert gcd_bivariate(P("y*(x+1)"), P("y*(x-1)")) == Y
+        f = P("(3/4*x + 1/2*y)*(x - y^2)")
+        g = P("(-3/2*x - y)*(y + 1/5)")
+        assert gcd_bivariate(f, g) == P("3*x + 2*y")
+        assert gcd_bivariate(ZERO, P("-2*x*y")) == P("x*y")
+        assert gcd_bivariate(BPoly.constant(3), X) == ONE
+
+    @settings(derandomize=True, deadline=None)
+    @given(small_polys, small_polys, small_polys)
+    def test_random_products(self, a, b, c):
+        ac, bc = a * c, b * c
+        d = gcd_bivariate(ac, bc)
+        d.divide_exact(c)
+        cofactors = ac.divide_exact(d), bc.divide_exact(d)
+        assert gcd_bivariate(*cofactors).is_constant()
+        assert normalize_primitive(d) == (1, d)
+        f = a * b**2
+        fac = squarefree_decomposition(f)
+        assert fac.reconstruct() == f
+        parts = [part for part, _ in fac.factors]
+        assert all(is_square_free(part) for part in parts)
+        for i, p in enumerate(parts):
+            assert all(gcd_bivariate(p, q) == ONE for q in parts[i + 1 :])
 
 
 class TestSquarefreeDecomposition:

@@ -139,11 +139,18 @@ class TestLogPullback:
         assert all(v < 1 for v in coeffs.values())
 
     def test_threshold_characterization(self):
-        tree = resolve_over_origin(P("y^3 + x^4"))
-        lct = lct_from_tree(tree)
-        assert all(v <= 1 for v in log_pullback_coefficients(tree, lct).values())
-        above = lct + Fraction(1, 1000)
-        assert any(v > 1 for v in log_pullback_coefficients(tree, above).values())
+        cases = [
+            ("y^3 + x^4", Fraction(7, 12)),
+            # a sheared chain: deep resolution, large squarefree gcds
+            ("1/2*y^41 - 2*x*y^38 - 1/2*x^4*y^33 + x^4*y^16 - x^6", Fraction(47, 246)),
+        ]
+        for text, expected in cases:
+            tree = resolve_over_origin(P(text))
+            lct = lct_from_tree(tree)
+            assert lct == expected
+            assert all(v <= 1 for v in log_pullback_coefficients(tree, lct).values())
+            above = lct + Fraction(1, 1000)
+            assert any(v > 1 for v in log_pullback_coefficients(tree, above).values())
 
     def test_incomplete_tree(self):
         tree = ResolutionTree(input=P("x*y"))
