@@ -16,6 +16,7 @@ exits 3 before any computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -331,6 +332,11 @@ def build_parser():
     return parser
 
 
+# Built on the first ``main`` call, not at import, and shared by later calls:
+# ``parse_args`` only reads the parser and returns a fresh namespace.
+_shared_parser = functools.cache(build_parser)
+
+
 def _exit_code(exc):
     if isinstance(exc, ParseError):
         return 2
@@ -344,8 +350,7 @@ def _exit_code(exc):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         args.func(args)
     except LctError as exc:

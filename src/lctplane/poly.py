@@ -9,8 +9,9 @@ The term order used for rendering and leading-term extraction is graded
 lexicographic (total degree first, then x-degree).
 
 Bivariate gcds are delegated to sympy's exact dense gcd over ``QQ[x, y]``
-(a heuristic gcd with a PRS fallback); everything else is the term-dict
-kernel below.
+(a heuristic gcd with a PRS fallback), and ``translate`` is an exact
+integer Taylor shift done one variable at a time (``shift_terms``);
+everything else is the term-dict kernel below.
 """
 
 from __future__ import annotations
@@ -100,6 +101,43 @@ def mul_terms(a, b):
 def scale_terms(a, c):
     """Term dict multiplied by a nonzero scalar."""
     return {key: coeff * c for key, coeff in a.items()}
+
+
+def shift_terms(a, var, s):
+    """Term dict with variable ``var`` (0 for x, 1 for y) replaced by
+    ``var + s``, for a nonzero rational ``s = p/q``.
+
+    Taylor shift one column at a time (the terms sharing the other
+    variable's exponent), in integers.  Write ``v`` for ``var``; with the
+    column over the common denominator ``L`` and ``n`` its top degree,
+    ``N_e v^e`` contributes ``N_e C(e, k) p^(e-k) q^(n-e+k)`` to the
+    numerator of ``v^k``, whose coefficient is that numerator over
+    ``L q^n``.
+    """
+    p, q = s.numerator, s.denominator
+    columns = {}
+    for exp, coeff in a.items():
+        columns.setdefault(exp[1 - var], []).append((exp[var], coeff))
+    out = {}
+    for other, column in columns.items():
+        n = max(e for e, _ in column)
+        denom = math.lcm(*(coeff.denominator for _, coeff in column))
+        ppow, qpow = [1], [1]
+        for _ in range(n):
+            ppow.append(ppow[-1] * p)
+            qpow.append(qpow[-1] * q)
+        acc = [0] * (n + 1)
+        for e, coeff in column:
+            num = coeff.numerator * (denom // coeff.denominator)
+            binom = 1
+            for k in range(e, -1, -1):
+                acc[k] += num * binom * ppow[e - k] * qpow[n - e + k]
+                binom = binom * k // (e - k + 1)
+        denom *= qpow[n]
+        for k, v in enumerate(acc):
+            if v:
+                out[(k, other) if var == 0 else (other, k)] = Fraction(v, denom)
+    return out
 
 
 class BPoly:
@@ -354,11 +392,20 @@ class BPoly:
         return result
 
     def translate(self, p):
-        """``f(x + p1, y + p2)``; degree is preserved."""
+        """``f(x + p1, y + p2)``; degree is preserved.
+
+        An exact Taylor shift, first in y and then in x (``shift_terms``):
+        the same terms as ``substitute(X + p1, Y + p2)`` at a cost per term
+        of its degree in the shifted variable, with no ``BPoly`` or
+        ``Fraction`` arithmetic in the inner loop.
+        """
         p1, p2 = Fraction(p[0]), Fraction(p[1])
-        if p1 == 0 and p2 == 0:
-            return self
-        return self.substitute(X + BPoly.constant(p1), Y + BPoly.constant(p2))
+        terms = self._terms
+        if p2:
+            terms = shift_terms(terms, 1, p2)
+        if p1:
+            terms = shift_terms(terms, 0, p1)
+        return self if terms is self._terms else BPoly._raw(terms)
 
     def linear_change(self, m):
         """Compose with the invertible linear map ``(x, y) -> M (x, y)``."""

@@ -90,6 +90,38 @@ class TestExitCodes:
         assert payload["status"] == "error" and payload["error"] == "ParseError"
 
 
+class TestRepeatedCalls:
+    """``main`` shares one parser between calls; no option may carry over."""
+
+    def test_point_and_cap_do_not_leak(self, capsys):
+        code, payload, _ = run_json(capsys, "lct", "x^2+y^3", "--point", "7,5")
+        assert code == 0 and payload["lct"] == "inf"
+        code, payload, _ = run_json(capsys, "lct", "x^2+y^3")
+        assert code == 0 and payload["lct"] == "5/6"
+        code, _, _ = run(capsys, "resolve", "x^2+y^3", "--cap", "1")
+        assert code == 5
+        code, out, _ = run(capsys, "resolve", "x^2+y^3")
+        assert code == 0 and out.strip().endswith("lct = 5/6")
+
+    def test_subcommand_switch(self, capsys):
+        assert run_json(capsys, "lct", "x^2+y^3")[1]["method"] == "highmult"
+        code, payload, _ = run_json(capsys, "classify", "x^3*y + y^5 + x*y^4")
+        assert code == 0 and payload["symbol"] == "Z11"
+        code, payload, _ = run_json(capsys, "resolve", "x^2+y^3")
+        assert code == 0 and payload["lct"] == "5/6"
+
+    def test_errors_then_success(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lct", "x^2+y^3", "--no-such-option"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, _, _ = run(capsys, "lct", "x^2 + @", "--format", "json")
+        assert code == 2
+        code, out, err = run(capsys, "lct", "x^2+y^3")
+        assert code == 0 and err == ""
+        assert out.strip() == "lct = 5/6 (method: highmult)"
+
+
 class TestSubcommands:
     def test_classify(self, capsys):
         code, payload, _ = run_json(capsys, "classify", "x^3*y + y^5 + x*y^4")

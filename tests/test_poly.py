@@ -41,6 +41,23 @@ small_polys = st.dictionaries(
     max_size=4,
 ).map(BPoly)
 
+# Sparse polynomials, possibly zero: up to six terms of degree <= 9 in each
+# variable; shifts with either coordinate possibly zero.
+sparse_polys = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+    max_size=6,
+).map(BPoly)
+_shift_coords = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=9)
+)
+shifts = st.tuples(_shift_coords, _shift_coords)
+
+
+def _substituted(f, p):
+    """The reference ``f(x + p1, y + p2)``, by substitution."""
+    return f.substitute(X + BPoly.constant(p[0]), Y + BPoly.constant(p[1]))
+
 
 class TestConstruction:
     def test_canonical_no_zero_terms(self):
@@ -139,6 +156,26 @@ class TestCoordinateChanges:
         f = P("x^3 - 2*x*y + y^2 - 5")
         p = (Fraction(2, 3), Fraction(-1, 2))
         assert f.translate(p).translate((-p[0], -p[1])) == f
+
+    @settings(derandomize=True, deadline=None)
+    @given(sparse_polys, shifts)
+    def test_translate_matches_substitution(self, f, p):
+        shifted = f.translate(p)
+        assert shifted._terms == _substituted(f, p)._terms
+        assert shifted.translate((-p[0], -p[1])) == f
+        assert ZERO.translate(p) == ZERO
+
+    def test_translate_high_degree_monomial(self):
+        f = P("x^40*y^40 + x + y")
+        p = (Fraction(1, 2), Fraction(-3, 7))
+        assert f.translate(p)._terms == _substituted(f, p)._terms
+
+    def test_translate_ak_chain(self):
+        f = P("x^2 + y^121 + 3*x*y^40")
+        p = (Fraction(1, 2), Fraction(3))
+        shifted = f.translate(p)
+        assert shifted._terms == _substituted(f, p)._terms
+        assert shifted.translate((-p[0], -p[1])) == f
 
     def test_linear_change_swap(self):
         swap = ((0, 1), (1, 0))
