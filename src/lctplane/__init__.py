@@ -8,9 +8,11 @@ rational arithmetic:
 * an embedded-resolution oracle via iterated point blowups
   (``resolve_over_origin`` / ``lct_from_tree``),
 * a complete classifier and table lookup for curves of degree at most 5
-  (``classify_singularity`` / ``lct_low_degree``).
+  (``classify_singularity``).
 
-See the ``lctplane`` CLI for the command-line front end.
+``lct`` picks the first route that applies to the germ at the origin (the
+``lctplane lct`` command calls it); ``lct_low_degree`` uses it at any
+rational point of a curve of degree at most 5.
 """
 
 from .classify import (
@@ -19,10 +21,10 @@ from .classify import (
     allowed_types,
     class_info,
     classify_singularity,
-    lct_low_degree,
     sample_normal_form,
     table1_values,
 )
+from .dispatch import LctResult, lct, lct_low_degree
 from .errors import LctError
 from .extended import INF, NEG_INF
 from .highmult import (
@@ -65,6 +67,7 @@ __all__ = [
     "HighMultAnalysis",
     "INF",
     "LctError",
+    "LctResult",
     "NEG_INF",
     "ResolutionTree",
     "SingularityClass",
@@ -80,6 +83,7 @@ __all__ = [
     "intersection_multiplicity_origin",
     "is_square_free",
     "lambda_set",
+    "lct",
     "lct_from_tree",
     "lct_low_degree",
     "log_pullback_coefficients",

@@ -38,7 +38,6 @@ __all__ = [
     "all_symbols",
     "allowed_types",
     "classify_singularity",
-    "lct_low_degree",
     "table1_values",
     "sample_normal_form",
     "class_info",
@@ -110,9 +109,9 @@ def classify_singularity(f):
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
     mult = f.multiplicity()
-    if f.evaluate(0, 0) != 0 or mult < 2:
+    if f.coefficient(0, 0) != 0 or mult < 2:
         raise NotSingular("origin is not a singular point of the curve")
-    pattern = tuple(tangent_cone_pattern(f))
+    pattern = tangent_cone_pattern(f)
     mu = milnor_number_origin(f)
     if mu is INF:
         raise NotClassifiable(
@@ -126,26 +125,6 @@ def classify_singularity(f):
             f"{list(pattern)}, Milnor number={mu}"
         )
     return class_info(symbol)
-
-
-def lct_low_degree(f, p=(0, 0)):
-    """lct of a reduced curve of degree <= 5 at a rational point.
-
-    Returns ``INF`` when the point is not on the curve (convention) and
-    1 at smooth points.
-    """
-    if f.is_zero:
-        raise ZeroPolynomial("cannot analyze the zero polynomial")
-    if not 1 <= f.degree <= 5:
-        raise DegreeOutOfRange(f"lookup covers degrees 1..5, got {f.degree}")
-    if not is_square_free(f):
-        raise NotSquareFree("curve must be reduced")
-    local = f.translate(p)
-    if local.evaluate(0, 0) != 0:
-        return INF
-    if local.multiplicity() <= 1:
-        return Fraction(1)
-    return classify_singularity(local).lct
 
 
 def table1_values(d):

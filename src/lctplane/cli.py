@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 
 from .classify import classify_singularity
+from .dispatch import lct
 from .errors import (
     IrrationalCenter,
     LctError,
@@ -31,7 +32,7 @@ from .errors import (
     ResolutionCap,
 )
 from .extended import INF
-from .highmult import analyze_high_mult, construct_witness, lambda_set, reducibility_hint
+from .highmult import construct_witness, lambda_set, reducibility_hint
 from .localinv import (
     intersection_multiplicity_origin,
     milnor_number_origin,
@@ -117,21 +118,9 @@ def _emit(args, payload, text_lines):
 
 
 def _cmd_lct(args):
-    f = _input_poly(args)
-    if f.is_zero:
-        raise PreconditionError("curve is the zero polynomial")
-    if f.evaluate(0, 0) != 0:
-        lct, method = INF, "trivial"
-    elif f.multiplicity() == 1:
-        lct, method = Fraction(1), "trivial"
-    elif isinstance(f.degree, int) and f.multiplicity() == f.degree - 1 >= 2:
-        lct, method = analyze_high_mult(f).lct, "highmult"
-    elif f.degree <= 5:
-        lct, method = classify_singularity(f).lct, "classifier"
-    else:
-        lct, method = lct_from_tree(resolve_over_origin(f, cap=args.cap)), "resolution"
-    payload = {"lct": _render(lct), "method": method}
-    _emit(args, payload, [f"lct = {_render(lct)} (method: {method})"])
+    result = lct(_input_poly(args), cap=args.cap)
+    payload = {"lct": _render(result.value), "method": result.method}
+    _emit(args, payload, [f"lct = {payload['lct']} (method: {result.method})"])
 
 
 def _cmd_classify(args):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import IrrationalCenter
+from .errors import IrrationalCenter, NotSquareFree
 from .factorize import factor_binary_form
 from .localinv import is_square_free
 from .poly import BPoly, X, Y
@@ -69,12 +69,10 @@ def random_high_mult_instance(d, rng):
             continue
         if not _tangent_cone_centers_rational(f):
             continue
-        if not is_square_free(f):
-            continue
         try:
             resolve_over_origin(f)
-        except IrrationalCenter:
-            # a deeper center left the rationals; draw again
+        except (NotSquareFree, IrrationalCenter):
+            # not reduced, or a deeper center left the rationals; draw again
             continue
         return f
 
@@ -90,7 +88,7 @@ def random_curve(rng, max_degree=5):
                     continue
                 if rng.random() < 0.4:
                     f = f + BPoly.monomial(i, j, random_rational(rng))
-        if f.is_zero or f.evaluate(0, 0) != 0 or f.degree < 1:
+        if f.is_zero or f.coefficient(0, 0) != 0 or f.degree < 1:
             continue
         if is_square_free(f):
             return f

@@ -1,7 +1,7 @@
 """Irreducible factorization over the rationals.
 
 Univariate factorization is delegated to sympy's exact Zassenhaus-based
-``factor_list`` (denominators cleared, integer domain, no numerics
+``dup_factor_list`` (denominators cleared, integer domain, no numerics
 anywhere).  On top of it we factor binary forms completely: dehomogenize
 to ``F(t, 1)``, factor, then re-homogenize and account for the root at
 infinity (the factor y).
@@ -9,16 +9,16 @@ infinity (the factor y).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from .errors import ZeroPolynomial
 from .poly import BPoly, Factorization, normalize_primitive
 
 __all__ = ["factor_univariate", "factor_binary_form", "rational_roots"]
-
-_T = sympy.Symbol("t")
 
 
 def factor_univariate(coeffs):
@@ -36,32 +36,15 @@ def factor_univariate(coeffs):
         raise ZeroPolynomial("factorization of the zero polynomial")
     if len(coeffs) == 1:
         return coeffs[0], []
-    denom, expr = sympy.Poly(list(reversed(coeffs)), _T, domain="QQ").clear_denoms(
-        convert=True
-    )
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    dense = [ZZ(c.numerator * (denom // c.denominator)) for c in reversed(coeffs)]
     # over ZZ, sympy returns primitive factors with positive leading coefficients
-    content, factor_list = expr.factor_list()
-    unit = Fraction(int(content), int(denom))
+    content, factor_list = dup_factor_list(dense, ZZ)
+    unit = Fraction(int(content), denom)
     factors = [
-        ([Fraction(int(c)) for c in reversed(fac.all_coeffs())], int(exp))
-        for fac, exp in factor_list
+        ([Fraction(int(c)) for c in reversed(fac)], exp) for fac, exp in factor_list
     ]
     return unit, factors
-
-
-def _homogenize(coeffs, total_degree):
-    """Lift univariate ``p(t)`` to the binary form ``y^deg * p(x/y)``,
-    padded with y to reach ``total_degree``."""
-    deg = len(coeffs) - 1
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            terms[(i, deg - i)] = c
-    form = BPoly(terms)
-    pad = total_degree - deg
-    if pad > 0:
-        form = form * BPoly.monomial(0, pad)
-    return form
 
 
 def factor_binary_form(form):

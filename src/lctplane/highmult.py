@@ -55,7 +55,7 @@ def analyze_high_mult(f):
     d = f.degree
     if not isinstance(d, int) or d < 3:
         raise DegreeTooSmall(f"degree must be at least 3, got {d}")
-    if f.evaluate(0, 0) != 0:
+    if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
     if f.multiplicity() != d - 1:
         raise WrongMultiplicity(
@@ -171,8 +171,11 @@ def construct_witness(d, target):
             ]
 
     for f in candidates:
-        if is_square_free(f) and analyze_high_mult(f).lct == target:
-            return f
+        try:
+            if analyze_high_mult(f).lct == target:
+                return f
+        except NotSquareFree:
+            continue
     raise TargetNotRealizable(
         f"no square-free witness found for lct {target} at degree {d}"
     )

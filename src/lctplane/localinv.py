@@ -22,24 +22,8 @@ __all__ = [
     "tangent_cone_pattern",
     "is_square_free",
     "weighted_lct_upper_bound",
-    "TangentConePattern",
     "WeightedBound",
 ]
-
-
-@dataclass(frozen=True)
-class TangentConePattern:
-    """Line multiplicities of the tangent cone over the algebraic closure.
-
-    ``entries`` is sorted descending; an irreducible rational factor of
-    degree g with exponent e contributes g copies of e.  The entries sum
-    to the multiplicity at the origin.
-    """
-
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -71,15 +55,15 @@ def intersection_multiplicity_origin(f, g):
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("intersection multiplicity needs nonzero curves")
-    if f.evaluate(0, 0) != 0 or g.evaluate(0, 0) != 0:
+    if f.coefficient(0, 0) != 0 or g.coefficient(0, 0) != 0:
         return 0
     common = gcd_bivariate(f, g)
-    if not common.is_constant() and common.evaluate(0, 0) == 0:
+    if not common.is_constant() and common.coefficient(0, 0) == 0:
         return INF
 
     total = 0
     while True:
-        if f.evaluate(0, 0) != 0 or g.evaluate(0, 0) != 0:
+        if f.coefficient(0, 0) != 0 or g.coefficient(0, 0) != 0:
             return total
         fx0 = restrict_coeffs(f, "y")
         gx0 = restrict_coeffs(g, "y")
@@ -117,7 +101,7 @@ def milnor_number_origin(f):
     """
     if f.is_zero:
         raise ZeroPolynomial("Milnor number of the zero polynomial")
-    if f.evaluate(0, 0) != 0:
+    if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
     fx = f.derivative("x")
     fy = f.derivative("y")
@@ -125,21 +109,24 @@ def milnor_number_origin(f):
         raise ZeroPolynomial("constant polynomial has no Milnor number")
     if fx.is_zero or fy.is_zero:
         other = fy if fx.is_zero else fx
-        return 0 if other.evaluate(0, 0) != 0 else INF
+        return 0 if other.coefficient(0, 0) != 0 else INF
     return intersection_multiplicity_origin(fx, fy)
 
 
 def tangent_cone_pattern(f):
-    """Line-multiplicity multiset of the tangent cone of f at the origin."""
+    """Line multiplicities of the tangent cone of f at the origin, as a
+    tuple sorted descending: over the algebraic closure, an irreducible
+    rational factor of degree g with exponent e contributes g copies of e,
+    so the entries sum to the multiplicity at the origin."""
     if f.is_zero:
         raise ZeroPolynomial("tangent cone of the zero polynomial")
-    if f.evaluate(0, 0) != 0:
+    if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
     cone = f.homogeneous_part(f.multiplicity())
     entries = []
     for factor, exp in factor_binary_form(cone).factors:
         entries.extend([exp] * factor.degree)
-    return TangentConePattern(entries=tuple(sorted(entries, reverse=True)))
+    return tuple(sorted(entries, reverse=True))
 
 
 def is_square_free(f):
@@ -161,7 +148,7 @@ def weighted_lct_upper_bound(f, w):
     """The Lemma-style weighted upper bound: lct_0(f) <= (w1+w2)/wt(f)."""
     if f.is_zero:
         raise ZeroPolynomial("weighted bound of the zero polynomial")
-    if f.evaluate(0, 0) != 0:
+    if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
     w1, w2 = Fraction(w[0]), Fraction(w[1])
     wt, leading = f.weighted_order((w1, w2))

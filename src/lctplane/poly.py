@@ -367,14 +367,7 @@ class BPoly:
             raise ValueError(f"unknown variable {var!r}")
         return BPoly._raw(out)
 
-    # -- evaluation and substitution -------------------------------------
-
-    def evaluate(self, px, py):
-        px, py = Fraction(px), Fraction(py)
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * px**i * py**j
-        return total
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, sx, sy):
         """Compose with ``x -> sx``, ``y -> sy`` (both ``BPoly``)."""
@@ -455,18 +448,6 @@ class BinaryForm(BPoly):
         degs = {i + j for i, j in self._terms}
         if len(degs) > 1:
             raise ValueError("binary form must be homogeneous")
-
-    @classmethod
-    def _raw(cls, terms):
-        self = BPoly.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
-        return self
-
-    @property
-    def form_degree(self):
-        """Degree of the form; ``NEG_INF`` when zero."""
-        return self.degree
 
 
 ZERO = BPoly._raw({})

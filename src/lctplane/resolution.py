@@ -112,12 +112,12 @@ def _charts(f, m):
     ``x = 0``, sends ``x^i y^j`` to ``x^(i+j-m) y^j``; chart 2,
     ``(x, y) -> (x*y, y)`` with exceptional divisor ``y = 0``, sends it to
     ``x^i y^(i+j-m)``.  Both maps are injective on exponents, so no
-    coefficients combine.
+    coefficients combine, and ``i + j >= m`` keeps exponents non-negative.
     """
     terms = f.terms.items()
     return (
-        BPoly({(i + j - m, j): c for (i, j), c in terms}),
-        BPoly({(i, i + j - m): c for (i, j), c in terms}),
+        BPoly._raw({(i + j - m, j): c for (i, j), c in terms}),
+        BPoly._raw({(i, i + j - m): c for (i, j), c in terms}),
     )
 
 
@@ -131,7 +131,7 @@ def blowup_transform(f_local):
     """
     if f_local.is_zero:
         raise ZeroPolynomial("cannot blow up the zero polynomial")
-    if f_local.evaluate(0, 0) != 0:
+    if f_local.coefficient(0, 0) != 0:
         raise NotThroughOrigin("center is not on the curve")
     mu = f_local.multiplicity()
     strict1, strict2 = _charts(f_local, mu)
@@ -171,7 +171,7 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
     """Log resolution of the germ of f over the origin; returns the tree."""
     if f.is_zero:
         raise ZeroPolynomial("cannot resolve the zero polynomial")
-    if f.evaluate(0, 0) != 0:
+    if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
@@ -236,7 +236,7 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
         inf_restriction = restrict_coeffs(strict2, "y")
         inf_exp = (
             min(i for i, c in enumerate(inf_restriction) if c)
-            if strict2.evaluate(0, 0) == 0
+            if strict2.coefficient(0, 0) == 0
             else 0
         )
 

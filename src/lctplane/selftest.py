@@ -1,7 +1,7 @@
 """Self-verification suite: cross-checks every computation path against
 the others on seeded random instances and the shipped golden data.
 
-``run_selftest`` executes eight criteria (closed-form theorem vs the
+``run_selftest`` executes eight criteria (``lct``'s closed form vs the
 resolution oracle, lambda-set realization, table reproduction, normal
 form invariants, classifier round trips, bound properties, intersection
 multiplicity identities, and the resolution ledger shape) and reports a
@@ -24,6 +24,7 @@ from .classify import (
     table1_values,
 )
 from .corpus import random_high_mult_instance, random_rational
+from .dispatch import lct
 from .errors import SelfTestFailure
 from .highmult import analyze_high_mult, construct_witness, lambda_set
 from .localinv import (
@@ -116,7 +117,9 @@ def _check_theorem_vs_oracle(rng, per_degree):
     for d in (3, 4, 5, 6):
         for _ in range(per_degree):
             f = random_high_mult_instance(d, rng)
-            fast = analyze_high_mult(f).lct
+            fast, method = lct(f)
+            if method != "highmult":
+                _fail("theorem-vs-oracle", f.render(), "method highmult", method)
             oracle = lct_from_tree(resolve_over_origin(f))
             if fast != oracle:
                 _fail("theorem-vs-oracle", f.render(), fast, oracle)

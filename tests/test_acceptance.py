@@ -13,7 +13,6 @@ from lctplane.classify import (
     all_symbols,
     class_info,
     classify_singularity,
-    lct_low_degree,
     sample_normal_form,
     table1_values,
 )

@@ -7,12 +7,12 @@ from importlib import resources
 
 import pytest
 
+from lctplane import lct_low_degree
 from lctplane.classify import (
     all_symbols,
     allowed_types,
     class_info,
     classify_singularity,
-    lct_low_degree,
     sample_normal_form,
     table1_values,
 )

@@ -1,0 +1,85 @@
+"""Unit tests for the library's lct dispatcher."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from lctplane import LctResult, lct, lct_low_degree
+from lctplane.errors import (
+    IrrationalCenter,
+    NotSquareFree,
+    ResolutionCap,
+    ZeroPolynomial,
+)
+from lctplane.extended import INF
+from lctplane.localinv import is_square_free
+from lctplane.parse import parse_poly as P
+from lctplane.poly import BPoly
+from lctplane.resolution import lct_from_tree, resolve_over_origin
+
+# Germs singular at the origin: two to six terms, each of total degree 2..5.
+singular_germs = st.dictionaries(
+    st.sampled_from([(i, d - i) for d in range(2, 6) for i in range(d + 1)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    min_size=2,
+    max_size=6,
+).map(BPoly)
+
+
+class TestRoutes:
+    @pytest.mark.parametrize(
+        "text, point, expected",
+        [
+            ("x^2+y^3", (7, 5), LctResult(INF, "trivial")),
+            ("y - x^2", (0, 0), LctResult(Fraction(1), "trivial")),
+            ("x^2+y^3", (0, 0), LctResult(Fraction(5, 6), "highmult")),
+            ("y^4+x^5", (0, 0), LctResult(Fraction(9, 20), "highmult")),
+            ("(x-1)^2 + (y-2)^3", (1, 2), LctResult(Fraction(5, 6), "highmult")),
+            ("x^2 + y^5", (0, 0), LctResult(Fraction(7, 10), "classifier")),
+            ("x^2 + y^6 + x*y^4", (0, 0), LctResult(Fraction(2, 3), "resolution")),
+        ],
+    )
+    def test_method_table(self, text, point, expected):
+        assert lct(P(text).translate(point)) == expected
+
+    def test_zero(self):
+        with pytest.raises(ZeroPolynomial, match="curve is the zero polynomial"):
+            lct(BPoly.zero())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^2 + x^2*y",  # degree 3, multiplicity 2: the closed form
+            "x^4 + 2*x^2*y^2 + y^4",  # degree 4, multiplicity 4: the classifier
+            "x^2 + x^2*y^5",  # degree 7, multiplicity 2: the resolution oracle
+        ],
+    )
+    def test_non_reduced_singular_point(self, text):
+        with pytest.raises(NotSquareFree):
+            lct(P(text))
+
+    def test_cap(self):
+        with pytest.raises(ResolutionCap):
+            lct(P("x^2 + y^6 + x*y^4"), cap=1)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(singular_germs)
+    def test_agrees_with_oracle(self, f):
+        assume(is_square_free(f))
+        try:
+            tree = resolve_over_origin(f)
+        except IrrationalCenter:
+            assume(False)
+        assert lct(f).value == lct_from_tree(tree)
+
+
+class TestLctLowDegree:
+    def test_non_reduced_off_curve(self):
+        # the point is off the curve, but the curve is still refused
+        with pytest.raises(NotSquareFree):
+            lct_low_degree(P("x^2 + x^2*y"), (5, 5))
+
+    def test_non_reduced_smooth_point(self):
+        with pytest.raises(NotSquareFree):
+            lct_low_degree(P("(x + y)*y^2"), (1, -1))

@@ -1,13 +1,24 @@
 """Unit tests for univariate and binary-form factorization."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctplane.errors import ZeroPolynomial
-from lctplane.factorize import factor_binary_form, rational_roots
+from lctplane.factorize import factor_binary_form, factor_univariate, rational_roots
 from lctplane.parse import parse_poly
-from lctplane.poly import X, Y
+from lctplane.poly import BPoly, X, Y
+
+_coeffs = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5
+).filter(any)
+
+
+def _univariate(coeffs):
+    """``sum(c * x^i)`` as a ``BPoly``."""
+    return BPoly({(i, 0): c for i, c in enumerate(coeffs)})
 
 
 def form(text):
@@ -75,3 +86,23 @@ class TestRationalRoots:
         roots, nonlinear = rational_roots(coeffs)
         assert dict(roots) == {Fraction(0): 1, Fraction(1, 2): 2}
         assert nonlinear == []
+
+
+class TestFactorUnivariate:
+    @settings(derandomize=True, deadline=None)
+    @given(_coeffs, st.one_of(st.none(), _coeffs))
+    def test_rebuilds_input(self, a, b):
+        # about half the inputs carry a square factor b^2
+        f = _univariate(a)
+        if b is not None:
+            f = f * _univariate(b) ** 2
+        coeffs = [f.coefficient(i, 0) for i in range(f.degree + 1)]
+        unit, factors = factor_univariate(coeffs)
+        rebuilt = BPoly.constant(unit)
+        for fac, exp in factors:
+            assert len(fac) >= 2 and exp >= 1
+            assert all(c.denominator == 1 for c in fac)
+            assert math.gcd(*(c.numerator for c in fac)) == 1
+            assert fac[-1] > 0
+            rebuilt = rebuilt * _univariate(fac) ** exp
+        assert rebuilt == f
