@@ -9,8 +9,10 @@ rendered ``p/q`` in lowest terms and infinity as ``inf``.
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 irrational blowup center, 5 blowup cap exceeded, 1 anything else.
 A polynomial argument with an exponent above ``parse.MAX_EXPONENT``
-(1000), such as ``x^2+y^999999999``, is a precondition violation and
-exits 3 before any computation.
+(1000), such as ``x^2+y^999999999``, or with a power or product that could
+expand to more than ``parse.MAX_TERMS`` (10000) terms, such as
+``(1+x+y)^1000``, is a precondition violation and exits 3 before any
+computation.
 """
 
 from __future__ import annotations

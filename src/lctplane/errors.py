@@ -5,7 +5,9 @@ The CLI maps these onto exit codes: parse errors exit 2, precondition
 violations exit 3, irrational blowup centers exit 4 and the internal
 blowup cap exit 5.  Input text with an exponent above
 ``parse.MAX_EXPONENT`` (1000) is refused as the precondition violation
-:class:`ExponentTooLarge`, so it exits 3.
+:class:`ExponentTooLarge`, and a power or product that could expand to
+more than ``parse.MAX_TERMS`` (10000) terms as :class:`TooManyTerms`, so
+both exit 3.
 """
 
 
@@ -35,6 +37,11 @@ class PreconditionError(LctError):
 class ExponentTooLarge(PreconditionError):
     """A power in the input text exceeds ``parse.MAX_EXPONENT``, either by
     its exponent or by the degree of its expansion."""
+
+
+class TooManyTerms(PreconditionError):
+    """A power or product in the input text could expand to more than
+    ``parse.MAX_TERMS`` terms."""
 
 
 class ZeroPolynomial(PreconditionError):

@@ -2,18 +2,15 @@
 
 Univariate factorization is delegated to sympy's exact Zassenhaus-based
 ``dup_factor_list`` (denominators cleared, integer domain, no numerics
-anywhere).  On top of it we factor binary forms completely: dehomogenize
-to ``F(t, 1)``, factor, then re-homogenize and account for the root at
-infinity (the factor y).
+anywhere), imported on the first factorization.  On top of it we factor
+binary forms completely: dehomogenize to ``F(t, 1)``, factor, then
+re-homogenize and account for the root at infinity (the factor y).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_factor_list
 
 from .errors import ZeroPolynomial
 from .poly import BPoly, Factorization, normalize_primitive
@@ -29,6 +26,9 @@ def factor_univariate(coeffs):
     factors, positive leading coefficients, such that
     ``unit * prod(factor ** exponent)`` equals the input exactly.
     """
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

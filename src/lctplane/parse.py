@@ -16,7 +16,12 @@ A power whose exponent, or whose degree once expanded, exceeds
 ``MAX_EXPONENT`` is rejected with
 :class:`~lctplane.errors.ExponentTooLarge` (a precondition error, CLI
 exit 3) before it is expanded: later stages allocate lists as long as the
-largest exponent.
+largest exponent.  Likewise a power or product whose result could have
+more than ``MAX_TERMS`` terms is rejected with
+:class:`~lctplane.errors.TooManyTerms` before it is expanded; the bound
+is the number of monomial products, ``C(n + t - 1, t - 1)`` for the
+n-th power of t terms, or the box of the result's per-variable degrees,
+whichever is smaller.
 
 The module is variable-set generic (the CLI parses projective input in
 x, y, z); ``parse_poly`` is the bivariate entry point returning a
@@ -25,15 +30,17 @@ x, y, z); ``parse_poly`` is the bivariate entry point returning a
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
-from .errors import ExponentTooLarge, NonPolynomial, ParseError
+from .errors import ExponentTooLarge, NonPolynomial, ParseError, TooManyTerms
 from .poly import BPoly
 
-__all__ = ["MAX_EXPONENT", "parse_poly", "parse_terms", "parse_rational"]
+__all__ = ["MAX_EXPONENT", "MAX_TERMS", "parse_poly", "parse_terms", "parse_rational"]
 
 MAX_EXPONENT = 1000
+MAX_TERMS = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^()]))")
 
@@ -163,7 +170,14 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                total = self._mul(total, self.factor())
+                rhs = self.factor()
+                _check_terms(
+                    "product",
+                    len(total) * len(rhs),
+                    map(sum, zip(_max_exponents(total), _max_exponents(rhs))),
+                    pos,
+                )
+                total = self._mul(total, rhs)
             elif kind == "op" and value == "/":
                 raise NonPolynomial(
                     "division is only allowed inside rational literals", pos
@@ -186,6 +200,13 @@ class _Parser:
                 raise ExponentTooLarge(
                     f"power exceeds the exponent limit {MAX_EXPONENT} "
                     f"(at position {pos})"
+                )
+            if len(base) > 1:
+                _check_terms(
+                    "power",
+                    math.comb(n + len(base) - 1, n),
+                    (n * d for d in _max_exponents(base)),
+                    pos,
                 )
             base = self._pow(base, n)
         return base
@@ -249,6 +270,18 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError("expected variable, rational or parenthesized expression", pos)
+
+
+def _max_exponents(terms):
+    """Per-variable degrees of a nonzero n-variable term dict."""
+    return map(max, zip(*terms))
+
+
+def _check_terms(what, products, degrees, pos):
+    """Refuse a result that neither its number of monomial ``products`` nor
+    the box of its per-variable ``degrees`` bounds to ``MAX_TERMS`` terms."""
+    if products > MAX_TERMS and math.prod(d + 1 for d in degrees) > MAX_TERMS:
+        raise TooManyTerms(f"{what} exceeds the term limit {MAX_TERMS} (at position {pos})")
 
 
 def parse_terms(text, variables):

@@ -8,10 +8,12 @@ safe to share between threads.
 The term order used for rendering and leading-term extraction is graded
 lexicographic (total degree first, then x-degree).
 
-Bivariate gcds are delegated to sympy's exact dense gcd over ``QQ[x, y]``
-(a heuristic gcd with a PRS fallback), and ``translate`` is an exact
-integer Taylor shift done one variable at a time (``shift_terms``);
-everything else is the term-dict kernel below.
+Bivariate gcds are delegated to sympy's exact dense gcd over ``ZZ[x, y]``
+(a heuristic gcd with a PRS fallback, on the operands with their
+denominators cleared); sympy is imported on the first gcd, so code that
+never takes one never loads it.  ``translate`` is an exact integer Taylor
+shift done one variable at a time (``shift_terms``); everything else is
+the term-dict kernel below.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-
-from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
-from sympy.polys.domains import QQ
-from sympy.polys.euclidtools import dmp_gcd
 
 from .errors import (
     BothZero,
@@ -533,14 +531,21 @@ def restrict_coeffs(f, var_zero):
 
 
 # ---------------------------------------------------------------------------
-# Bivariate gcd, delegated to sympy's exact dense gcd over Q[x, y].
+# Bivariate gcd, delegated to sympy's exact dense gcd over Z[x, y].
 # ---------------------------------------------------------------------------
 
 
 def _to_dense(f):
-    """``f`` as a sympy dense polynomial in ``QQ[x, y]``."""
+    """``f`` times the lcm of its denominators, as a sympy dense polynomial
+    in ``ZZ[x, y]``."""
+    from sympy.polys.densebasic import dmp_from_dict
+    from sympy.polys.domains import ZZ
+
+    denom = math.lcm(*(c.denominator for c in f._terms.values()))
     return dmp_from_dict(
-        {exp: QQ(c.numerator, c.denominator) for exp, c in f._terms.items()}, 1, QQ
+        {exp: ZZ(c.numerator * (denom // c.denominator)) for exp, c in f._terms.items()},
+        1,
+        ZZ,
     )
 
 
@@ -551,11 +556,15 @@ def gcd_bivariate(f, g):
     """
     if f.is_zero and g.is_zero:
         raise BothZero("gcd of two zero polynomials")
+    from sympy.polys.densebasic import dmp_to_dict
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dmp_gcd
+
     # Not PolyElement.gcd: over ZZ it runs heugcd with no PRS fallback and can fail.
-    h = dmp_gcd(_to_dense(f), _to_dense(g), 1, QQ)
-    terms = dmp_to_dict(h, 1, QQ)
+    h = dmp_gcd(_to_dense(f), _to_dense(g), 1, ZZ)
+    terms = dmp_to_dict(h, 1, ZZ)
     return normalize_primitive(
-        BPoly({exp: Fraction(c.numerator, c.denominator) for exp, c in terms.items()})
+        BPoly({exp: Fraction(int(c)) for exp, c in terms.items()})
     )[1]
 
 

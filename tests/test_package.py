@@ -1,9 +1,45 @@
-"""The package's public namespace."""
+"""The package's public namespace and what importing it loads."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import lctplane
+
+# Off-curve, smooth, lambda-set and wbound queries need no algebra, so they
+# must not load sympy; a singular germ then needs a gcd, which must load it.
+_LAZY_SYMPY = textwrap.dedent(
+    """
+    import sys
+    from lctplane.cli import main
+
+    assert "sympy" not in sys.modules, "import"
+    for argv in (
+        ["lct", "x^2+y^3", "--point", "7,5"],
+        ["lct", "y - x^2", "--format", "json"],
+        ["lambda-set", "4"],
+        ["wbound", "x^3+y^4", "--weights", "4,3"],
+    ):
+        assert main(argv) == 0, argv
+        assert "sympy" not in sys.modules, argv
+    assert main(["lct", "x^2+y^3"]) == 0
+    assert "sympy" in sys.modules, "singular lct"
+    """
+)
 
 
 def test_star_import_resolves_all():
     namespace = {}
     exec("from lctplane import *", namespace)
     assert set(lctplane.__all__) <= namespace.keys()
+
+
+def test_cheap_routes_do_not_import_sympy():
+    path = (str(Path(lctplane.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SYMPY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

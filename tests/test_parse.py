@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from lctplane.cli import main
-from lctplane.errors import ExponentTooLarge, NonPolynomial, ParseError
+from lctplane.errors import ExponentTooLarge, NonPolynomial, ParseError, TooManyTerms
 from lctplane.parse import (
     MAX_EXPONENT,
+    MAX_TERMS,
     _Parser,
     parse_poly,
     parse_rational,
@@ -16,6 +17,8 @@ from lctplane.parse import (
 from lctplane.poly import BPoly
 
 HOSTILE = ("x^2+y^999999999", f"y^{MAX_EXPONENT + 1}", "(x^40)^40", "(x - x)^5000")
+# Each expands to more than MAX_TERMS terms (the last to 101^2).
+DENSE = ("(1+x+y)^1000", "((1+x+y)^30)^30", "(x*y+x+y)^200*x", "(1+x)^100*(1+y)^100")
 
 
 @pytest.fixture
@@ -29,6 +32,19 @@ def no_huge_powers(monkeypatch):
         return expand(self, base, n)
 
     monkeypatch.setattr(_Parser, "_pow", guarded)
+
+
+@pytest.fixture
+def no_huge_products(monkeypatch):
+    """Fail at once, instead of expanding, if one product of more than
+    MAX_TERMS coefficient pairs gets past the parser's check."""
+    multiply = _Parser._mul
+
+    def guarded(self, a, b):
+        assert len(a) * len(b) <= MAX_TERMS, f"{len(a)} x {len(b)} terms reached expansion"
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(_Parser, "_mul", guarded)
 
 
 class TestGrammar:
@@ -105,6 +121,21 @@ class TestErrors:
         for text in HOSTILE:
             assert main(["lct", text]) == 3
             assert "exponent limit" in capsys.readouterr().err
+
+
+    def test_term_limit(self, no_huge_products):
+        square = parse_poly("(1+x)^99*(1+y)^99")  # exactly MAX_TERMS terms
+        assert len(square.terms) == MAX_TERMS
+        for text in DENSE:
+            with pytest.raises(TooManyTerms):
+                parse_poly(text)
+        with pytest.raises(TooManyTerms):
+            parse_terms("(x+y+z+1)^40", ("x", "y", "z"))
+
+    def test_term_limit_exit_code(self, no_huge_products, capsys):
+        for text in DENSE:
+            assert main(["lct", text]) == 3
+            assert "term limit" in capsys.readouterr().err
 
 
 class TestHelpers:

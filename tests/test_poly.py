@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from lctplane.errors import (
@@ -48,10 +49,34 @@ sparse_polys = st.dictionaries(
     st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
     max_size=6,
 ).map(BPoly)
+# Possibly zero, up to four terms of degree <= 3 in each variable; some
+# coefficients over large, pairwise coprime (prime) denominators.
+_wide_coeffs = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12),
+        st.sampled_from((1_000_003, 998_244_353, 2**31 - 1, 2**61 - 1)),
+    ),
+).filter(bool)
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), _wide_coeffs, max_size=4
+).map(BPoly)
 _shift_coords = st.one_of(
     st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=9)
 )
 shifts = st.tuples(_shift_coords, _shift_coords)
+
+
+def _sympy_gcd(f, g):
+    """The reference gcd: sympy's ``Poly.gcd`` over ``QQ``, normalised."""
+    def to_poly(h):
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in h.terms.items()}
+        return sympy.Poly.from_dict(terms or {(0, 0): 0}, *sympy.symbols("x y"), domain=sympy.QQ)
+
+    d = to_poly(f).gcd(to_poly(g))
+    terms = {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in d.as_dict().items()}
+    return normalize_primitive(BPoly(terms))[1]
 
 
 def _substituted(f, p):
@@ -257,6 +282,15 @@ class TestGcd:
         assert all(is_square_free(part) for part in parts)
         for i, p in enumerate(parts):
             assert all(gcd_bivariate(p, q) == ONE for q in parts[i + 1 :])
+
+
+    @settings(derandomize=True, deadline=None)
+    @given(wide_polys, wide_polys, wide_polys)
+    def test_matches_sympy_qq_gcd(self, a, b, c):
+        pairs = [(a * c, b * c), (ZERO, b * c), (a, b)]
+        for f, g in pairs:
+            if not (f.is_zero and g.is_zero):
+                assert gcd_bivariate(f, g) == _sympy_gcd(f, g)
 
 
 class TestSquarefreeDecomposition:
