@@ -12,7 +12,8 @@ A polynomial argument with an exponent above ``parse.MAX_EXPONENT``
 (1000), such as ``x^2+y^999999999``, or with a power or product that could
 expand to more than ``parse.MAX_TERMS`` (10000) terms, such as
 ``(1+x+y)^1000``, is a precondition violation and exits 3 before any
-computation.
+computation.  So is a ``lambda-set`` or ``witness`` degree above the same
+1000.
 """
 
 from __future__ import annotations
@@ -94,12 +95,10 @@ def _dehomogenize(text, chart):
     axes = {"x": 0, "y": 1, "z": 2}
     if chart not in axes:
         raise PreconditionError(f"chart must be one of x, y, z, got {chart!r}")
-    keep = [i for i in range(3) if i != axes[chart]]
-    terms = {}
-    for exp, coeff in raw.items():
-        key = (exp[keep[0]], exp[keep[1]])
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return BPoly({k: v for k, v in terms.items() if v})
+    # A homogeneous form's terms differ in the kept exponents, so no two
+    # of them land on the same affine term.
+    a, b = (i for i in range(3) if i != axes[chart])
+    return BPoly._raw({(exp[a], exp[b]): coeff for exp, coeff in raw.items()})
 
 
 def _input_poly(args):

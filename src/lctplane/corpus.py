@@ -15,11 +15,10 @@ from fractions import Fraction
 
 from .errors import IrrationalCenter, NotSquareFree
 from .factorize import factor_binary_form
-from .localinv import is_square_free
 from .poly import BPoly, X, Y
 from .resolution import resolve_over_origin
 
-__all__ = ["random_high_mult_instance", "random_curve", "random_rational"]
+__all__ = ["random_high_mult_instance", "random_rational"]
 
 
 def random_rational(rng, span=5, max_den=3):
@@ -75,20 +74,3 @@ def random_high_mult_instance(d, rng):
             # not reduced, or a deeper center left the rationals; draw again
             continue
         return f
-
-
-def random_curve(rng, max_degree=5):
-    """A random square-free curve through the origin (general corpus)."""
-    while True:
-        d = rng.randint(1, max_degree)
-        f = BPoly.zero()
-        for i in range(d + 1):
-            for j in range(d + 1 - i):
-                if i == j == 0:
-                    continue
-                if rng.random() < 0.4:
-                    f = f + BPoly.monomial(i, j, random_rational(rng))
-        if f.is_zero or f.coefficient(0, 0) != 0 or f.degree < 1:
-            continue
-        if is_square_free(f):
-            return f

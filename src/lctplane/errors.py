@@ -7,7 +7,9 @@ blowup cap exit 5.  Input text with an exponent above
 ``parse.MAX_EXPONENT`` (1000) is refused as the precondition violation
 :class:`ExponentTooLarge`, and a power or product that could expand to
 more than ``parse.MAX_TERMS`` (10000) terms as :class:`TooManyTerms`, so
-both exit 3.
+both exit 3.  ``lambda_set`` (and with it ``construct_witness`` and
+``reducibility_hint``) refuses a degree above the same limit with
+:class:`DegreeOutOfRange`, also exit 3.
 """
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
+    DegreeOutOfRange,
     DegreeTooSmall,
     NotInLambdaSet,
     NotSquareFree,
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .factorize import factor_binary_form
 from .localinv import is_square_free
+from .parse import MAX_EXPONENT
 from .poly import BPoly, X, Y, divides
 
 __all__ = [
@@ -96,9 +98,14 @@ def analyze_high_mult(f):
 
 
 def lambda_set(d):
-    """All lcts achieved at multiplicity-(d-1) points of degree-d curves."""
+    """All lcts achieved at multiplicity-(d-1) points of degree-d curves.
+
+    The set has about d values, so ``d`` above ``parse.MAX_EXPONENT``, the
+    largest degree an input polynomial may have, is refused."""
     if d < 3:
         raise DegreeTooSmall(f"degree must be at least 3, got {d}")
+    if d > MAX_EXPONENT:
+        raise DegreeOutOfRange(f"degree {d} exceeds the degree limit {MAX_EXPONENT}")
     values = {Fraction(2, d - 1)}
     for k in range((d - 1) // 2, d - 1):
         values.add(Fraction(2 * k + 1, k * d + 1))

@@ -23,9 +23,14 @@ is the number of monomial products, ``C(n + t - 1, t - 1)`` for the
 n-th power of t terms, or the box of the result's per-variable degrees,
 whichever is smaller.
 
-The module is variable-set generic (the CLI parses projective input in
-x, y, z); ``parse_poly`` is the bivariate entry point returning a
-:class:`~lctplane.poly.BPoly`.
+The text is tokenized in one regex pass, and each sum is added once by
+the term kernel's ``add_terms``.  The module is variable-set generic:
+the CLI parses projective input in x, y, z and the classifier its
+normal-form templates in x, y, a, b, c, so the product and power (the
+only arithmetic left here) work on exponent tuples of any length.  Its
+term dicts are canonical (no zero coefficient), so ``parse_poly``, the
+bivariate entry point, wraps them in a :class:`~lctplane.poly.BPoly`
+without checking them again.
 """
 
 from __future__ import annotations
@@ -33,46 +38,47 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import ExponentTooLarge, NonPolynomial, ParseError, TooManyTerms
-from .poly import BPoly
+from .poly import BPoly, add_terms, scale_terms
 
 __all__ = ["MAX_EXPONENT", "MAX_TERMS", "parse_poly", "parse_terms", "parse_rational"]
 
 MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^()]))")
+# One match per token; the last group catches any other character, so
+# ``finditer`` skips nothing but whitespace.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^()])|(\S))")
+_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", bad_at)
-        number, name, op = m.groups()
-        if number is not None:
-            tokens.append(("int", int(number), m.start(1)))
-        elif name is not None:
-            tokens.append(("name", name, m.start(2)))
-        else:
-            tokens.append(("op", op, m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
+        value = m[group]
+        tokens.append((_KINDS[group], int(value) if group == 1 else value, m.start(group)))
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    """Parses into n-variable term dicts: {(e_1, ..., e_n): Fraction}."""
+    """Parses into n-variable term dicts: {(e_1, ..., e_n): Fraction}.
+
+    Sums and negations go through the term kernel (``add_terms``,
+    ``scale_terms``), which does not care how long an exponent key is.
+    The product and power stay here because they need n-variable keys:
+    ``--projective`` reads x, y and z, and must see every term of the
+    homogeneous form, since terms of different degrees can cancel once the
+    chart variable is set to 1.  The kernel's ``mul_terms`` keeps its
+    bivariate key, which the resolution's inner loops run on.
+    """
 
     def __init__(self, text, variables):
-        self.text = text
         self.variables = tuple(variables)
         self.tokens = _tokenize(text)
         self.idx = 0
@@ -83,45 +89,40 @@ class _Parser:
         return self.tokens[self.idx]
 
     def advance(self):
-        tok = self.tokens[self.idx]
         self.idx += 1
-        return tok
+
+    def take(self, ops):
+        """Consume and return the next token's operator if it is in ``ops``, else None."""
+        kind, value, _ = self.tokens[self.idx]
+        if kind == "op" and value in ops:
+            self.idx += 1
+            return value
+        return None
 
     def expect_op(self, op):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+        if not self.take(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
 
-    # term-dict arithmetic (n variables, separate from the bivariate kernel)
-
-    def _zero(self):
-        return {}
+    # n-variable product and power (see the class docstring)
 
     def _const(self, c):
         c = Fraction(c)
         return {(0,) * len(self.variables): c} if c else {}
 
-    def _add(self, a, b):
-        out = dict(a)
-        for exp, c in b.items():
-            acc = out.get(exp, Fraction(0)) + c
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
-        return out
-
     def _mul(self, a, b):
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exp = tuple(u + v for u, v in zip(ea, eb))
-                acc = out.get(exp, Fraction(0)) + ca * cb
-                if acc:
-                    out[exp] = acc
+                exp = tuple(map(add, ea, eb))
+                acc = out.get(exp)
+                if acc is None:
+                    out[exp] = ca * cb
                 else:
-                    out.pop(exp, None)
+                    acc = acc + ca * cb
+                    if acc:
+                        out[exp] = acc
+                    else:
+                        del out[exp]
         return out
 
     def _pow(self, a, n):
@@ -145,69 +146,44 @@ class _Parser:
         return result
 
     def expr(self):
-        kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            negate = value == "-"
-            self.advance()
-        total = self.term()
-        if negate:
-            total = self._mul(total, self._const(-1))
+        summands = []
+        sign = self.take("+-")
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                if value == "-":
-                    rhs = self._mul(rhs, self._const(-1))
-                total = self._add(total, rhs)
-            else:
-                return total
+            summand = self.term()
+            summands.append(scale_terms(summand, -1) if sign == "-" else summand)
+            sign = self.take("+-")
+            if sign is None:
+                return add_terms(*summands)
 
     def term(self):
         total = self.factor()
         while True:
             kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
+            if self.take("*"):
                 rhs = self.factor()
-                _check_terms(
-                    "product",
-                    len(total) * len(rhs),
-                    map(sum, zip(_max_exponents(total), _max_exponents(rhs))),
-                    pos,
-                )
+                degrees = map(sum, zip(_max_exponents(total), _max_exponents(rhs)))
+                _check_terms("product", len(total) * len(rhs), degrees, pos)
                 total = self._mul(total, rhs)
             elif kind == "op" and value == "/":
-                raise NonPolynomial(
-                    "division is only allowed inside rational literals", pos
-                )
+                raise NonPolynomial("division is only allowed inside rational literals", pos)
             elif kind in ("int", "name") or (kind == "op" and value == "("):
-                raise ParseError(
-                    "implicit multiplication by juxtaposition is not allowed", pos
-                )
+                raise ParseError("implicit multiplication by juxtaposition is not allowed", pos)
             else:
                 return total
 
     def factor(self):
         base = self.base()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
+        pos = self.peek()[2]
+        if self.take("^"):
             n = self.exponent()
             degree = max((sum(exp) for exp in base), default=0)
             if max(n, n * degree) > MAX_EXPONENT:
                 raise ExponentTooLarge(
-                    f"power exceeds the exponent limit {MAX_EXPONENT} "
-                    f"(at position {pos})"
+                    f"power exceeds the exponent limit {MAX_EXPONENT} (at position {pos})"
                 )
             if len(base) > 1:
-                _check_terms(
-                    "power",
-                    math.comb(n + len(base) - 1, n),
-                    (n * d for d in _max_exponents(base)),
-                    pos,
-                )
+                products = math.comb(n + len(base) - 1, n)
+                _check_terms("power", products, (n * d for d in _max_exponents(base)), pos)
             base = self._pow(base, n)
         return base
 
@@ -216,21 +192,17 @@ class _Parser:
         if kind == "int":
             self.advance()
             return value
-        if kind == "op" and value == "(":
+        if self.take("("):
             # only to diagnose x^(-1) as NonPolynomial, per the grammar
-            self.advance()
-            sign = 1
-            kind, value, pos2 = self.peek()
-            if kind == "op" and value in "+-":
-                sign = -1 if value == "-" else 1
-                self.advance()
-            kind, value, pos3 = self.peek()
+            sign_pos = self.peek()[2]
+            sign = self.take("+-")
+            kind, value, pos = self.peek()
             if kind != "int":
-                raise ParseError("expected integer exponent", pos3)
+                raise ParseError("expected integer exponent", pos)
             self.advance()
             self.expect_op(")")
-            if sign < 0:
-                raise NonPolynomial("negative exponent", pos2)
+            if sign == "-":
+                raise NonPolynomial("negative exponent", sign_pos)
             return value
         raise ParseError("expected nonnegative integer exponent", pos)
 
@@ -239,33 +211,24 @@ class _Parser:
         if kind == "name":
             if value not in self.variables:
                 raise ParseError(
-                    f"unknown variable {value!r}, expected one of "
-                    f"{'/'.join(self.variables)}",
-                    pos,
+                    f"unknown variable {value!r}, expected one of {'/'.join(self.variables)}", pos
                 )
             self.advance()
-            exp = tuple(
-                1 if v == value else 0 for v in self.variables
-            )
-            return {exp: Fraction(1)}
+            return {tuple(int(v == value) for v in self.variables): Fraction(1)}
         if kind == "int":
             self.advance()
-            numerator = value
-            kind, value, pos2 = self.peek()
-            if kind == "op" and value == "/":
-                self.advance()
-                kind, value, pos3 = self.peek()
-                if kind == "name":
-                    raise NonPolynomial("division by a variable", pos3)
-                if kind != "int":
-                    raise ParseError("expected positive integer denominator", pos3)
-                if value == 0:
-                    raise ParseError("zero denominator", pos3)
-                self.advance()
-                return self._const(Fraction(numerator, value))
-            return self._const(numerator)
-        if kind == "op" and value == "(":
+            if not self.take("/"):
+                return self._const(value)
+            kind, denominator, pos = self.peek()
+            if kind == "name":
+                raise NonPolynomial("division by a variable", pos)
+            if kind != "int":
+                raise ParseError("expected positive integer denominator", pos)
+            if denominator == 0:
+                raise ParseError("zero denominator", pos)
             self.advance()
+            return self._const(Fraction(value, denominator))
+        if self.take("("):
             inner = self.expr()
             self.expect_op(")")
             return inner
@@ -291,8 +254,7 @@ def parse_terms(text, variables):
 
 def parse_poly(text):
     """Parse a bivariate polynomial in x and y."""
-    terms = parse_terms(text, ("x", "y"))
-    return BPoly(terms)
+    return BPoly._raw(parse_terms(text, ("x", "y")))
 
 
 def parse_rational(text):

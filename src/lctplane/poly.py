@@ -60,19 +60,25 @@ def _grlex_key(exp):
 # ---------------------------------------------------------------------------
 
 
-def add_terms(a, b):
-    """Sum of two term dicts, zero coefficients dropped."""
-    out = dict(a)
-    for key, coeff in b.items():
-        acc = out.get(key)
-        if acc is None:
-            out[key] = coeff
-        else:
-            acc = acc + coeff
-            if acc:
-                out[key] = acc
+def add_terms(first, *rest):
+    """Sum of any number of term dicts, zero coefficients dropped.
+
+    Only ``first`` is copied; the others are read once, in order.  Keys
+    may be exponent tuples of any length (the parser sums n-variable
+    terms here too).
+    """
+    out = dict(first)
+    for b in rest:
+        for key, coeff in b.items():
+            acc = out.get(key)
+            if acc is None:
+                out[key] = coeff
             else:
-                del out[key]
+                acc = acc + coeff
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
     return out
 
 

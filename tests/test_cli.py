@@ -65,6 +65,27 @@ class TestLct:
         assert code == 0
         assert payload["lct"] == "5/6"
 
+    @pytest.mark.parametrize(
+        "form, chart, value",
+        [("y^3*x + z^4", "x", "7/12"), ("x^2*y^3 + z^5", "y", "7/10"), ("x^3 - x*y^2", "z", "2/3")],
+    )
+    def test_projective_charts(self, capsys, form, chart, value):
+        code, payload, _ = run_json(capsys, "lct", form, "--projective", chart)
+        assert code == 0 and payload["lct"] == value
+
+    @pytest.mark.parametrize(
+        "form, chart, reason",
+        [
+            # x^2 at z = 1, but the form in x, y, z is not homogeneous
+            ("x^2 + (z-1)*(x-y)", "z", "homogeneous"),
+            ("0", "z", "nonzero"),
+            ("x^2*z + y^3", "w", "chart"),
+        ],
+    )
+    def test_projective_refusals(self, capsys, form, chart, reason):
+        code, _, err = run(capsys, "lct", form, "--projective", chart)
+        assert code == 3 and reason in err
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
@@ -82,6 +103,12 @@ class TestExitCodes:
     def test_cap(self, capsys):
         code, _, err = run(capsys, "resolve", "x^2+y^3", "--cap", "1")
         assert code == 5
+
+    def test_degree_limit(self, capsys):
+        code, _, err = run(capsys, "lambda-set", "1001")
+        assert code == 3 and "degree limit" in err
+        code, _, err = run(capsys, "witness", "1001", "1/2")
+        assert code == 3 and "degree limit" in err
 
     def test_json_error_payload(self, capsys):
         code, out, err = run(capsys, "lct", "x^2 + @", "--format", "json")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lctplane.errors import (
+    DegreeOutOfRange,
     DegreeTooSmall,
     NotInLambdaSet,
     NotSquareFree,
@@ -18,7 +19,7 @@ from lctplane.highmult import (
     reducibility_hint,
 )
 from lctplane.localinv import is_square_free
-from lctplane.parse import parse_poly as P
+from lctplane.parse import MAX_EXPONENT, parse_poly as P
 
 
 class TestAnalyzeHighMult:
@@ -106,6 +107,13 @@ class TestLambdaSet:
     def test_degree_too_small(self):
         with pytest.raises(DegreeTooSmall):
             lambda_set(2)
+
+    def test_degree_limit(self):
+        d = MAX_EXPONENT
+        values = lambda_set(d)
+        assert len(values) == 1 + (d - 2 - (d - 1) // 2 + 1) + (d - 1 - (d + 1) // 2 + 1)
+        with pytest.raises(DegreeOutOfRange, match="degree limit"):
+            lambda_set(d + 1)
 
 
 class TestReducibilityHint:

@@ -1,8 +1,11 @@
 """Unit tests for the polynomial text grammar."""
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from lctplane.cli import main
 from lctplane.errors import ExponentTooLarge, NonPolynomial, ParseError, TooManyTerms
@@ -136,6 +139,106 @@ class TestErrors:
         for text in DENSE:
             assert main(["lct", text]) == 3
             assert "term limit" in capsys.readouterr().err
+
+
+# (input, exception class, message, position); the message ends in the position.
+ERROR_CONTRACT = [
+    ("x + @", ParseError, "unexpected character '@'", 4),
+    ("  x  $", ParseError, "unexpected character '$'", 5),
+    ("2x", ParseError, "implicit multiplication by juxtaposition is not allowed", 1),
+    ("x y", ParseError, "implicit multiplication by juxtaposition is not allowed", 2),
+    ("(x)(y)", ParseError, "implicit multiplication by juxtaposition is not allowed", 3),
+    ("(x + y", ParseError, "expected ')'", 6),
+    ("x)", ParseError, "unexpected trailing input ')'", 1),
+    ("", ParseError, "expected variable, rational or parenthesized expression", 0),
+    ("   ", ParseError, "expected variable, rational or parenthesized expression", 3),
+    ("x + z", ParseError, "unknown variable 'z', expected one of x/y", 4),
+    ("x^(-1)", NonPolynomial, "negative exponent", 3),
+    ("1/x", NonPolynomial, "division by a variable", 2),
+    ("x/2", NonPolynomial, "division is only allowed inside rational literals", 1),
+    ("3/0", ParseError, "zero denominator", 2),
+    ("3/-2", ParseError, "expected positive integer denominator", 2),
+    ("x^", ParseError, "expected nonnegative integer exponent", 2),
+    ("x^y", ParseError, "expected nonnegative integer exponent", 2),
+    ("x^(-)", ParseError, "expected integer exponent", 4),
+    ("x^2^3", ParseError, "unexpected trailing input '^'", 3),
+    ("1/2/3", NonPolynomial, "division is only allowed inside rational literals", 3),
+    ("x**2", ParseError, "expected variable, rational or parenthesized expression", 2),
+    ("- - x", ParseError, "expected variable, rational or parenthesized expression", 2),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, position", ERROR_CONTRACT)
+def test_error_contract(text, cls, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert type(exc.value) is cls
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+def expressions(names):
+    """Products of sums of random expression trees over rationals and
+    ``names``, with +, -, *, negation and powers up to 3, each drawn as
+    (text, the same expression built with sympy ``Poly`` arithmetic)."""
+    gens = sympy.symbols(names)
+
+    def poly(expr):
+        return sympy.Poly(expr, *gens, domain="QQ")
+
+    def rational(q):
+        text = str(abs(q)) if q >= 0 else f"(-{abs(q)})"
+        return text, poly(sympy.Rational(q.numerator, q.denominator))
+
+    leaves = st.one_of(
+        st.fractions(min_value=-7, max_value=7, max_denominator=5).map(rational),
+        st.sampled_from([(name, poly(g)) for name, g in zip(names, gens)]),
+    )
+
+    def extend(children):
+        def binary(op, combine):
+            return st.tuples(children, children).map(
+                lambda ab: (f"({ab[0][0]} {op} {ab[1][0]})", combine(ab[0][1], ab[1][1]))
+            )
+
+        return st.one_of(
+            binary("+", lambda a, b: a + b),
+            binary("-", lambda a, b: a - b),
+            st.tuples(children, children).map(lambda ab: (f"{ab[0][0]}*{ab[1][0]}", ab[0][1] * ab[1][1])),
+            st.tuples(children, st.integers(0, 3)).map(lambda an: (f"({an[0][0]})^{an[1]}", an[0][1] ** an[1])),
+            children.map(lambda a: (f"(-{a[0]})", -a[1])),
+        )
+
+    def flat_sum(parts):  # one ``expr`` with several signed summands
+        text = " ".join(f"{sign} {t}" for sign, (t, _) in parts)
+        return text, sum((p if sign == "+" else -p for sign, (_, p) in parts), poly(0))
+
+    def product(factors):
+        return "*".join(f"({t})" for t, _ in factors), math.prod((p for _, p in factors), start=poly(1))
+
+    trees = st.recursive(leaves, extend, max_leaves=10)
+    sums = st.lists(st.tuples(st.sampled_from("+-"), trees), min_size=1, max_size=5).map(flat_sum)
+    return st.lists(sums, min_size=1, max_size=3).map(product)
+
+
+def sympy_terms(p):
+    return {exp: Fraction(int(c.p), int(c.q)) for exp, c in p.as_dict().items()}
+
+
+class TestAgainstSympy:
+    @settings(derandomize=True, deadline=None)
+    @given(expressions(("x", "y")))
+    def test_parse_poly(self, drawn):
+        text, expected = drawn
+        terms = parse_poly(text).terms
+        assert terms == sympy_terms(expected)
+        assert all(type(c) is Fraction for c in terms.values())
+
+    @settings(derandomize=True, deadline=None)
+    @given(expressions(("x", "y", "z")))
+    def test_parse_terms_three_variables(self, drawn):
+        text, expected = drawn
+        assert parse_terms(text, ("x", "y", "z")) == sympy_terms(expected)
 
 
 class TestHelpers:
