@@ -1,10 +1,14 @@
-"""Irreducible factorization over the rationals.
+"""Factorization of binary forms over the rationals: squarefree, and
+irreducible where irreducibility matters.
 
-Univariate factorization is delegated to sympy's exact Zassenhaus-based
-``dup_factor_list`` (denominators cleared, integer domain, no numerics
-anywhere), imported on the first factorization.  On top of it we factor
-binary forms completely: dehomogenize to ``F(t, 1)``, factor, then
-re-homogenize and account for the root at infinity (the factor y).
+Both dehomogenize to ``F(t, 1)``, decompose, then re-homogenize and
+account for the root at infinity (the factor y).  The squarefree grade
+(``squarefree_binary_form``, Yun's algorithm over Q) needs no sympy and is
+all the tangent-cone pattern and the closed form's special line need.
+Irreducible factors (``factor_univariate``, delegated to sympy's exact
+Zassenhaus-based ``dup_factor_list`` on the integer polynomial, imported on
+the first factorization) are needed only by the resolution's
+``rational_roots`` and the witness corpus's rationality filter.
 """
 
 from __future__ import annotations
@@ -13,9 +17,14 @@ import math
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .poly import BPoly, Factorization, normalize_primitive
+from .poly import BPoly, Factorization, _derivative, coprime_univariate, normalize_primitive
 
-__all__ = ["factor_univariate", "factor_binary_form", "rational_roots"]
+__all__ = [
+    "factor_univariate",
+    "factor_binary_form",
+    "squarefree_binary_form",
+    "rational_roots",
+]
 
 
 def factor_univariate(coeffs):
@@ -47,6 +56,20 @@ def factor_univariate(coeffs):
     return unit, factors
 
 
+def _dehomogenize(form):
+    """``F(t, 1)`` of a nonzero binary form as a coefficient list."""
+    coeffs = [Fraction(0)] * (form.degree + 1)
+    for (i, _), c in form.terms.items():
+        coeffs[i] = c
+    return coeffs
+
+
+def _homogenize(coeffs):
+    """The binary form of degree ``len(coeffs) - 1`` with ``F(t, 1)`` given."""
+    n = len(coeffs) - 1
+    return BPoly({(i, n - i): c for i, c in enumerate(coeffs) if c})
+
+
 def factor_binary_form(form):
     """Complete irreducible factorization of a nonzero binary form.
 
@@ -57,24 +80,93 @@ def factor_binary_form(form):
     if form.is_zero:
         raise ZeroPolynomial("factorization of the zero form")
     n = form.degree
-    # dehomogenize: F(t, 1)
-    coeffs = [Fraction(0)] * (n + 1)
-    for (i, j), c in form.terms.items():
-        coeffs[i] = c
-    unit, uni_factors = factor_univariate(coeffs)
+    unit, uni_factors = factor_univariate(_dehomogenize(form))
     factors = []
     covered = 0
     for fac_coeffs, exp in uni_factors:
-        fdeg = len(fac_coeffs) - 1
-        factor = BPoly({(i, fdeg - i): c for i, c in enumerate(fac_coeffs) if c})
-        factors.append((normalize_primitive(factor)[1], exp))
-        covered += fdeg * exp
+        factors.append((normalize_primitive(_homogenize(fac_coeffs))[1], exp))
+        covered += (len(fac_coeffs) - 1) * exp
     pad = n - covered
     if pad > 0:
         factors.append((BPoly.monomial(0, 1), pad))
     result = Factorization(unit=unit, factors=tuple(factors), grade="irreducible")
     assert result.reconstruct() == form
     return result
+
+
+def _divmod(a, b):
+    """Quotient and remainder of coefficient lists over Q (``b`` nonzero)."""
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quot = [Fraction(0)] * max(len(a) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = a[k + db] / lead
+        if c:
+            for i, bc in enumerate(b):
+                a[k + i] -= c * bc
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return quot, a
+
+
+def _gcd_monic(a, b):
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _yun(f):
+    """Yun's squarefree decomposition over Q of a nonzero ``f``: the monic
+    nonconstant parts ``a_i`` with ``f = lc(f) * prod(a_i ** i)``,
+    as ``(a_i, i)``."""
+    if len(f) < 2:
+        return []
+    denom = math.lcm(*(c.denominator for c in f))
+    integral = [c.numerator * (denom // c.denominator) for c in f]
+    if coprime_univariate(integral, _derivative(integral)):  # squarefree: no Euclid
+        return [([c / f[-1] for c in f], 1)]
+    df = _derivative(f)
+    g = _gcd_monic(f, df)
+    b, c = _divmod(f, g)[0], _divmod(df, g)[0]
+    parts, i = [], 1
+    while len(b) > 1:
+        # c and b' have the same length; d is zero or keeps its top term
+        d = [ci - bi for ci, bi in zip(c, _derivative(b))]
+        if not d[-1]:
+            d = []
+        a = _gcd_monic(b, d)
+        if len(a) > 1:
+            parts.append((a, i))
+        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+        i += 1
+    return parts
+
+
+def squarefree_binary_form(form):
+    """Squarefree-grade decomposition of a nonzero binary form, without
+    sympy: Yun's algorithm over Q on ``F(t, 1)``, plus the factor ``y``
+    with exponent ``n - deg F(t, 1)`` for the root at infinity.
+
+    The parts are pairwise coprime and squarefree; a part of degree g
+    with exponent e stands for g distinct lines of multiplicity e.  They
+    are normalized as in ``factor_binary_form``.
+    """
+    if form.is_zero:
+        raise ZeroPolynomial("squarefree decomposition of the zero form")
+    coeffs = _dehomogenize(form)
+    while not coeffs[-1]:
+        coeffs.pop()
+    unit = coeffs[-1]
+    factors = []
+    for part, exp in _yun(coeffs):
+        scale, factor = normalize_primitive(_homogenize(part))
+        factors.append((factor, exp))
+        unit *= scale**exp
+    pad = form.degree + 1 - len(coeffs)
+    if pad:
+        factors.append((BPoly.monomial(0, 1), pad))
+    return Factorization(unit=unit, factors=tuple(factors), grade="squarefree")
 
 
 def rational_roots(coeffs):

@@ -1,10 +1,11 @@
 """lct at a point of multiplicity d-1 on a reduced degree-d plane curve.
 
-The closed-form fast path: factor the degree-(d-1) part of f as a binary
-form and look for the unique factor whose exponent m satisfies
-2m > d-1.  Such a factor is automatically linear (exponent times degree
+The closed-form fast path: take the squarefree decomposition of the
+degree-(d-1) part of f as a binary form (no irreducible factorization,
+no sympy) and look for the unique part whose exponent m satisfies
+2m > d-1.  Such a part is automatically linear (exponent times degree
 is at most d-1), so the distinguished direction is always rational.
-If no such factor exists, lct = 2/(d-1); otherwise the two case
+If no such part exists, lct = 2/(d-1); otherwise the two case
 formulas apply according to whether the line is a component of the
 curve.
 """
@@ -24,7 +25,7 @@ from .errors import (
     TargetNotRealizable,
     WrongMultiplicity,
 )
-from .factorize import factor_binary_form
+from .factorize import squarefree_binary_form
 from .localinv import is_square_free
 from .parse import MAX_EXPONENT
 from .poly import BPoly, X, Y, divides
@@ -68,10 +69,10 @@ def analyze_high_mult(f):
 
     cone = f.homogeneous_part(d - 1)
     special = None
-    for factor, exp in factor_binary_form(cone).factors:
+    for factor, exp in squarefree_binary_form(cone).factors:
         if 2 * exp > d - 1:
             # exponent * degree <= d-1 forces degree 1
-            assert factor.degree == 1, "special factor must be linear"
+            assert factor.degree == 1, "special part must be linear"
             special = (factor, exp)
             break
     if special is None:

@@ -3,7 +3,8 @@
 Intersection multiplicity is computed by the classical exact recursion
 (restrict to y = 0, cancel the lowest x-power, extract y factors); the
 Milnor number is the intersection multiplicity of the two partial
-derivatives.  Everything is exact rational arithmetic.
+derivatives.  Everything is exact rational arithmetic; sympy's gcd runs
+only where the integer certificates of ``poly`` leave a case undecided.
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ from fractions import Fraction
 
 from .errors import NotThroughOrigin, ZeroPolynomial
 from .extended import INF
-from .factorize import factor_binary_form
-from .poly import BPoly, gcd_bivariate, gcd_many, restrict_coeffs
+from .factorize import squarefree_binary_form
+from .poly import (
+    BPoly,
+    certify_coprime,
+    certify_squarefree,
+    gcd_bivariate,
+    gcd_many,
+    restrict_coeffs,
+)
 
 __all__ = [
     "intersection_multiplicity_origin",
@@ -52,14 +60,18 @@ def intersection_multiplicity_origin(f, g):
     """Local intersection number I_0(f, g) at the origin.
 
     Returns ``INF`` when f and g share a component through the origin.
+    The exact gcd checks that only when ``certify_coprime`` cannot prove
+    f and g coprime; for the partials of a reduced germ it nearly always
+    can, so the Milnor number usually takes no gcd.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("intersection multiplicity needs nonzero curves")
     if f.coefficient(0, 0) != 0 or g.coefficient(0, 0) != 0:
         return 0
-    common = gcd_bivariate(f, g)
-    if not common.is_constant() and common.coefficient(0, 0) == 0:
-        return INF
+    if not certify_coprime(f, g):
+        common = gcd_bivariate(f, g)
+        if not common.is_constant() and common.coefficient(0, 0) == 0:
+            return INF
 
     total = 0
     while True:
@@ -115,16 +127,17 @@ def milnor_number_origin(f):
 
 def tangent_cone_pattern(f):
     """Line multiplicities of the tangent cone of f at the origin, as a
-    tuple sorted descending: over the algebraic closure, an irreducible
-    rational factor of degree g with exponent e contributes g copies of e,
-    so the entries sum to the multiplicity at the origin."""
+    tuple sorted descending: over the algebraic closure, a squarefree part
+    of degree g with exponent e (``squarefree_binary_form``) is g distinct
+    lines and contributes g copies of e, so the entries sum to the
+    multiplicity at the origin.  No irreducible factorization is needed."""
     if f.is_zero:
         raise ZeroPolynomial("tangent cone of the zero polynomial")
     if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
     cone = f.homogeneous_part(f.multiplicity())
     entries = []
-    for factor, exp in factor_binary_form(cone).factors:
+    for factor, exp in squarefree_binary_form(cone).factors:
         entries.extend([exp] * factor.degree)
     return tuple(sorted(entries, reverse=True))
 
@@ -132,14 +145,15 @@ def tangent_cone_pattern(f):
 def is_square_free(f):
     """True iff no non-unit square divides f.
 
-    Decided by ``gcd(f, f_x, f_y)`` being constant (``gcd_many``, i.e.
-    sympy's exact dense gcd), which is equivalent over a field of
-    characteristic zero (and, unlike the per-variable test, also correct
-    for factors involving a single variable).
+    ``certify_squarefree`` proves most reduced curves squarefree without
+    sympy.  When it cannot, ``gcd(f, f_x, f_y)`` being constant decides
+    (``gcd_many``, sympy's exact dense gcd), which is equivalent over a
+    field of characteristic zero (and, unlike the per-variable test, also
+    correct for factors involving a single variable).
     """
     if f.is_zero:
         raise ZeroPolynomial("square-freeness of the zero polynomial")
-    if f.is_constant():
+    if certify_squarefree(f):
         return True
     return gcd_many([f, f.derivative("x"), f.derivative("y")]).is_constant()
 

@@ -61,7 +61,12 @@ def _tokenize(text):
         if group == 4:
             raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
         value = m[group]
-        tokens.append((_KINDS[group], int(value) if group == 1 else value, m.start(group)))
+        if group == 1:
+            try:
+                value = int(value)
+            except ValueError:  # beyond the interpreter's int string-conversion limit
+                raise ParseError(f"integer literal too long ({len(value)} digits)", m.start(1)) from None
+        tokens.append((_KINDS[group], value, m.start(group)))
     tokens.append(("end", None, len(text)))
     return tokens
 

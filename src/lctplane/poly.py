@@ -11,9 +11,12 @@ lexicographic (total degree first, then x-degree).
 Bivariate gcds are delegated to sympy's exact dense gcd over ``ZZ[x, y]``
 (a heuristic gcd with a PRS fallback, on the operands with their
 denominators cleared); sympy is imported on the first gcd, so code that
-never takes one never loads it.  ``translate`` is an exact integer Taylor
-shift done one variable at a time (``shift_terms``); everything else is
-the term-dict kernel below.
+never takes one never loads it.  A yes/no question (coprime? squarefree?)
+is first put to ``certify_coprime`` or ``certify_squarefree``: integer
+gcds of values at a few points, which prove the answer "yes" for reduced
+input without sympy and leave every other case to the exact gcd.
+``translate`` is an exact integer Taylor shift done one variable at a time
+(``shift_terms``); everything else is the term-dict kernel below.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ __all__ = [
     "Y",
     "gcd_bivariate",
     "gcd_many",
+    "certify_coprime",
+    "certify_squarefree",
     "squarefree_decomposition",
     "divides",
     "normalize_primitive",
@@ -541,18 +546,19 @@ def restrict_coeffs(f, var_zero):
 # ---------------------------------------------------------------------------
 
 
+def _int_terms(f):
+    """The terms of ``f`` times the lcm of its denominators, as ints."""
+    denom = math.lcm(*(c.denominator for c in f._terms.values()))
+    return {exp: c.numerator * (denom // c.denominator) for exp, c in f._terms.items()}
+
+
 def _to_dense(f):
-    """``f`` times the lcm of its denominators, as a sympy dense polynomial
-    in ``ZZ[x, y]``."""
+    """``f`` with its denominators cleared, as a sympy dense polynomial in
+    ``ZZ[x, y]``."""
     from sympy.polys.densebasic import dmp_from_dict
     from sympy.polys.domains import ZZ
 
-    denom = math.lcm(*(c.denominator for c in f._terms.values()))
-    return dmp_from_dict(
-        {exp: ZZ(c.numerator * (denom // c.denominator)) for exp, c in f._terms.items()},
-        1,
-        ZZ,
-    )
+    return dmp_from_dict({exp: ZZ(c) for exp, c in _int_terms(f).items()}, 1, ZZ)
 
 
 def gcd_bivariate(f, g):
@@ -586,6 +592,115 @@ def gcd_many(polys):
     if acc is None:
         raise BothZero("gcd of all-zero sequence")
     return normalize_primitive(acc)[1]
+
+
+# ---------------------------------------------------------------------------
+# Coprimality certificates: integer gcds of values decide "coprime" (True)
+# or "undecided" (False), the evaluation idea of the heuristic gcd (Char,
+# Geddes and Gonnet 1989) cut down to a yes/no answer.  Callers fall back
+# to the exact gcd on False.
+# ---------------------------------------------------------------------------
+
+# Values of the other variable to restrict at; not 0, where a germ singular
+# at the origin always has a repeated factor.
+_POINTS = (1, -1, 2)
+
+
+def _value(coeffs, k, s):
+    """The integer polynomial ``coeffs`` at ``2^k + s``, ``s = 1 or -1``;
+    Horner's rule in shifts and adds."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << k) + (acc if s > 0 else -acc) + c
+    return acc
+
+
+def coprime_univariate(p, q):
+    """True only if the integer polynomials ``p`` and ``q`` (coefficient
+    lists, index = degree, no zero leading entry) are coprime over Q.
+
+    Let ``p`` be the one of smaller degree ``n >= 1`` and
+    ``B = 2^n |p|_1``.  A nonconstant primitive ``g`` dividing ``p`` has
+    ``|g|_1 <= B`` (Mignotte), so ``|g(t)| > t / 2`` at every integer
+    ``t >= 2B + 2``, and ``g(t)`` divides ``p(t)`` and ``q(t)``; so
+    ``2 gcd(p(t), q(t)) < t`` rules every such ``g`` out.  The points are
+    ``2^k + 1`` and, when the values there share a chance divisor,
+    ``2^k - 1``, for the least ``2^k > 2B + 2``.
+    """
+    if len(q) < len(p):
+        p, q = q, p
+    if len(p) < 2:  # a zero or constant operand
+        return len(p) == 1 or len(q) == 1
+    k = ((sum(map(abs, p)) << len(p)) + 2).bit_length()
+    return any(
+        2 * math.gcd(_value(p, k, s), _value(q, k, s)) < (1 << k) + s for s in (1, -1)
+    )
+
+
+def _derivative(coeffs):
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
+def _split(terms, v):
+    """The coefficients of the powers of variable ``v`` (0 for x, 1 for y),
+    as coefficient lists in the other variable."""
+    cols = {}
+    for exp, c in terms.items():
+        col, e = cols.setdefault(exp[v], []), exp[1 - v]
+        col.extend([0] * (e + 1 - len(col)))
+        col[e] = c
+    return list(cols.values())
+
+
+def _restrict(terms, v, a):
+    """``f`` at ``w = a`` as a coefficient list in ``v``."""
+    coeffs = [0] * (max(exp[v] for exp in terms) + 1)
+    for exp, c in terms.items():
+        coeffs[exp[v]] += c * a ** exp[1 - v]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _certify(f, g):
+    """Shared body of the two certificates; ``g is None`` asks whether
+    ``f`` is squarefree, otherwise whether ``f`` and ``g`` are coprime."""
+    ft = _int_terms(f)
+    degs = max(i for i, _ in ft), max(j for _, j in ft)
+    if not any(degs):
+        return True
+    # v: the variable of smaller positive degree, so restrictions are short
+    v = 0 if degs[0] and (degs[0] <= degs[1] or not degs[1]) else 1
+    gt = None if g is None else _int_terms(g)
+    # (i) factors involving v survive, with their v-degree, every
+    # restriction w = a that keeps the v-degree of f
+    for a in _POINTS:
+        p = _restrict(ft, v, a)
+        if len(p) == degs[v] + 1:
+            q = _derivative(p) if gt is None else _restrict(gt, v, a)
+            if coprime_univariate(p, q):
+                break
+    else:
+        return False
+    # (ii) a factor in w alone divides every v-coefficient of f and of g;
+    # for squarefreeness its square divides those of f, so it divides the
+    # shortest one's derivative too
+    cols = sorted(_split(ft, v) + ([] if gt is None else _split(gt, v)), key=len)
+    first = cols[0]
+    others = cols[1:] if gt is not None else [_derivative(first)] + cols[1:]
+    return any(coprime_univariate(first, c) for c in others)
+
+
+def certify_coprime(f, g):
+    """True only if the nonzero ``f`` and ``g`` are proven coprime over Q;
+    False means undecided (``gcd_bivariate`` decides)."""
+    return _certify(f, g)
+
+
+def certify_squarefree(f):
+    """True only if the nonzero ``f`` is proven squarefree over Q; False
+    means undecided (``gcd(f, f_x, f_y)`` decides)."""
+    return _certify(f, None)
 
 
 def squarefree_decomposition(f):

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lctplane.errors import ZeroPolynomial
-from lctplane.factorize import factor_binary_form, factor_univariate, rational_roots
+from lctplane.factorize import (
+    factor_binary_form,
+    factor_univariate,
+    rational_roots,
+    squarefree_binary_form,
+)
+from lctplane.localinv import tangent_cone_pattern
 from lctplane.parse import parse_poly
-from lctplane.poly import BPoly, X, Y
+from lctplane.poly import BPoly, X, Y, gcd_bivariate, gcd_many, normalize_primitive
 
 _coeffs = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5
@@ -19,6 +25,22 @@ _coeffs = st.lists(
 def _univariate(coeffs):
     """``sum(c * x^i)`` as a ``BPoly``."""
     return BPoly({(i, 0): c for i, c in enumerate(coeffs)})
+
+
+# Binary forms: a unit times up to four powers of rational lines, x, y and
+# irreducible quadratics x^2 + p*x*y + q*y^2 (p^2 < 4q).
+_slopes = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_irreducible_quadratics = st.tuples(_slopes, _slopes).map(
+    lambda pq: X**2 + X * Y * pq[0] + Y**2 * (pq[0] ** 2 / 4 + 1 + pq[1] ** 2)
+)
+_form_factors = st.one_of(
+    st.just(X), st.just(Y), _slopes.map(lambda s: X - Y * s), _irreducible_quadratics
+)
+binary_forms = st.builds(
+    lambda unit, powers: math.prod((f**e for f, e in powers), start=BPoly.constant(unit)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    st.lists(st.tuples(_form_factors, st.integers(1, 4)), min_size=1, max_size=4),
+).filter(lambda f: f.degree >= 1)
 
 
 def form(text):
@@ -86,6 +108,43 @@ class TestRationalRoots:
         roots, nonlinear = rational_roots(coeffs)
         assert dict(roots) == {Fraction(0): 1, Fraction(1, 2): 2}
         assert nonlinear == []
+
+
+class TestSquarefreeBinaryForm:
+    def test_parts(self):
+        fac = squarefree_binary_form(form("x^3*y + x^2*y^2"))
+        assert fac.grade == "squarefree"
+        assert dict(fac.factors) == {parse_poly("x + y"): 1, X: 2, Y: 1}
+        assert fac.reconstruct() == form("x^3*y + x^2*y^2")
+
+    def test_root_at_infinity_only(self):
+        fac = squarefree_binary_form(Fraction(-2, 3) * form("y^4"))
+        assert fac.factors == ((Y, 4),)
+        assert fac.unit == Fraction(-2, 3)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ZeroPolynomial):
+            squarefree_binary_form(form("0"))
+
+    @settings(derandomize=True, deadline=None)
+    @given(binary_forms)
+    def test_rebuilds_input(self, f):
+        fac = squarefree_binary_form(f)
+        assert fac.reconstruct() == f
+        parts = [part for part, _ in fac.factors]
+        for i, part in enumerate(parts):
+            assert normalize_primitive(part) == (1, part)
+            assert gcd_many([part, part.derivative("x"), part.derivative("y")]).is_constant()
+            assert all(gcd_bivariate(part, q).is_constant() for q in parts[i + 1 :])
+
+    @settings(derandomize=True, deadline=None)
+    @given(binary_forms)
+    def test_tangent_cone_pattern_matches_factorization(self, f):
+        entries = []
+        for factor, exp in factor_binary_form(f).factors:
+            entries.extend([exp] * factor.degree)
+        assert tangent_cone_pattern(f) == tuple(sorted(entries, reverse=True))
+        assert tangent_cone_pattern(f + X ** (f.degree + 1)) == tangent_cone_pattern(f)
 
 
 class TestFactorUnivariate:

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import lctplane
 
-# Off-curve, smooth, lambda-set and wbound queries need no algebra, so they
-# must not load sympy; a singular germ then needs a gcd, which must load it.
+# Off-curve, smooth, lambda-set and wbound queries need no algebra, and the
+# closed form, the classifier and the Milnor number of a reduced germ are
+# decided by integer coprimality certificates, so none of them may load
+# sympy; the resolution route factors its strict transforms, which does.
 _LAZY_SYMPY = textwrap.dedent(
     """
     import sys
+    from lctplane import lct, parse_poly
     from lctplane.cli import main
 
     assert "sympy" not in sys.modules, "import"
@@ -21,11 +24,18 @@ _LAZY_SYMPY = textwrap.dedent(
         ["lct", "y - x^2", "--format", "json"],
         ["lambda-set", "4"],
         ["wbound", "x^3+y^4", "--weights", "4,3"],
+        ["lct", "x^2+y^3"],
+        ["lct", "x^2+y^5"],
+        ["classify", "y^3-x^2*y+x^4"],
+        ["milnor", "x^3+y^7+x*y^5"],
     ):
         assert main(argv) == 0, argv
         assert "sympy" not in sys.modules, argv
-    assert main(["lct", "x^2+y^3"]) == 0
-    assert "sympy" in sys.modules, "singular lct"
+    assert lct(parse_poly("x^2+y^3")).method == "highmult"
+    assert lct(parse_poly("x^2+y^5")).method == "classifier"
+    assert "sympy" not in sys.modules, "lct"
+    assert lct(parse_poly("x^2+y^7")).method == "resolution"
+    assert "sympy" in sys.modules, "resolution lct"
     """
 )
 

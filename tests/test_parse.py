@@ -177,6 +177,16 @@ def test_error_contract(text, cls, message, position):
     assert exc.value.position == position
 
 
+def test_overlong_integer_literal_is_a_parse_error(capsys):
+    text = "x + 1" + "0" * 5000 + "*y"
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert type(exc.value) is ParseError
+    assert str(exc.value) == "integer literal too long (5001 digits) (at position 4)"
+    assert main(["lct", text]) == 2
+    assert "integer literal too long" in capsys.readouterr().err
+
+
 def expressions(names):
     """Products of sums of random expression trees over rationals and
     ``names``, with +, -, *, negation and powers up to 3, each drawn as

@@ -23,6 +23,9 @@ from lctplane.poly import (
     X,
     Y,
     ZERO,
+    certify_coprime,
+    certify_squarefree,
+    coprime_univariate,
     divides,
     gcd_bivariate,
     normalize_primitive,
@@ -66,6 +69,35 @@ _shift_coords = st.one_of(
     st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=9)
 )
 shifts = st.tuples(_shift_coords, _shift_coords)
+# Nonconstant factors, a third of them in one variable only.
+_one_var_polys = st.builds(
+    lambda coeffs, var: BPoly(
+        {(i, 0) if var == "x" else (0, i): c for i, c in enumerate(coeffs)}
+    ),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=2, max_size=4),
+    st.sampled_from("xy"),
+)
+factors = st.one_of(small_polys, sparse_polys, _one_var_polys).filter(
+    lambda f: not f.is_constant()
+)
+
+
+def _trimmed(coeffs):
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+# Integer coefficient lists (index = degree) with a nonzero leading entry.
+int_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(_trimmed).filter(bool)
+
+
+def _int_product(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] += ui * vj
+    return _trimmed(out)
 
 
 def _sympy_gcd(f, g):
@@ -291,6 +323,60 @@ class TestGcd:
         for f, g in pairs:
             if not (f.is_zero and g.is_zero):
                 assert gcd_bivariate(f, g) == _sympy_gcd(f, g)
+
+
+class TestCertificates:
+    """A certificate may say "undecided" (False) on anything; it must never
+    say True when a factor is shared or repeated."""
+
+    def test_decides_typical_germs(self):
+        for text in ("x^2 + y^3", "x^3 + y^7 + x*y^5", "y*(x + 1)", "(y + 1)*(x^2 + y)", "y"):
+            assert certify_squarefree(P(text))
+        assert certify_coprime(P("3*x^2"), P("2*y"))
+        assert certify_coprime(P("x - y"), P("99*y^32 - x + y"))
+        assert certify_coprime(BPoly.constant(5), P("x^2"))
+
+    def test_refuses_repeated_and_shared_factors(self):
+        for text in ("y^2", "x^2*(y + 1)", "x*(y + 1)^2", "(x^2 + y^2)^2", "(x - y)^2*(x + y^3)"):
+            assert not certify_squarefree(P(text))
+        assert not certify_coprime(P("x*(y + 1)"), P("y^2 + y"))
+        assert not certify_coprime(P("x^2 - y^3"), P("(x^2 - y^3)*(x + 2)"))
+        # h is constant at x = 1, -1, 2: no restriction keeps the y-degree
+        h = P("(x - 1)*(x + 1)*(x - 2)*y + 1")
+        assert not certify_coprime(h * P("y + 5"), h * P("y + 7"))
+        assert not certify_squarefree(h**2 * P("y + 5"))
+
+    def test_univariate_point_is_large_enough(self):
+        # x - m divides both; its value at a point much below 4m is small
+        for m in range(-40, 41):
+            line = [-m, 1]
+            assert not coprime_univariate(line, line)
+            assert not coprime_univariate(line, _int_product(line, [m + 1, 1]))
+
+    @settings(derandomize=True, deadline=None)
+    @given(small_polys, factors)
+    def test_never_certifies_a_square(self, a, b):
+        assert not certify_squarefree(a * b**2)
+
+    @settings(derandomize=True, deadline=None)
+    @given(small_polys, small_polys, factors)
+    def test_never_certifies_a_common_factor(self, a, b, c):
+        assert not certify_coprime(a * c, b * c)
+
+    @settings(derandomize=True, deadline=None)
+    @given(int_lists, int_lists, int_lists.filter(lambda c: len(c) >= 2))
+    def test_univariate_never_certifies_a_common_factor(self, a, b, c):
+        assert not coprime_univariate(_int_product(a, c), _int_product(b, c))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.one_of(small_polys, sparse_polys, wide_polys), st.one_of(small_polys, sparse_polys))
+    def test_true_agrees_with_sympy(self, f, g):
+        if f.is_zero or g.is_zero:
+            return
+        if certify_squarefree(f):
+            assert _sympy_gcd(_sympy_gcd(f, f.derivative("x")), f.derivative("y")).is_constant()
+        if certify_coprime(f, g):
+            assert _sympy_gcd(f, g).is_constant()
 
 
 class TestSquarefreeDecomposition:
