@@ -4,8 +4,8 @@ The high-multiplicity instances follow the two explicit families that
 realize every multiplicity-(d-1) germ: a degree-(d-2) plus degree-(d-1)
 part (times a line in the component case).  Coefficients are small random
 rationals; draws are rejected until the curve is square-free and every
-repeated factor of its tangent cone is a rational line, which keeps all
-blowup centers of the resolution oracle rational.
+blowup center of its resolution is rational, so the resolution oracle
+can check each instance.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import IrrationalCenter, NotSquareFree
-from .factorize import factor_binary_form
-from .poly import BPoly, X, Y
+from .poly import BPoly, X
 from .resolution import resolve_over_origin
 
 __all__ = ["random_high_mult_instance", "random_rational"]
@@ -23,16 +22,6 @@ __all__ = ["random_high_mult_instance", "random_rational"]
 
 def random_rational(rng, span=5, max_den=3):
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
-
-
-def _tangent_cone_centers_rational(f):
-    """True iff every repeated factor of the tangent cone of f is linear
-    (so the first-level blowup centers are rational points of E_1)."""
-    cone = f.homogeneous_part(f.multiplicity())
-    for factor, exp in factor_binary_form(cone).factors:
-        if exp >= 2 and factor.degree > 1:
-            return False
-    return True
 
 
 def random_high_mult_instance(d, rng):
@@ -66,11 +55,9 @@ def random_high_mult_instance(d, rng):
             f = low + high
         if f.degree != d or f.multiplicity() != d - 1:
             continue
-        if not _tangent_cone_centers_rational(f):
-            continue
         try:
             resolve_over_origin(f)
         except (NotSquareFree, IrrationalCenter):
-            # not reduced, or a deeper center left the rationals; draw again
+            # not reduced, or a center left the rationals; draw again
             continue
         return f

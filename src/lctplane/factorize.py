@@ -1,14 +1,13 @@
-"""Factorization of binary forms over the rationals: squarefree, and
-irreducible where irreducibility matters.
+"""Factorization over the rationals: squarefree binary forms, and
+irreducible univariate factors where irreducibility matters.
 
-Both dehomogenize to ``F(t, 1)``, decompose, then re-homogenize and
-account for the root at infinity (the factor y).  The squarefree grade
-(``squarefree_binary_form``, Yun's algorithm over Q) needs no sympy and is
-all the tangent-cone pattern and the closed form's special line need.
-Irreducible factors (``factor_univariate``, delegated to sympy's exact
-Zassenhaus-based ``dup_factor_list`` on the integer polynomial, imported on
-the first factorization) are needed only by the resolution's
-``rational_roots`` and the witness corpus's rationality filter.
+``squarefree_binary_form`` dehomogenizes to ``F(t, 1)``, runs Yun's
+algorithm over Q, then re-homogenizes and accounts for the root at
+infinity (the factor y).  It needs no sympy and is all the tangent-cone
+pattern and the closed form's special line need.  Irreducible factors
+(``factor_univariate``, delegated to sympy's exact Zassenhaus-based
+``dup_factor_list`` on the integer polynomial, imported on the first
+factorization) are needed only by the resolution's ``rational_roots``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .poly import BPoly, Factorization, _derivative, coprime_univariate, normali
 
 __all__ = [
     "factor_univariate",
-    "factor_binary_form",
     "squarefree_binary_form",
     "rational_roots",
 ]
@@ -68,30 +66,6 @@ def _homogenize(coeffs):
     """The binary form of degree ``len(coeffs) - 1`` with ``F(t, 1)`` given."""
     n = len(coeffs) - 1
     return BPoly({(i, n - i): c for i, c in enumerate(coeffs) if c})
-
-
-def factor_binary_form(form):
-    """Complete irreducible factorization of a nonzero binary form.
-
-    Roots at infinity appear as the factor ``y`` with exponent
-    ``n - deg F(t, 1)``.  The factor degrees weighted by exponents sum
-    to the form degree.
-    """
-    if form.is_zero:
-        raise ZeroPolynomial("factorization of the zero form")
-    n = form.degree
-    unit, uni_factors = factor_univariate(_dehomogenize(form))
-    factors = []
-    covered = 0
-    for fac_coeffs, exp in uni_factors:
-        factors.append((normalize_primitive(_homogenize(fac_coeffs))[1], exp))
-        covered += (len(fac_coeffs) - 1) * exp
-    pad = n - covered
-    if pad > 0:
-        factors.append((BPoly.monomial(0, 1), pad))
-    result = Factorization(unit=unit, factors=tuple(factors), grade="irreducible")
-    assert result.reconstruct() == form
-    return result
 
 
 def _divmod(a, b):
@@ -150,7 +124,8 @@ def squarefree_binary_form(form):
 
     The parts are pairwise coprime and squarefree; a part of degree g
     with exponent e stands for g distinct lines of multiplicity e.  They
-    are normalized as in ``factor_binary_form``.
+    are primitive with integer coefficients and a positive graded-lex
+    leading coefficient (``normalize_primitive``).
     """
     if form.is_zero:
         raise ZeroPolynomial("squarefree decomposition of the zero form")

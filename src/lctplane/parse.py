@@ -52,6 +52,7 @@ MAX_TERMS = 10_000
 # ``finditer`` skips nothing but whitespace.
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^()])|(\S))")
 _KINDS = (None, "int", "name", "op")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _tokenize(text):
@@ -263,8 +264,13 @@ def parse_poly(text):
 
 
 def parse_rational(text):
-    """Parse a rational literal ``p`` or ``p/q`` (optionally signed)."""
+    """Parse a rational literal ``[+-]?int ('/' posint)?``, with surrounding
+    whitespace; any other form (a decimal point, an exponent, a digit
+    separator, a zero denominator) is a ``ParseError``."""
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ParseError(f"invalid rational {text!r}")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except (ValueError, ZeroDivisionError) as exc:  # over-long literal, q = 0
         raise ParseError(f"invalid rational {text!r}") from exc

@@ -12,10 +12,19 @@ and read off lct = min(1, min (a_E + 1) / m_E).
 All blowup centers must be rational points; a required center that is a
 root of a nonlinear irreducible polynomial raises ``IrrationalCenter``
 (first-class, documented failure, never silent).  After each blowup the
-only points that can violate snc lie on the newest exceptional divisor,
-so candidate centers are discovered by factoring the strict transform
-restricted to that divisor plus the single points where older divisors
-meet it.
+only points that can violate snc lie on the newest exceptional divisor
+E_new, so candidate centers are the roots of the strict transform
+restricted to E_new plus the points where older divisors meet it.
+
+Every old divisor through a center is a coordinate axis of the center's
+chart, so a center carries at most two of them, one per axis.  Chart 1,
+``(u, v) -> (u, u v)``, keeps the divisor along ``y = 0`` as ``y = 0``,
+meeting E_new = {u = 0} at t = 0, and loses the one along ``x = 0``;
+chart 2, ``(u, v) -> (u v, v)``, keeps the divisor along ``x = 0``,
+meeting E_new = {v = 0} at t = infinity, and loses the one along
+``y = 0``.  Centers are visited depth first, the points of each E_new in
+the order rational t ascending, then infinity, so the divisor numbering
+is the same in every process.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .errors import (
 )
 from .factorize import rational_roots
 from .localinv import is_square_free
-from .poly import BPoly, X, Y, restrict_coeffs
+from .poly import BPoly, restrict_coeffs
 
 __all__ = [
     "ExcDivisor",
@@ -50,8 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 64
-
-_AT_INFINITY = object()  # marker: point t = infinity on E, i.e. chart-2 origin
 
 
 @dataclass(frozen=True)
@@ -141,24 +148,11 @@ def blowup_transform(f_local):
 @dataclass
 class _PendingCenter:
     curve: BPoly  # local strict transform, center at origin
-    incident: list  # [(ExcDivisor, local equation BPoly)]
+    on_x: Optional[ExcDivisor]  # old divisor along x = 0 through the center
+    on_y: Optional[ExcDivisor]  # old divisor along y = 0 through the center
     parent: Optional[int]
     chart: tuple
     location: tuple
-
-
-def _divisor_meeting_point(eq_strict):
-    """Where a (smooth, transversal) old divisor meets the new E.
-
-    ``eq_strict`` is the strict transform in chart 1; its restriction to
-    E is linear.  Returns a rational t or the at-infinity marker.
-    """
-    coeffs = restrict_coeffs(eq_strict, "x")
-    assert len(coeffs) <= 2, "old divisor must meet E transversally"
-    if len(coeffs) == 2:
-        return -coeffs[0] / coeffs[1]
-    # constant restriction: the divisor meets E at t = infinity
-    return _AT_INFINITY
 
 
 def _poly_text(coeffs):
@@ -183,22 +177,21 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
 
     stack = [
         _PendingCenter(
-            curve=f, incident=[], parent=None, chart=("x", "y"), location=(0, 0)
+            curve=f, on_x=None, on_y=None, parent=None, chart=("x", "y"), location=(0, 0)
         )
     ]
-    next_id = 1
 
     while stack:
         if len(tree.nodes) >= cap:
             raise ResolutionCap(f"more than {cap} blowups; cap exceeded")
         center = stack.pop()
+        olds = [div for div in (center.on_x, center.on_y) if div is not None]
         mu = center.curve.multiplicity()
         divisor = ExcDivisor(
-            id=next_id,
-            m=mu + sum(div.m for div, _ in center.incident),
-            a=1 + sum(div.a for div, _ in center.incident),
+            id=len(tree.nodes) + 1,
+            m=mu + sum(div.m for div in olds),
+            a=1 + sum(div.a for div in olds),
         )
-        next_id += 1
         tree.nodes.append(
             BlowupNode(
                 divisor=divisor,
@@ -206,85 +199,49 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
                 center=ChartPoint(
                     chart=center.chart,
                     location=center.location,
-                    incident=frozenset(div.id for div, _ in center.incident),
+                    incident=frozenset(div.id for div in olds),
                     local_equation=center.curve,
                 ),
             )
         )
 
-        # chart 1: (u, v) -> (u, u v), E_new = {u = 0}; chart 2:
-        # (u, v) -> (u v, v), E_new = {v = 0}, of which only the origin
-        # (the point t = infinity of E_new) is not covered by chart 1
+        # chart 1: (u, v) -> (u, u v), E_new = {u = 0}, on which v is the
+        # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
+        # origin is the point t = infinity
         strict1, strict2 = _charts(center.curve, mu)
-        old1 = []
-        old2 = []
-        for old_div, eq in center.incident:
-            assert eq.multiplicity() == 1, "old divisor must be smooth here"
-            eq_strict1, eq_strict2 = _charts(eq, 1)
-            old1.append((old_div, eq_strict1, _divisor_meeting_point(eq_strict1)))
-            old2.append((old_div, eq_strict2))
-
-        # points of E_new where the curve or an old divisor passes
-        ph = restrict_coeffs(strict1, "x")
+        ph = restrict_coeffs(strict1, "x")  # the curve on E_new, in t
         roots, nonlinear = rational_roots(ph) if len(ph) > 1 else ([], [])
         for q_coeffs, exp in nonlinear:
             if exp >= 2:
                 raise IrrationalCenter(_poly_text(q_coeffs))
             # transversal crossing at a non-rational point: already snc
 
-        curve_exp = {t0: exp for t0, exp in roots}
-        inf_restriction = restrict_coeffs(strict2, "y")
-        inf_exp = (
-            min(i for i, c in enumerate(inf_restriction) if c)
-            if strict2.coefficient(0, 0) == 0
-            else 0
-        )
-
-        points = set(curve_exp)
-        divisors_at = {}
-        for old_div, eq_strict, t0 in old1:
-            divisors_at.setdefault(t0, []).append(old_div)
-            if t0 is not _AT_INFINITY:
-                points.add(t0)
-        if inf_exp or _AT_INFINITY in divisors_at:
-            points.add(_AT_INFINITY)
-
-        for t0 in points:
-            olds_here = divisors_at.get(t0, [])
-            assert len(olds_here) <= 1, "three boundary divisors at one point"
-            exp = inf_exp if t0 is _AT_INFINITY else curve_exp.get(t0, 0)
-            needs_blowup = exp >= 2 or (exp >= 1 and olds_here)
-            if not needs_blowup:
-                continue
-            if t0 is _AT_INFINITY:
-                new_incident = [(divisor, Y)]
-                for old_div, eq_strict in old2:
-                    if old_div in olds_here:
-                        new_incident.append((old_div, eq_strict))
-                stack.append(
-                    _PendingCenter(
-                        curve=strict2,
-                        incident=new_incident,
-                        parent=divisor.id,
-                        chart=(f"u{divisor.id}", f"v{divisor.id}"),
-                        location=(Fraction(0), Fraction(0)),
-                    )
+        chart = (f"u{divisor.id}", f"v{divisor.id}")
+        pending = [
+            _PendingCenter(
+                curve=strict1.translate((0, t0)),
+                on_x=divisor,
+                on_y=center.on_y if t0 == 0 else None,
+                parent=divisor.id,
+                chart=chart,
+                location=(Fraction(0), t0),
+            )
+            for t0, exp in sorted(roots)
+            if exp >= 2 or (t0 == 0 and center.on_y is not None)
+        ]
+        inf_exp = mu + 1 - len(ph)  # curve multiplicity at t = infinity
+        if inf_exp >= 2 or (inf_exp == 1 and center.on_x is not None):
+            pending.append(
+                _PendingCenter(
+                    curve=strict2,
+                    on_x=center.on_x,
+                    on_y=divisor,
+                    parent=divisor.id,
+                    chart=chart,
+                    location=(Fraction(0), Fraction(0)),
                 )
-            else:
-                shift = (Fraction(0), t0)
-                new_incident = [(divisor, X)]
-                for old_div, eq_strict, t_meet in old1:
-                    if old_div in olds_here:
-                        new_incident.append((old_div, eq_strict.translate(shift)))
-                stack.append(
-                    _PendingCenter(
-                        curve=strict1.translate(shift),
-                        incident=new_incident,
-                        parent=divisor.id,
-                        chart=(f"u{divisor.id}", f"v{divisor.id}"),
-                        location=(Fraction(0), t0),
-                    )
-                )
+            )
+        stack.extend(reversed(pending))  # visit t ascending, infinity last
 
     tree.complete = True
     return tree

@@ -91,6 +91,8 @@ class TestExitCodes:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "lct", "x^2 + @")
         assert code == 2 and "error" in err
+        code, _, err = run(capsys, "lct", "x^2+y^3", "--point", "1e9999999,0")
+        assert code == 2 and "invalid rational" in err
 
     def test_precondition(self, capsys):
         code, _, err = run(capsys, "lct", "x^4 + 2*x^2*y^2 + y^4")

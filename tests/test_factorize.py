@@ -4,15 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from lctplane.errors import ZeroPolynomial
-from lctplane.factorize import (
-    factor_binary_form,
-    factor_univariate,
-    rational_roots,
-    squarefree_binary_form,
-)
+from lctplane.factorize import factor_univariate, rational_roots, squarefree_binary_form
 from lctplane.localinv import tangent_cone_pattern
 from lctplane.parse import parse_poly
 from lctplane.poly import BPoly, X, Y, gcd_bivariate, gcd_many, normalize_primitive
@@ -46,42 +42,6 @@ binary_forms = st.builds(
 def form(text):
     f = parse_poly(text)
     return f.homogeneous_part(f.degree)
-
-
-class TestFactorBinaryForm:
-    def test_line_times_conic(self):
-        fac = factor_binary_form(form("x^2*y + y^3"))
-        assert dict(fac.factors) == {Y: 1, parse_poly("x^2 + y^2"): 1}
-        assert fac.reconstruct() == form("x^2*y + y^3")
-
-    def test_pure_power(self):
-        fac = factor_binary_form(form("x^3"))
-        assert fac.factors == ((X, 3),)
-
-    def test_monomial(self):
-        fac = factor_binary_form(form("x^2*y^2"))
-        assert dict(fac.factors) == {X: 2, Y: 2}
-
-    def test_root_at_infinity(self):
-        # y-factor appears as degree deficit of the dehomogenization
-        fac = factor_binary_form(form("x^3*y + x^2*y^2"))
-        assert dict(fac.factors) == {X: 2, Y: 1, parse_poly("x + y"): 1}
-
-    def test_degree_budget(self):
-        f = form("x^5 - x*y^4")
-        fac = factor_binary_form(f)
-        assert sum(p.degree * e for p, e in fac.factors) == 5
-        assert fac.reconstruct() == f
-
-    def test_unit_and_normalization(self):
-        f = Fraction(-3, 2) * form("x^2*y")
-        fac = factor_binary_form(f)
-        assert fac.unit == Fraction(-3, 2)
-        assert fac.reconstruct() == f
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            factor_binary_form(form("0"))
 
 
 class TestRationalRoots:
@@ -140,9 +100,12 @@ class TestSquarefreeBinaryForm:
     @settings(derandomize=True, deadline=None)
     @given(binary_forms)
     def test_tangent_cone_pattern_matches_factorization(self, f):
+        x, y = sympy.symbols("x y")
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+        _, factors = sympy.Poly.from_dict(terms, x, y, domain="QQ").factor_list()
         entries = []
-        for factor, exp in factor_binary_form(f).factors:
-            entries.extend([exp] * factor.degree)
+        for factor, exp in factors:
+            entries.extend([exp] * factor.total_degree())
         assert tangent_cone_pattern(f) == tuple(sorted(entries, reverse=True))
         assert tangent_cone_pattern(f + X ** (f.degree + 1)) == tangent_cone_pattern(f)
 

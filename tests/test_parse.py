@@ -255,8 +255,12 @@ class TestHelpers:
     def test_parse_rational(self):
         assert parse_rational("5/9") == Fraction(5, 9)
         assert parse_rational("-3") == Fraction(-3)
-        with pytest.raises(ParseError):
-            parse_rational("x")
+        assert parse_rational(" +6/4 ") == Fraction(3, 2)
+        assert parse_rational("-0/7") == 0
+        for text in ("x", "1.5", ".5", "1_000", "1e9999999", "5/0", "5/-3", "1/2/3",
+                     "5 / 9", "", "/3", "inf", "nan", "\u0663", "9" * 5000):
+            with pytest.raises(ParseError):
+                parse_rational(text)
 
     def test_parse_terms_three_variables(self):
         terms = parse_terms("x*y*z + 2*z^3", ("x", "y", "z"))

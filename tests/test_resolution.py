@@ -1,11 +1,16 @@
 """Unit tests for the blowup-based resolution oracle."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lctplane
 from lctplane.errors import (
     IncompleteTree,
     IrrationalCenter,
@@ -24,6 +29,11 @@ from lctplane.resolution import (
     log_pullback_coefficients,
     resolve_over_origin,
 )
+
+
+# a triple line at t = 3 of E1 whose resolution chain crosses both kinds
+# of old divisor, and a double line at infinity (x = 0)
+_TWO_BRANCHES = "x^2*(y-3*x)^3 + x^7 + y^7"
 
 
 class TestBlowupTransform:
@@ -92,6 +102,65 @@ class TestResolveOverOrigin:
     def test_e6(self):
         tree = resolve_over_origin(P("y^3 + x^4"))
         assert lct_from_tree(tree) == Fraction(7, 12)
+
+    def test_ledger_order(self):
+        # E1 has a triple point at t = 3 and a double one at infinity; the
+        # chain at t = 3 keeps E1 along x = 0 (chart 2) and E2 along y = 0
+        # (chart 1 at t = 0), so both axis slots are exercised
+        tree = resolve_over_origin(P(_TWO_BRANCHES))
+        ledger = [
+            (
+                node.divisor.id,
+                node.parent,
+                node.divisor.m,
+                node.divisor.a,
+                node.center.location,
+                sorted(node.center.incident),
+            )
+            for node in tree.nodes
+        ]
+        assert ledger == [
+            (1, None, 5, 1, (0, 0), []),
+            (2, 1, 7, 2, (0, 3), [1]),
+            (3, 2, 13, 4, (0, 0), [1, 2]),
+            (4, 3, 21, 7, (0, 0), [2, 3]),
+            (5, 1, 7, 2, (0, 0), [1]),
+        ]
+        # E3 and E4 blow up smooth points of the curve on two divisors
+        assert [node.center.local_equation.multiplicity() for node in tree.nodes] == [
+            5, 2, 1, 1, 2,
+        ]
+
+    def test_kept_divisor_meets_only_t0(self):
+        # E2 is the point t = infinity of E1, where E1 runs along y = 0, so
+        # E3, at t = 1 on E2, lies on E2 alone; in x' = x - y^2 the germ is
+        # x'^3 + x'^2*y^2 + y^7, Newton non-degenerate with lct 1/2
+        tree = resolve_over_origin(P("x*(x-y^2)^2 + y^7"))
+        ledger = [
+            (node.parent, node.divisor.m, node.divisor.a, sorted(node.center.incident))
+            for node in tree.nodes
+        ]
+        assert ledger == [(None, 3, 1, []), (1, 6, 2, [1]), (2, 7, 3, [2]), (3, 14, 6, [2, 3])]
+        assert tree.node_by_id(3).center.location == (0, 1)
+        assert lct_from_tree(tree) == Fraction(1, 2)
+
+    def test_numbering_ignores_import_history(self):
+        script = (
+            "import {}\n"
+            "from lctplane import export_tree, parse_poly, resolve_over_origin\n"
+            "print(export_tree(resolve_over_origin(parse_poly({!r})), 'json'))"
+        )
+        path = (str(Path(lctplane.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script.format(modules, _TWO_BRANCHES)],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            ).stdout
+            for modules in ("sympy", "json, argparse")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == export_tree(resolve_over_origin(P(_TWO_BRANCHES)), "json") + "\n"
 
     def test_recurrences_hold(self):
         tree = resolve_over_origin(P("y^3 + x^3*y"))
