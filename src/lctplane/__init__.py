@@ -42,13 +42,7 @@ from .localinv import (
     weighted_lct_upper_bound,
 )
 from .parse import parse_poly
-from .poly import (
-    BinaryForm,
-    BPoly,
-    Factorization,
-    gcd_bivariate,
-    squarefree_decomposition,
-)
+from .poly import BPoly, gcd_bivariate
 from .resolution import (
     ResolutionTree,
     blowup_transform,
@@ -62,8 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BPoly",
-    "BinaryForm",
-    "Factorization",
     "HighMultAnalysis",
     "INF",
     "LctError",
@@ -92,7 +84,6 @@ __all__ = [
     "reducibility_hint",
     "resolve_over_origin",
     "sample_normal_form",
-    "squarefree_decomposition",
     "table1_values",
     "tangent_cone_pattern",
     "weighted_lct_upper_bound",

@@ -66,10 +66,6 @@ class DivisorZero(PreconditionError):
     pass
 
 
-class SingularMatrix(PreconditionError):
-    pass
-
-
 class NotSquareFree(PreconditionError):
     pass
 

@@ -1,6 +1,8 @@
 """Factorization over the rationals: squarefree binary forms, and
 irreducible univariate factors where irreducibility matters.
 
+Both return the same shape, ``(unit, [(part, exponent), ...])`` with
+``unit * prod(part ** exponent)`` equal to the input.
 ``squarefree_binary_form`` dehomogenizes to ``F(t, 1)``, runs Yun's
 algorithm over Q, then re-homogenizes and accounts for the root at
 infinity (the factor y).  It needs no sympy and is all the tangent-cone
@@ -16,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .poly import BPoly, Factorization, _derivative, coprime_univariate, normalize_primitive
+from .poly import BPoly, _derivative, coprime_univariate, normalize_primitive
 
 __all__ = [
     "factor_univariate",
@@ -118,9 +120,10 @@ def _yun(f):
 
 
 def squarefree_binary_form(form):
-    """Squarefree-grade decomposition of a nonzero binary form, without
-    sympy: Yun's algorithm over Q on ``F(t, 1)``, plus the factor ``y``
-    with exponent ``n - deg F(t, 1)`` for the root at infinity.
+    """Squarefree decomposition ``(unit, [(part, exponent), ...])`` of a
+    nonzero binary form, without sympy: Yun's algorithm over Q on
+    ``F(t, 1)``, plus the part ``y`` with exponent ``n - deg F(t, 1)`` for
+    the root at infinity.  ``unit * prod(part ** exponent)`` is the form.
 
     The parts are pairwise coprime and squarefree; a part of degree g
     with exponent e stands for g distinct lines of multiplicity e.  They
@@ -141,7 +144,7 @@ def squarefree_binary_form(form):
     pad = form.degree + 1 - len(coeffs)
     if pad:
         factors.append((BPoly.monomial(0, 1), pad))
-    return Factorization(unit=unit, factors=tuple(factors), grade="squarefree")
+    return unit, factors
 
 
 def rational_roots(coeffs):

@@ -69,7 +69,7 @@ def analyze_high_mult(f):
 
     cone = f.homogeneous_part(d - 1)
     special = None
-    for factor, exp in squarefree_binary_form(cone).factors:
+    for factor, exp in squarefree_binary_form(cone)[1]:
         if 2 * exp > d - 1:
             # exponent * degree <= d-1 forces degree 1
             assert factor.degree == 1, "special part must be linear"
@@ -98,34 +98,38 @@ def analyze_high_mult(f):
     )
 
 
-def lambda_set(d):
-    """All lcts achieved at multiplicity-(d-1) points of degree-d curves.
+def _special_values(d):
+    """The lcts at degree d with a special line, each mapped to
+    ``(k, line is a component)``: ``(2k+1)/(kd+1)`` when the line is a
+    component of the curve, ``(2k+1)/(kd)`` when it is not.
 
-    The set has about d values, so ``d`` above ``parse.MAX_EXPONENT``, the
-    largest degree an input polynomial may have, is refused."""
+    The table has about d entries, so ``d`` above ``parse.MAX_EXPONENT``,
+    the largest degree an input polynomial may have, is refused."""
     if d < 3:
         raise DegreeTooSmall(f"degree must be at least 3, got {d}")
     if d > MAX_EXPONENT:
         raise DegreeOutOfRange(f"degree {d} exceeds the degree limit {MAX_EXPONENT}")
-    values = {Fraction(2, d - 1)}
-    for k in range((d - 1) // 2, d - 1):
-        values.add(Fraction(2 * k + 1, k * d + 1))
-    for k in range((d + 1) // 2, d):
-        values.add(Fraction(2 * k + 1, k * d))
-    return tuple(sorted(values))
+    values = {Fraction(2 * k + 1, k * d + 1): (k, True) for k in range((d - 1) // 2, d - 1)}
+    values.update({Fraction(2 * k + 1, k * d): (k, False) for k in range((d + 1) // 2, d)})
+    return values
+
+
+def lambda_set(d):
+    """All lcts achieved at multiplicity-(d-1) points of degree-d curves:
+    ``2/(d-1)`` and the special-line values."""
+    values = _special_values(d)
+    return tuple(sorted({Fraction(2, d - 1), *values}))
 
 
 def reducibility_hint(lct, d):
     """True iff lct lies in the (2k+1)/(kd+1) family, forcing the curve
     to be reducible (the special line is then a component)."""
-    if d < 3:
-        raise DegreeTooSmall(f"degree must be at least 3, got {d}")
-    if lct not in lambda_set(d):
+    values = _special_values(d)
+    if lct == Fraction(2, d - 1):
+        return False
+    if lct not in values:
         raise NotInLambdaSet(f"{lct} is not an lct value for degree {d}")
-    for k in range((d - 1) // 2, d - 1):
-        if lct == Fraction(2 * k + 1, k * d + 1):
-            return True
-    return False
+    return values[lct][1]
 
 
 def _tail_form(low_exp, high_exp, var_mix_degree):
@@ -139,44 +143,32 @@ def _tail_form(low_exp, high_exp, var_mix_degree):
 
 def construct_witness(d, target):
     """A square-free degree-d witness with mult d-1 and the target lct."""
-    if d < 3:
-        raise DegreeTooSmall(f"degree must be at least 3, got {d}")
+    values = _special_values(d)
     target = Fraction(target)
-    if target not in lambda_set(d):
-        raise TargetNotRealizable(f"{target} is not in the lct value set of degree {d}")
-
-    candidates = []
     if target == Fraction(2, d - 1):
         # squarefree tangent cone: product of d-1 distinct rational lines
         cone = BPoly.constant(1)
         for i in range(d - 1):
             cone = cone * (X - i * Y)
         candidates = [cone + Y**d, cone + X**d, cone + X**d + Y**d]
+    elif target not in values:
+        raise TargetNotRealizable(f"{target} is not in the lct value set of degree {d}")
+    elif values[target][1]:  # the special line is a component
+        k = values[target][0]
+        base = X * _tail_form(k, d - 2, d - 2)
+        candidates = [
+            base + X * Y ** (d - 1),
+            base + X * (Y ** (d - 1) + X ** (d - 1)),
+            base + X * (Y ** (d - 1) + X ** (d - 2) * Y),
+        ]
     else:
-        component_k = None
-        plain_k = None
-        for k in range((d - 1) // 2, d - 1):
-            if target == Fraction(2 * k + 1, k * d + 1):
-                component_k = k
-        for k in range((d + 1) // 2, d):
-            if target == Fraction(2 * k + 1, k * d):
-                plain_k = k
-        if component_k is not None:
-            k = component_k
-            base = X * _tail_form(k, d - 2, d - 2)
-            candidates = [
-                base + X * Y ** (d - 1),
-                base + X * (Y ** (d - 1) + X ** (d - 1)),
-                base + X * (Y ** (d - 1) + X ** (d - 2) * Y),
-            ]
-        else:
-            k = plain_k
-            base = _tail_form(k, d - 1, d - 1)
-            candidates = [
-                base + Y**d,
-                base + Y**d + X**d,
-                base + Y**d + X ** (d - 1) * Y,
-            ]
+        k = values[target][0]
+        base = _tail_form(k, d - 1, d - 1)
+        candidates = [
+            base + Y**d,
+            base + Y**d + X**d,
+            base + Y**d + X ** (d - 1) * Y,
+        ]
 
     for f in candidates:
         try:

@@ -1,7 +1,8 @@
 """Local invariants of a plane curve germ at the origin.
 
 Intersection multiplicity is computed by the classical exact recursion
-(restrict to y = 0, cancel the lowest x-power, extract y factors); the
+(restrict to y = 0, cancel the lowest x-power, extract y factors), with
+the terms above what the Bezout bound leaves dropped at each step; the
 Milnor number is the intersection multiplicity of the two partial
 derivatives.  Everything is exact rational arithmetic; sympy's gcd runs
 only where the integer certificates of ``poly`` leave a case undecided.
@@ -52,6 +53,13 @@ def _extract_y(f):
     return a, BPoly({(i, j - a): c for (i, j), c in f.terms.items()})
 
 
+def _truncate(f, n):
+    """``f`` without its terms of total degree above ``n``."""
+    if f.degree <= n:
+        return f
+    return BPoly._raw({exp: c for exp, c in f.terms.items() if exp[0] + exp[1] <= n})
+
+
 def _univariate_to_x_poly(coeffs):
     return BPoly({(i, 0): c for i, c in enumerate(coeffs) if c})
 
@@ -73,10 +81,15 @@ def intersection_multiplicity_origin(f, g):
         if not common.is_constant() and common.coefficient(0, 0) == 0:
             return INF
 
+    bound = f.degree * g.degree  # Bezout: I_0(f, g) <= deg f * deg g
     total = 0
     while True:
         if f.coefficient(0, 0) != 0 or g.coefficient(0, 0) != 0:
             return total
+        # I_0(f, g) is now at most n = bound - total, so m^n lies in (f, g)
+        # and the terms of degree above n lie in m*(f, g): dropping them
+        # keeps the ideal (Nakayama) and the unit products from growing
+        f, g = _truncate(f, bound - total), _truncate(g, bound - total)
         fx0 = restrict_coeffs(f, "y")
         gx0 = restrict_coeffs(g, "y")
         if not fx0 and not gx0:
@@ -137,7 +150,7 @@ def tangent_cone_pattern(f):
         raise NotThroughOrigin("curve does not pass through the origin")
     cone = f.homogeneous_part(f.multiplicity())
     entries = []
-    for factor, exp in squarefree_binary_form(cone).factors:
+    for factor, exp in squarefree_binary_form(cone)[1]:
         entries.extend([exp] * factor.degree)
     return tuple(sorted(entries, reverse=True))
 

@@ -17,28 +17,25 @@ gcds of values at a few points, which prove the answer "yes" for reduced
 input without sympy and leave every other case to the exact gcd.
 ``translate`` is an exact integer Taylor shift done one variable at a time
 (``shift_terms``); everything else is the term-dict kernel below.
+
+Homogeneous parts and tangent cones are plain ``BPoly`` values, whose
+squarefree parts come from ``factorize.squarefree_binary_form``; the lct
+routes need no squarefree decomposition of a whole bivariate polynomial
+(sympy's ``sqf_list`` gives one exactly), and a linear change of
+coordinates is a ``substitute``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import (
-    BothZero,
-    DivisorZero,
-    NotDivisible,
-    SingularMatrix,
-    ZeroPolynomial,
-)
+from .errors import BothZero, DivisorZero, NotDivisible, ZeroPolynomial
 from .extended import INF, NEG_INF
 
 __all__ = [
     "BPoly",
-    "BinaryForm",
-    "Factorization",
     "ZERO",
     "ONE",
     "X",
@@ -47,7 +44,6 @@ __all__ = [
     "gcd_many",
     "certify_coprime",
     "certify_squarefree",
-    "squarefree_decomposition",
     "divides",
     "normalize_primitive",
     "restrict_coeffs",
@@ -340,7 +336,7 @@ class BPoly:
     def homogeneous_part(self, k):
         """Sum of the terms of total degree ``k`` (possibly zero)."""
         picked = {exp: c for exp, c in self._terms.items() if exp[0] + exp[1] == k}
-        return BinaryForm._raw(picked)
+        return BPoly._raw(picked)
 
     def weighted_order(self, w):
         """Minimal weighted degree and the weighted leading part.
@@ -409,14 +405,6 @@ class BPoly:
             terms = shift_terms(terms, 0, p1)
         return self if terms is self._terms else BPoly._raw(terms)
 
-    def linear_change(self, m):
-        """Compose with the invertible linear map ``(x, y) -> M (x, y)``."""
-        (a, b), (c, d) = m
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-        if a * d - b * c == 0:
-            raise SingularMatrix("linear change must be invertible")
-        return self.substitute(X * a + Y * b, X * c + Y * d)
-
     # -- exact division --------------------------------------------------
 
     def divide_exact(self, g):
@@ -443,22 +431,6 @@ class BPoly:
         return BPoly({exp: c for exp, c in quot.items() if c})
 
 
-class BinaryForm(BPoly):
-    """A homogeneous bivariate polynomial (possibly zero).
-
-    Instances arise as homogeneous parts and tangent cones; the form
-    degree is recoverable from any stored term.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, terms=None):
-        super().__init__(terms)
-        degs = {i + j for i, j in self._terms}
-        if len(degs) > 1:
-            raise ValueError("binary form must be homogeneous")
-
-
 ZERO = BPoly._raw({})
 ONE = BPoly._raw({(0, 0): Fraction(1)})
 X = BPoly._raw({(1, 0): Fraction(1)})
@@ -473,26 +445,10 @@ def _coerce(value):
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """``unit * prod(factor ** exponent)`` reconstructing a polynomial.
-
-    ``grade`` is ``"irreducible"`` for a full factorization over the
-    rationals and ``"squarefree"`` for a squarefree-grade decomposition
-    (factors pairwise coprime and squarefree, not necessarily prime).
-    Factors are primitive with integer coefficients and positive
-    graded-lex leading coefficient, pairwise non-associate.
-    """
-
-    unit: Fraction
-    factors: tuple
-    grade: str = "irreducible"
-
-    def reconstruct(self):
-        out = BPoly.constant(self.unit)
-        for factor, exp in self.factors:
-            out = out * factor**exp
-        return out
+def _int_terms(f):
+    """The terms of ``f`` times the lcm of its denominators, as ints."""
+    denom = math.lcm(*(c.denominator for c in f._terms.values()))
+    return {exp: c.numerator * (denom // c.denominator) for exp, c in f._terms.items()}
 
 
 def normalize_primitive(f):
@@ -500,20 +456,13 @@ def normalize_primitive(f):
     whose graded-lex leading coefficient is positive."""
     if f.is_zero:
         raise ZeroPolynomial("cannot normalize the zero polynomial")
-    denom_lcm = 1
-    for c in f.terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    scaled = {exp: c * denom_lcm for exp, c in f.terms.items()}
-    num_gcd = 0
-    for c in scaled.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+    scaled = _int_terms(f)
     lead_exp = max(scaled, key=_grlex_key)
-    sign = 1 if scaled[lead_exp] > 0 else -1
-    unit = Fraction(sign * num_gcd, denom_lcm)
-    primitive = BPoly(
-        {exp: c / (sign * num_gcd) for exp, c in scaled.items()}
-    )
-    return unit, primitive
+    content = math.gcd(*scaled.values())
+    if scaled[lead_exp] < 0:
+        content = -content
+    primitive = BPoly._raw({exp: Fraction(c // content) for exp, c in scaled.items()})
+    return f._terms[lead_exp] / primitive._terms[lead_exp], primitive
 
 
 def divides(g, f):
@@ -544,12 +493,6 @@ def restrict_coeffs(f, var_zero):
 # ---------------------------------------------------------------------------
 # Bivariate gcd, delegated to sympy's exact dense gcd over Z[x, y].
 # ---------------------------------------------------------------------------
-
-
-def _int_terms(f):
-    """The terms of ``f`` times the lcm of its denominators, as ints."""
-    denom = math.lcm(*(c.denominator for c in f._terms.values()))
-    return {exp: c.numerator * (denom // c.denominator) for exp, c in f._terms.items()}
 
 
 def _to_dense(f):
@@ -701,43 +644,3 @@ def certify_squarefree(f):
     """True only if the nonzero ``f`` is proven squarefree over Q; False
     means undecided (``gcd(f, f_x, f_y)`` decides)."""
     return _certify(f, None)
-
-
-def squarefree_decomposition(f):
-    """Squarefree-grade decomposition ``unit * prod(a_e ** e)``.
-
-    The returned factors are pairwise coprime, squarefree, primitive and
-    normalized; exponents are strictly increasing.  Char-0 Musser scheme
-    driven by ``gcd(f, f_x, f_y)``, each gcd from ``gcd_bivariate`` (sympy's
-    exact dense gcd).
-    """
-    if f.is_zero:
-        raise ZeroPolynomial("squarefree decomposition of zero")
-    if f.is_constant():
-        return Factorization(
-            unit=f.coefficient(0, 0), factors=(), grade="squarefree"
-        )
-    g = gcd_many([f, f.derivative("x"), f.derivative("y")])
-    c = f.divide_exact(g)  # product of the distinct prime factors
-    factors = []
-    e = 1
-    while not g.is_constant():
-        d = gcd_bivariate(g, c)
-        part = c.divide_exact(d)
-        if not part.is_constant():
-            factors.append((normalize_primitive(part)[1], e))
-        c = d
-        g = g.divide_exact(d)
-        e += 1
-    if not c.is_constant():
-        factors.append((normalize_primitive(c)[1], e))
-    rebuilt = ONE
-    for factor, exp in factors:
-        rebuilt = rebuilt * factor**exp
-    unit_poly = f.divide_exact(rebuilt)
-    assert unit_poly.is_constant()
-    return Factorization(
-        unit=unit_poly.coefficient(0, 0),
-        factors=tuple(factors),
-        grade="squarefree",
-    )

@@ -77,7 +77,11 @@ class ExcDivisor:
 @dataclass(frozen=True)
 class ChartPoint:
     """A blowup center: local chart, location, incident divisors, and the
-    local strict-transform equation (center translated to the origin)."""
+    local strict-transform equation (center translated to the origin).
+
+    A center on E_k lies in chart ``("u<k>", "v<k>")`` at ``(0, t)`` for
+    a finite t, or in chart ``("s<k>", "w<k>")`` at ``(0, 0)`` for
+    t = infinity, so ``(chart, location)`` names one point of E_k."""
 
     chart: tuple
     location: tuple
@@ -237,7 +241,7 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
                     on_x=center.on_x,
                     on_y=divisor,
                     parent=divisor.id,
-                    chart=chart,
+                    chart=(f"s{divisor.id}", f"w{divisor.id}"),
                     location=(Fraction(0), Fraction(0)),
                 )
             )

@@ -1,10 +1,17 @@
 """Shared pytest configuration.
 
-Prints a one-line pass/fail verdict per acceptance criterion at the end
-of the run (sourced from the outcomes of tests/test_acceptance.py).
+Loads one ``hypothesis`` profile for every property test: examples drawn
+from a seed fixed by each test's source, so a run is reproducible, and no
+per-example deadline, since exact arithmetic on a shared host varies in
+time.  Prints a one-line pass/fail verdict per acceptance criterion at the
+end of the run (sourced from the outcomes of tests/test_acceptance.py).
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("lctplane", derandomize=True, deadline=None)
+settings.load_profile("lctplane")
 
 _ACCEPTANCE_RESULTS = {}
 

@@ -63,7 +63,7 @@ class TestRoutes:
         with pytest.raises(ResolutionCap):
             lct(P("x^2 + y^6 + x*y^4"), cap=1)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(singular_germs)
     def test_agrees_with_oracle(self, f):
         assume(is_square_free(f))

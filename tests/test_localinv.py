@@ -1,9 +1,15 @@
 """Unit tests for local invariants (intersection multiplicity, Milnor
 number, tangent cone pattern, square-freeness, weighted bound)."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import lctplane
 
 from lctplane.errors import NotThroughOrigin, ZeroPolynomial
 from lctplane.extended import INF
@@ -72,6 +78,23 @@ class TestMilnorNumber:
     def test_ak_series(self):
         for k in range(1, 13):
             assert milnor(P(f"x^2 + y^{k + 1}")) == k
+
+    def test_three_branches_within_bezout_bound(self):
+        # mu = 2*delta - r + 1 with delta = 1 + 1 + 12 + (4 + 10 + 14) = 42 and
+        # r = 3 branches; without dropping the terms above the Bezout bound
+        # the recursion's unit products make this run for minutes
+        path = (str(Path(lctplane.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        code = (
+            "from lctplane.localinv import milnor_number_origin as m; "
+            "from lctplane.parse import parse_poly as P; "
+            "print(m(P('(x^3-y^2)*(x^2-y^3)*(x^5-y^7)')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "82"
 
 
 class TestTangentConePattern:

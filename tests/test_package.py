@@ -1,10 +1,14 @@
 """The package's public namespace and what importing it loads."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import lctplane
 
@@ -44,6 +48,13 @@ def test_star_import_resolves_all():
     namespace = {}
     exec("from lctplane import *", namespace)
     assert set(lctplane.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(lctplane.__path__)))
+def test_submodule_all_names_exist(name):
+    module = importlib.import_module(f"lctplane.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing
 
 
 def test_cheap_routes_do_not_import_sympy():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from lctplane.cli import main
 from lctplane.errors import ExponentTooLarge, NonPolynomial, ParseError, TooManyTerms
@@ -236,7 +236,6 @@ def sympy_terms(p):
 
 
 class TestAgainstSympy:
-    @settings(derandomize=True, deadline=None)
     @given(expressions(("x", "y")))
     def test_parse_poly(self, drawn):
         text, expected = drawn
@@ -244,7 +243,6 @@ class TestAgainstSympy:
         assert terms == sympy_terms(expected)
         assert all(type(c) is Fraction for c in terms.values())
 
-    @settings(derandomize=True, deadline=None)
     @given(expressions(("x", "y", "z")))
     def test_parse_terms_three_variables(self, drawn):
         text, expected = drawn

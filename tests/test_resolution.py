@@ -114,17 +114,20 @@ class TestResolveOverOrigin:
                 node.parent,
                 node.divisor.m,
                 node.divisor.a,
+                node.center.chart,
                 node.center.location,
                 sorted(node.center.incident),
             )
             for node in tree.nodes
         ]
+        # t = infinity of E_k is the origin of chart (s<k>, w<k>), t = 0 that
+        # of chart (u<k>, v<k>), so E3 and E5 read apart from E4
         assert ledger == [
-            (1, None, 5, 1, (0, 0), []),
-            (2, 1, 7, 2, (0, 3), [1]),
-            (3, 2, 13, 4, (0, 0), [1, 2]),
-            (4, 3, 21, 7, (0, 0), [2, 3]),
-            (5, 1, 7, 2, (0, 0), [1]),
+            (1, None, 5, 1, ("x", "y"), (0, 0), []),
+            (2, 1, 7, 2, ("u1", "v1"), (0, 3), [1]),
+            (3, 2, 13, 4, ("s2", "w2"), (0, 0), [1, 2]),
+            (4, 3, 21, 7, ("u3", "v3"), (0, 0), [2, 3]),
+            (5, 1, 7, 2, ("s1", "w1"), (0, 0), [1]),
         ]
         # E3 and E4 blow up smooth points of the curve on two divisors
         assert [node.center.local_equation.multiplicity() for node in tree.nodes] == [
