@@ -45,7 +45,6 @@ from .parse import parse_poly
 from .poly import BPoly, gcd_bivariate
 from .resolution import (
     ResolutionTree,
-    blowup_transform,
     export_tree,
     lct_from_tree,
     log_pullback_coefficients,
@@ -66,7 +65,6 @@ __all__ = [
     "all_symbols",
     "allowed_types",
     "analyze_high_mult",
-    "blowup_transform",
     "class_info",
     "classify_singularity",
     "construct_witness",

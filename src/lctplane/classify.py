@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -28,9 +29,9 @@ from .localinv import (
     is_square_free,
     milnor_number_origin,
     tangent_cone_pattern,
+    weighted_lct_upper_bound,
 )
-from .parse import parse_terms
-from .poly import BPoly
+from .parse import parse_poly
 
 __all__ = [
     "SingularityClass",
@@ -102,7 +103,10 @@ def classify_singularity(f):
     The lookup covers every germ occurring on a reduced curve of degree
     at most 5 (any polynomial realizing such a germ is accepted, e.g. the
     normal forms themselves, whose global degree can exceed 5); a triple
-    outside the table raises ``NotClassifiable``.
+    outside the table raises ``NotClassifiable``.  Past degree 5 the triple
+    no longer determines the type, so a row whose lct exceeds
+    ``weighted_lct_upper_bound`` at a compact Newton edge's weights is
+    refused too; that never refuses a correct row, nor proves a kept one.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot classify the zero polynomial")
@@ -124,7 +128,30 @@ def classify_singularity(f):
             f"no table row matches mult={mult}, tangent cone pattern="
             f"{list(pattern)}, Milnor number={mu}"
         )
-    return class_info(symbol)
+    cls = class_info(symbol)
+    for w in _newton_edge_weights(f) if f.degree > 5 else ():
+        bound = weighted_lct_upper_bound(f, w).bound
+        if cls.lct > bound:
+            raise NotClassifiable(
+                f"row {symbol} has lct {cls.lct}, above the bound {bound} at Newton "
+                f"edge weights {list(w)}: degree {f.degree} is outside the table"
+            )
+    return cls
+
+
+def _newton_edge_weights(f):
+    """Normal weights ``(w1, w2)`` of the compact edges of f's Newton polygon."""
+    hull = []  # the polygon's vertices so far, x-exponent ascending
+    for i, j in sorted(f.terms):
+        if hull and j >= hull[-1][1]:
+            continue  # on or above a point already seen, so not a vertex
+        while len(hull) > 1:
+            (i0, j0), (i1, j1) = hull[-2:]
+            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
+                break  # hull[-1] lies below the segment hull[-2] -> (i, j)
+            hull.pop()
+        hull.append((i, j))
+    return [(j1 - j2, i2 - i1) for (i1, j1), (i2, j2) in zip(hull, hull[1:])]
 
 
 def table1_values(d):
@@ -136,21 +163,10 @@ def table1_values(d):
     return tuple(sorted(values))
 
 
-def _instantiate(row, params):
-    """Evaluate the normal-form template at rational parameter values."""
-    variables = ("x", "y", "a", "b", "c")
-    raw = parse_terms(row["normal_form"], variables)
-    terms = {}
-    for (i, j, ea, eb, ec), coeff in raw.items():
-        value = (
-            coeff
-            * params.get("a", Fraction(0)) ** ea
-            * params.get("b", Fraction(0)) ** eb
-            * params.get("c", Fraction(0)) ** ec
-        )
-        if value:
-            terms[(i, j)] = terms.get((i, j), Fraction(0)) + value
-    return BPoly({k: v for k, v in terms.items() if v})
+def _substitute(text, params):
+    """Parse ``text`` with each parameter's value, in parentheses, written
+    in place of its name."""
+    return parse_poly(re.sub(r"\b[abc]\b", lambda m: f"({params[m[0]]})", text))
 
 
 def _restriction_holds(row, params, poly):
@@ -158,16 +174,7 @@ def _restriction_holds(row, params, poly):
     if restriction is None:
         return True
     if restriction["kind"] == "nonzero_poly":
-        constraint = parse_terms(restriction["poly"], ("a", "b", "c"))
-        total = Fraction(0)
-        for (ea, eb, ec), coeff in constraint.items():
-            total += (
-                coeff
-                * params.get("a", Fraction(0)) ** ea
-                * params.get("b", Fraction(0)) ** eb
-                * params.get("c", Fraction(0)) ** ec
-            )
-        return total != 0
+        return not _substitute(restriction["poly"], params).is_zero
     if restriction["kind"] == "squarefree_top_degree":
         top = poly.homogeneous_part(restriction["degree"])
         return not top.is_zero and is_square_free(top)
@@ -188,6 +195,6 @@ def sample_normal_form(symbol, seed=0):
             name: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
             for name in row["parameters"]
         }
-        poly = _instantiate(row, params)
+        poly = _substitute(row["normal_form"], params)
         if _restriction_holds(row, params, poly):
             return poly

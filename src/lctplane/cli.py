@@ -6,14 +6,16 @@ method dispatch), ``classify``, ``milnor``, ``imult``, ``lambda-set``,
 text by default or JSON with ``--format json``; rationals are always
 rendered ``p/q`` in lowest terms and infinity as ``inf``.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 irrational blowup center, 5 blowup cap exceeded, 1 anything else.
-A polynomial argument with an exponent above ``parse.MAX_EXPONENT``
-(1000), such as ``x^2+y^999999999``, or with a power or product that could
-expand to more than ``parse.MAX_TERMS`` (10000) terms, such as
-``(1+x+y)^1000``, is a precondition violation and exits 3 before any
-computation.  So is a ``lambda-set`` or ``witness`` degree above the same
-1000.
+Exit codes, each error class's ``exit_code``: 0 success, 2 parse error,
+3 precondition violation or unclassifiable germ, 4 irrational blowup
+center, 5 blowup cap exceeded, 1 anything else.  These exit 3 before any
+computation: an exponent above ``parse.MAX_EXPONENT`` (1000), as in
+``x^2+y^999999999``; a power or product that could expand to more than
+``parse.MAX_TERMS`` (10000) terms, as ``(1+x+y)^1000``; a power or a
+``--point`` shift charged more than ``parse.MAX_COEFF_BITS`` (65536)
+coefficient bits (``CoefficientTooLarge``), as ``(10^1000)^1000``; and a
+``lambda-set`` or ``witness`` degree above 1000.  ``classify`` exits 3 on
+a germ of degree above 5 whose row's lct exceeds a Newton-edge bound.
 """
 
 from __future__ import annotations
@@ -26,14 +28,7 @@ from fractions import Fraction
 
 from .classify import classify_singularity
 from .dispatch import lct
-from .errors import (
-    IrrationalCenter,
-    LctError,
-    NotClassifiable,
-    ParseError,
-    PreconditionError,
-    ResolutionCap,
-)
+from .errors import CoefficientTooLarge, LctError, ParseError, PreconditionError
 from .extended import INF
 from .highmult import construct_witness, lambda_set, reducibility_hint
 from .localinv import (
@@ -41,7 +36,7 @@ from .localinv import (
     milnor_number_origin,
     weighted_lct_upper_bound,
 )
-from .parse import parse_poly, parse_rational, parse_terms
+from .parse import MAX_COEFF_BITS, coeff_bits, parse_poly, parse_rational, parse_terms
 from .poly import BPoly
 from .resolution import (
     DEFAULT_CAP,
@@ -56,26 +51,37 @@ __all__ = ["main"]
 
 def _render(value):
     """Render a rational or infinity as CLI output text."""
-    if value is INF:
-        return "inf"
-    return str(Fraction(value))
+    return "inf" if value is INF else str(Fraction(value))
 
 
-def _parse_point(text):
+def _count(value):
+    """A count as itself, infinity as ``"inf"``."""
+    return "inf" if value is INF else value
+
+
+def _pair(text, usage):
+    """Read ``A,B`` as two rationals; ``usage`` names the expected form."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(f"point must be 'X,Y', got {text!r}")
+        raise ParseError(f"{usage}, got {text!r}")
     return tuple(parse_rational(part.strip()) for part in parts)
 
 
-def _parse_weights(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"weights must be 'W1,W2', got {text!r}")
-    weights = tuple(parse_rational(part.strip()) for part in parts)
-    if any(w <= 0 for w in weights):
-        raise PreconditionError("weights must be positive")
-    return weights
+def _at_point(polys, text):
+    """The polynomials moved so that the ``--point`` text (none: the origin)
+    becomes the origin; the Taylor shift raises each coordinate to powers up
+    to the degree, so a shift charged over ``MAX_COEFF_BITS`` bits is refused."""
+    if not text:
+        return polys
+    point = _pair(text, "point must be 'X,Y'")
+    for f in polys:
+        if not f.is_zero and (
+            f.degree * coeff_bits(point) + coeff_bits(f.terms.values()) > MAX_COEFF_BITS
+        ):
+            raise CoefficientTooLarge(
+                f"shift to --point exceeds the coefficient limit of {MAX_COEFF_BITS} bits"
+            )
+    return [f.translate(point) for f in polys]
 
 
 def _dehomogenize(text, chart):
@@ -106,8 +112,7 @@ def _input_poly(args):
         f = _dehomogenize(args.polynomial, args.projective)
     else:
         f = parse_poly(args.polynomial)
-    point = _parse_point(args.point) if getattr(args, "point", None) else (0, 0)
-    return f.translate(point)
+    return _at_point([f], args.point)[0]
 
 
 def _emit(args, payload, text_lines):
@@ -142,18 +147,14 @@ def _cmd_classify(args):
 
 def _cmd_milnor(args):
     f = _input_poly(args)
-    mu = milnor_number_origin(f)
-    payload = {"mu": _render(mu) if mu is INF else mu}
-    _emit(args, payload, [f"mu = {_render(mu) if mu is INF else mu}"])
+    mu = _count(milnor_number_origin(f))
+    _emit(args, {"mu": mu}, [f"mu = {mu}"])
 
 
 def _cmd_imult(args):
-    f = parse_poly(args.f)
-    g = parse_poly(args.g)
-    point = _parse_point(args.point) if args.point else (0, 0)
-    value = intersection_multiplicity_origin(f.translate(point), g.translate(point))
-    payload = {"imult": _render(value) if value is INF else value}
-    _emit(args, payload, [f"imult = {_render(value) if value is INF else value}"])
+    f, g = _at_point([parse_poly(args.f), parse_poly(args.g)], args.point)
+    value = _count(intersection_multiplicity_origin(f, g))
+    _emit(args, {"imult": value}, [f"imult = {value}"])
 
 
 def _cmd_lambda_set(args):
@@ -199,7 +200,9 @@ def _cmd_resolve(args):
 
 def _cmd_wbound(args):
     f = _input_poly(args)
-    weights = _parse_weights(args.weights)
+    weights = _pair(args.weights, "weights must be 'W1,W2'")
+    if any(w <= 0 for w in weights):
+        raise PreconditionError("weights must be positive")
     result = weighted_lct_upper_bound(f, weights)
     payload = {
         "weights": [_render(w) for w in weights],
@@ -327,24 +330,11 @@ def build_parser():
 _shared_parser = functools.cache(build_parser)
 
 
-def _exit_code(exc):
-    if isinstance(exc, ParseError):
-        return 2
-    if isinstance(exc, IrrationalCenter):
-        return 4
-    if isinstance(exc, ResolutionCap):
-        return 5
-    if isinstance(exc, (PreconditionError, NotClassifiable)):
-        return 3
-    return 1
-
-
 def main(argv=None):
     args = _shared_parser().parse_args(argv)
     try:
         args.func(args)
     except LctError as exc:
-        code = _exit_code(exc)
         if getattr(args, "format", "text") == "json":
             print(
                 json.dumps(
@@ -358,7 +348,7 @@ def main(argv=None):
             )
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return code
+        return exc.exit_code
     return 0
 
 

@@ -29,30 +29,17 @@ def random_high_mult_instance(d, rng):
     whose resolution tower stays rational."""
     while True:
         component_case = rng.random() < 0.5
-        if component_case:
-            k = rng.randint(1, d - 2)
-            inner_low = BPoly.zero()
-            for i in range(k, d - 1):
-                c = Fraction(1) if i == k else random_rational(rng)
-                inner_low = inner_low + BPoly.monomial(i, d - 2 - i, c)
-            inner_high = BPoly.monomial(0, d - 1, rng.choice([1, -1, 2]))
-            for j in range(1, d):
-                if rng.random() < 0.5:
-                    inner_high = inner_high + BPoly.monomial(
-                        j, d - 1 - j, random_rational(rng)
-                    )
-            f = X * (inner_low + inner_high)
-        else:
-            k = rng.randint(2, d - 1)
-            low = BPoly.zero()
-            for i in range(k, d):
-                c = Fraction(1) if i == k else random_rational(rng)
-                low = low + BPoly.monomial(i, d - 1 - i, c)
-            high = BPoly.monomial(0, d, rng.choice([1, -1, 2]))
-            for j in range(1, d + 1):
-                if rng.random() < 0.5:
-                    high = high + BPoly.monomial(j, d - j, random_rational(rng))
-            f = low + high
+        e = d - 1 if component_case else d  # f is x * (low + high), or low + high
+        k = rng.randint(1 if component_case else 2, e - 1)
+        low = BPoly.zero()
+        for i in range(k, e):
+            c = Fraction(1) if i == k else random_rational(rng)
+            low = low + BPoly.monomial(i, e - 1 - i, c)
+        high = BPoly.monomial(0, e, rng.choice([1, -1, 2]))
+        for j in range(1, e + 1):
+            if rng.random() < 0.5:
+                high = high + BPoly.monomial(j, e - j, random_rational(rng))
+        f = X * (low + high) if component_case else low + high
         if f.degree != d or f.multiplicity() != d - 1:
             continue
         try:

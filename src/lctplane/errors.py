@@ -1,24 +1,25 @@
 """Exception taxonomy for the lctplane library.
 
 Every error raised by the public API is a subclass of :class:`LctError`.
-The CLI maps these onto exit codes: parse errors exit 2, precondition
-violations exit 3, irrational blowup centers exit 4 and the internal
-blowup cap exit 5.  Input text with an exponent above
-``parse.MAX_EXPONENT`` (1000) is refused as the precondition violation
-:class:`ExponentTooLarge`, and a power or product that could expand to
-more than ``parse.MAX_TERMS`` (10000) terms as :class:`TooManyTerms`, so
-both exit 3.  ``lambda_set`` (and with it ``construct_witness`` and
-``reducibility_hint``) refuses a degree above the same limit with
-:class:`DegreeOutOfRange`, also exit 3.
+Each class carries its CLI exit code as the class attribute ``exit_code``,
+which subclasses inherit: parse errors exit 2, precondition violations
+and unclassifiable germs 3, irrational blowup centers 4, the blowup cap 5
+and any other error 1.  The input limits of ``parse`` are precondition
+violations: :class:`ExponentTooLarge`, :class:`TooManyTerms` and
+:class:`CoefficientTooLarge`.  So is a ``lambda_set`` (and with it
+``construct_witness`` and ``reducibility_hint``) degree above 1000,
+:class:`DegreeOutOfRange`.
 """
 
 
 class LctError(Exception):
     """Base class for all library errors."""
+    exit_code = 1
 
 
 class ParseError(LctError):
     """Input text does not conform to the polynomial grammar."""
+    exit_code = 2
 
     def __init__(self, message, position=None):
         self.position = position
@@ -34,6 +35,7 @@ class NonPolynomial(ParseError):
 
 class PreconditionError(LctError):
     """A documented precondition of an operation was violated."""
+    exit_code = 3
 
 
 class ExponentTooLarge(PreconditionError):
@@ -44,6 +46,11 @@ class ExponentTooLarge(PreconditionError):
 class TooManyTerms(PreconditionError):
     """A power or product in the input text could expand to more than
     ``parse.MAX_TERMS`` terms."""
+
+
+class CoefficientTooLarge(PreconditionError):
+    """A power in the input text, or the shift of the input to ``--point``,
+    is charged more than ``parse.MAX_COEFF_BITS`` coefficient bits."""
 
 
 class ZeroPolynomial(PreconditionError):
@@ -96,7 +103,9 @@ class NotSingular(PreconditionError):
 
 class NotClassifiable(LctError):
     """The (multiplicity, tangent-cone pattern, Milnor number) triple does
-    not match any classification table row.  Never silently guessed."""
+    not match any classification table row, or the matching row's lct
+    exceeds a Newton-edge bound of the germ.  Never silently guessed."""
+    exit_code = 3
 
 
 class IrrationalCenter(LctError):
@@ -104,6 +113,7 @@ class IrrationalCenter(LctError):
 
     Carries the irreducible univariate polynomial whose root the center is.
     """
+    exit_code = 4
 
     def __init__(self, minimal_polynomial):
         self.minimal_polynomial = minimal_polynomial
@@ -116,6 +126,7 @@ class IrrationalCenter(LctError):
 class ResolutionCap(LctError):
     """More blowups than the configured cap; signals a bug or pathological
     input, since embedded resolution of plane curves terminates."""
+    exit_code = 5
 
 
 class IncompleteTree(LctError):

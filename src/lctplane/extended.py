@@ -1,54 +1,15 @@
-"""Signed-infinity sentinels for degrees and multiplicities.
+"""Signed infinities for degrees and multiplicities.
 
-The degree of the zero polynomial is ``NEG_INF`` and the multiplicity of
-the zero polynomial (as well as a non-isolated intersection number) is
-``INF``.  Both are explicit singletons, comparable with integers and
-rationals, never magic numbers.
+``INF`` is the multiplicity of the zero polynomial, the intersection
+number of curves sharing a component and the lct off the curve;
+``NEG_INF`` is the degree of the zero polynomial.  They are the float
+infinities, which compare exactly with integers and ``Fraction``s of any
+size.  A test ``value is INF`` stays valid because every function that
+answers infinity returns one of these two objects, never a float
+computed from them.
 """
 
-from __future__ import annotations
+import math
 
-import functools
-from numbers import Rational
-
-
-@functools.total_ordering
-class _Extreme:
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign):
-        self._sign = sign
-
-    def __lt__(self, other):
-        if other is self:
-            return False
-        if isinstance(other, (int, Rational, _Extreme)):
-            return self._sign < 0
-        return NotImplemented
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash(("lctplane.extended", self._sign))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Rational)) or other is self:
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NEG_INF if self._sign > 0 else INF
-
-    def __repr__(self):
-        return "inf" if self._sign > 0 else "-inf"
-
-
-#: Positive infinity (multiplicity of the zero polynomial, intersection
-#: number of curves sharing a component, lct of a point off the curve).
-INF = _Extreme(+1)
-
-#: Negative infinity (degree of the zero polynomial).
-NEG_INF = _Extreme(-1)
+INF = math.inf
+NEG_INF = -math.inf

@@ -21,16 +21,19 @@ more than ``MAX_TERMS`` terms is rejected with
 :class:`~lctplane.errors.TooManyTerms` before it is expanded; the bound
 is the number of monomial products, ``C(n + t - 1, t - 1)`` for the
 n-th power of t terms, or the box of the result's per-variable degrees,
-whichever is smaller.
+whichever is smaller.  A power is charged ``n * (b + bits(t))``
+coefficient bits, where b is the largest bit length of a numerator or
+denominator of the base (for a base with integer coefficients this bounds
+the result's), and one charged more than ``MAX_COEFF_BITS`` is rejected
+with :class:`~lctplane.errors.CoefficientTooLarge` before it is expanded.
 
 The text is tokenized in one regex pass, and each sum is added once by
-the term kernel's ``add_terms``.  The module is variable-set generic:
-the CLI parses projective input in x, y, z and the classifier its
-normal-form templates in x, y, a, b, c, so the product and power (the
-only arithmetic left here) work on exponent tuples of any length.  Its
-term dicts are canonical (no zero coefficient), so ``parse_poly``, the
-bivariate entry point, wraps them in a :class:`~lctplane.poly.BPoly`
-without checking them again.
+the term kernel's ``add_terms``.  The module is variable-set generic,
+because the CLI parses projective input in x, y, z, so the product and
+power (the only arithmetic left here) work on exponent tuples of any
+length.  Its term dicts are canonical (no zero coefficient), so
+``parse_poly``, the bivariate entry point, wraps them in a
+:class:`~lctplane.poly.BPoly` without checking them again.
 """
 
 from __future__ import annotations
@@ -40,13 +43,16 @@ import re
 from fractions import Fraction
 from operator import add
 
-from .errors import ExponentTooLarge, NonPolynomial, ParseError, TooManyTerms
+from .errors import CoefficientTooLarge, ExponentTooLarge, NonPolynomial, ParseError
+from .errors import TooManyTerms
 from .poly import BPoly, add_terms, scale_terms
 
-__all__ = ["MAX_EXPONENT", "MAX_TERMS", "parse_poly", "parse_terms", "parse_rational"]
+__all__ = ["MAX_COEFF_BITS", "MAX_EXPONENT", "MAX_TERMS", "coeff_bits", "parse_poly",
+           "parse_terms", "parse_rational"]
 
 MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
+MAX_COEFF_BITS = 1 << 16
 
 # One match per token; the last group catches any other character, so
 # ``finditer`` skips nothing but whitespace.
@@ -190,6 +196,11 @@ class _Parser:
             if len(base) > 1:
                 products = math.comb(n + len(base) - 1, n)
                 _check_terms("power", products, (n * d for d in _max_exponents(base)), pos)
+            if n * (coeff_bits(base.values()) + len(base).bit_length()) > MAX_COEFF_BITS:
+                raise CoefficientTooLarge(
+                    f"power exceeds the coefficient limit of {MAX_COEFF_BITS} bits "
+                    f"(at position {pos})"
+                )
             base = self._pow(base, n)
         return base
 
@@ -244,6 +255,14 @@ class _Parser:
 def _max_exponents(terms):
     """Per-variable degrees of a nonzero n-variable term dict."""
     return map(max, zip(*terms))
+
+
+def coeff_bits(coeffs):
+    """The largest bit length of a numerator or denominator among ``coeffs``."""
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs),
+        default=0,
+    )
 
 
 def _check_terms(what, products, degrees, pos):

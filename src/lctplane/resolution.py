@@ -51,7 +51,6 @@ __all__ = [
     "ChartPoint",
     "BlowupNode",
     "ResolutionTree",
-    "blowup_transform",
     "resolve_over_origin",
     "lct_from_tree",
     "log_pullback_coefficients",
@@ -98,7 +97,8 @@ class BlowupNode:
 
 @dataclass
 class ResolutionTree:
-    """Ledger of all blowups performed over the origin."""
+    """Ledger of all blowups performed over the origin; divisor k is
+    ``nodes[k - 1]``."""
 
     input: BPoly
     nodes: list = field(default_factory=list)
@@ -106,12 +106,6 @@ class ResolutionTree:
 
     def divisors(self):
         return [node.divisor for node in self.nodes]
-
-    def node_by_id(self, divisor_id):
-        for node in self.nodes:
-            if node.divisor.id == divisor_id:
-                return node
-        raise KeyError(divisor_id)
 
 
 def _charts(f, m):
@@ -130,23 +124,6 @@ def _charts(f, m):
         BPoly._raw({(i + j - m, j): c for (i, j), c in terms}),
         BPoly._raw({(i, i + j - m): c for (i, j), c in terms}),
     )
-
-
-def blowup_transform(f_local):
-    """Strict transform and exceptional order in both affine charts.
-
-    Chart 1 substitutes ``(x, y) -> (x, x*y)`` (exceptional divisor
-    ``x = 0``), chart 2 substitutes ``(x, y) -> (x*y, y)`` (exceptional
-    divisor ``y = 0``).  Returns ``((strict1, order), (strict2, order))``
-    with order equal to the multiplicity at the origin in both charts.
-    """
-    if f_local.is_zero:
-        raise ZeroPolynomial("cannot blow up the zero polynomial")
-    if f_local.coefficient(0, 0) != 0:
-        raise NotThroughOrigin("center is not on the curve")
-    mu = f_local.multiplicity()
-    strict1, strict2 = _charts(f_local, mu)
-    return (strict1, mu), (strict2, mu)
 
 
 @dataclass

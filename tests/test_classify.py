@@ -103,6 +103,13 @@ class TestClassify:
         with pytest.raises(NotSingular):
             classify_singularity(P("x + 1"))
 
+    @pytest.mark.parametrize("text", ["x^3 + y^7", "x^3 + x*y^5", "y^3 + x^2*y^3 + x^8"])
+    def test_newton_bound_refuses_row(self, text):
+        # each germ has the triple of a T(2,3,k) row, whose lct is 1/2, but
+        # its lct is 10/21, 7/15 or 11/24: the bound at its one Newton edge
+        with pytest.raises(NotClassifiable):
+            classify_singularity(P(text))
+
     def test_unmatched_triple(self):
         # an ordinary 7-fold point never occurs on a reduced quintic germ
         f = P("x^7 + y^7 + x*y^6 + 2*x^6*y + x^2*y^5")

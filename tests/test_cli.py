@@ -5,6 +5,19 @@ import json
 import pytest
 
 from lctplane.cli import main
+from lctplane.errors import (
+    CoefficientTooLarge,
+    IncompleteTree,
+    IrrationalCenter,
+    LctError,
+    NonPolynomial,
+    NotClassifiable,
+    NotSquareFree,
+    ParseError,
+    PreconditionError,
+    ResolutionCap,
+)
+from lctplane.poly import BPoly
 
 
 def run(capsys, *argv):
@@ -111,6 +124,36 @@ class TestExitCodes:
         assert code == 3 and "degree limit" in err
         code, _, err = run(capsys, "witness", "1001", "1/2")
         assert code == 3 and "degree limit" in err
+
+    def test_classify_refusal(self, capsys):
+        # T(2,3,8)'s triple, but the degree-7 germ's lct is 10/21, not 1/2
+        code, _, err = run(capsys, "classify", "x^3+y^7")
+        assert code == 3 and "Newton edge" in err
+
+    def test_point_coefficient_limit(self, capsys, monkeypatch):
+        def shift(self, point):
+            raise AssertionError("an oversize shift reached the Taylor shift")
+
+        monkeypatch.setattr(BPoly, "translate", shift)
+        point = "1" + "0" * 2000 + ",0"
+        for argv in (["lct", "x^1000+y"], ["imult", "x^1000+y", "x"]):
+            code, _, err = run(capsys, *argv, "--point", point)
+            assert code == 3 and "coefficient limit" in err
+
+    def test_exit_code_on_error_types(self):
+        expected = {
+            LctError: 1,
+            IncompleteTree: 1,
+            ParseError: 2,
+            NonPolynomial: 2,
+            PreconditionError: 3,
+            NotSquareFree: 3,
+            CoefficientTooLarge: 3,
+            NotClassifiable: 3,
+            IrrationalCenter: 4,
+            ResolutionCap: 5,
+        }
+        assert {cls: cls.exit_code for cls in expected} == expected
 
     def test_json_error_payload(self, capsys):
         code, out, err = run(capsys, "lct", "x^2 + @", "--format", "json")

@@ -1,6 +1,7 @@
 """The package's public namespace and what importing it loads."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -64,3 +65,19 @@ def test_cheap_routes_do_not_import_sympy():
         [sys.executable, "-c", _LAZY_SYMPY], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_trace_targets_exist():
+    """Every lctplane name the benchmark's tracer wraps still resolves."""
+    path = Path(__file__).resolve().parents[1] / "lctbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("lctbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module_name, attr in [target[:2] for target in spans.TARGETS] + [spans.BLOWUP_TARGET]:
+        owner = importlib.import_module(module_name)
+        for name in attr.split("."):  # "Class.method" is a class attribute
+            owner = getattr(owner, name, None)
+        if owner is None:
+            missing.append(f"{module_name}.{attr}")
+    assert not missing

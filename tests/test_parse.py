@@ -8,11 +8,19 @@ import sympy
 from hypothesis import given, strategies as st
 
 from lctplane.cli import main
-from lctplane.errors import ExponentTooLarge, NonPolynomial, ParseError, TooManyTerms
+from lctplane.errors import (
+    CoefficientTooLarge,
+    ExponentTooLarge,
+    NonPolynomial,
+    ParseError,
+    TooManyTerms,
+)
 from lctplane.parse import (
+    MAX_COEFF_BITS,
     MAX_EXPONENT,
     MAX_TERMS,
     _Parser,
+    coeff_bits,
     parse_poly,
     parse_rational,
     parse_terms,
@@ -22,6 +30,9 @@ from lctplane.poly import BPoly
 HOSTILE = ("x^2+y^999999999", f"y^{MAX_EXPONENT + 1}", "(x^40)^40", "(x - x)^5000")
 # Each expands to more than MAX_TERMS terms (the last to 101^2).
 DENSE = ("(1+x+y)^1000", "((1+x+y)^30)^30", "(x*y+x+y)^200*x", "(1+x)^100*(1+y)^100")
+# Each has a power charged more than MAX_COEFF_BITS bits: 66 * 993 = 65538
+# for the second, (71 + 2) * 1000 for the third.
+HUGE = ("((10^1000)^1000)^20*x+y^2", "(2^64)^993", "(2^70*x+y)^1000")
 
 
 @pytest.fixture
@@ -48,6 +59,20 @@ def no_huge_products(monkeypatch):
         return multiply(self, a, b)
 
     monkeypatch.setattr(_Parser, "_mul", guarded)
+
+
+@pytest.fixture
+def no_huge_coefficients(monkeypatch):
+    """Fail at once, instead of expanding, if a power charged more than
+    MAX_COEFF_BITS coefficient bits gets past the parser's check."""
+    expand = _Parser._pow
+
+    def guarded(self, base, n):
+        bits = n * (coeff_bits(base.values()) + len(base).bit_length())
+        assert bits <= MAX_COEFF_BITS, f"power of {bits} bits reached expansion"
+        return expand(self, base, n)
+
+    monkeypatch.setattr(_Parser, "_pow", guarded)
 
 
 class TestGrammar:
@@ -139,6 +164,17 @@ class TestErrors:
         for text in DENSE:
             assert main(["lct", text]) == 3
             assert "term limit" in capsys.readouterr().err
+
+    def test_coefficient_limit(self, no_huge_coefficients):
+        assert parse_poly("(2^64)^992") == BPoly.constant(2 ** (64 * 992))
+        for text in HUGE:
+            with pytest.raises(CoefficientTooLarge):
+                parse_poly(text)
+
+    def test_coefficient_limit_exit_code(self, no_huge_coefficients, capsys):
+        for text in HUGE:
+            assert main(["lct", text]) == 3
+            assert "coefficient limit" in capsys.readouterr().err
 
 
 # (input, exception class, message, position); the message ends in the position.

@@ -17,13 +17,12 @@ from lctplane.errors import (
     NotSquareFree,
     NotThroughOrigin,
     ResolutionCap,
-    ZeroPolynomial,
 )
 from lctplane.parse import parse_poly as P
 from lctplane.poly import BPoly, X, Y
 from lctplane.resolution import (
     ResolutionTree,
-    blowup_transform,
+    _charts,
     export_tree,
     lct_from_tree,
     log_pullback_coefficients,
@@ -36,24 +35,22 @@ from lctplane.resolution import (
 _TWO_BRANCHES = "x^2*(y-3*x)^3 + x^7 + y^7"
 
 
+def charts(f):
+    """Strict transforms of ``f`` in both charts of the blowup of the origin."""
+    return _charts(f, f.multiplicity())
+
+
 class TestBlowupTransform:
     def test_cusp_charts(self):
-        (s1, k1), (s2, k2) = blowup_transform(P("x^2 + y^3"))
-        assert k1 == 2 and k2 == 2
+        s1, s2 = charts(P("x^2 + y^3"))
         # chart (x, x*y): x^2 + x^3 y^3 = x^2 (1 + x y^3)
         assert s1 == P("1 + x*y^3")
         # chart (x*y, y): x^2 y^2 + y^3 = y^2 (x^2 + y)
         assert s2 == P("x^2 + y")
 
     def test_node(self):
-        (s1, k1), (s2, k2) = blowup_transform(P("x*y"))
-        assert k1 == 2 and k2 == 2
+        s1, s2 = charts(P("x*y"))
         assert s1 == P("y") and s2 == P("x")
-
-    def test_order_is_multiplicity(self):
-        f = P("y^3 + x^3*y")
-        (_, k1), (_, k2) = blowup_transform(f)
-        assert k1 == k2 == f.multiplicity() == 3
 
     def test_charts_match_substitution(self):
         rng = random.Random(7)
@@ -70,17 +67,10 @@ class TestBlowupTransform:
             terms[(rng.randint(1, 3), 0)] = Fraction(1)  # nonzero, through the origin
             germs.append(BPoly(terms))
         for f in germs:
-            (s1, k1), (s2, k2) = blowup_transform(f)
+            s1, s2 = charts(f)
             mu = f.multiplicity()
-            assert k1 == k2 == mu
             assert s1 == f.substitute(X, X * Y).divide_exact(BPoly.monomial(mu, 0))
             assert s2 == f.substitute(X * Y, Y).divide_exact(BPoly.monomial(0, mu))
-
-    def test_errors(self):
-        with pytest.raises(ZeroPolynomial):
-            blowup_transform(P("0"))
-        with pytest.raises(NotThroughOrigin):
-            blowup_transform(P("x + 1"))
 
 
 class TestResolveOverOrigin:
@@ -144,7 +134,7 @@ class TestResolveOverOrigin:
             for node in tree.nodes
         ]
         assert ledger == [(None, 3, 1, []), (1, 6, 2, [1]), (2, 7, 3, [2]), (3, 14, 6, [2, 3])]
-        assert tree.node_by_id(3).center.location == (0, 1)
+        assert tree.nodes[3 - 1].center.location == (0, 1)
         assert lct_from_tree(tree) == Fraction(1, 2)
 
     def test_numbering_ignores_import_history(self):
@@ -167,8 +157,9 @@ class TestResolveOverOrigin:
 
     def test_recurrences_hold(self):
         tree = resolve_over_origin(P("y^3 + x^3*y"))
+        assert [node.divisor.id for node in tree.nodes] == list(range(1, len(tree.nodes) + 1))
         for node in tree.nodes:
-            incident = [tree.node_by_id(i).divisor for i in node.center.incident]
+            incident = [tree.nodes[i - 1].divisor for i in node.center.incident]
             mult = node.center.local_equation.multiplicity()
             assert node.divisor.m == mult + sum(d.m for d in incident)
             assert node.divisor.a == 1 + sum(d.a for d in incident)
@@ -196,7 +187,7 @@ class TestLogPullback:
         tree = resolve_over_origin(P("x^2 + y^3"))
         coeffs = log_pullback_coefficients(tree, Fraction(5, 6))
         by_ma = {
-            (tree.node_by_id(i).divisor.m, tree.node_by_id(i).divisor.a): v
+            (tree.nodes[i - 1].divisor.m, tree.nodes[i - 1].divisor.a): v
             for i, v in coeffs.items()
         }
         assert by_ma == {
