@@ -24,7 +24,6 @@ from .errors import (
     NotSquareFree,
     ZeroPolynomial,
 )
-from .extended import INF
 from .localinv import (
     is_square_free,
     milnor_number_origin,
@@ -116,13 +115,8 @@ def classify_singularity(f):
     if f.coefficient(0, 0) != 0 or mult < 2:
         raise NotSingular("origin is not a singular point of the curve")
     pattern = tangent_cone_pattern(f)
-    mu = milnor_number_origin(f)
-    if mu is INF:
-        raise NotClassifiable(
-            "non-isolated critical point; input cannot be a reduced germ"
-        )
-    key = (mult, pattern, mu)
-    symbol = _BY_TRIPLE.get(key)
+    mu = milnor_number_origin(f)  # finite: f is reduced, so the point is isolated
+    symbol = _BY_TRIPLE.get((mult, pattern, mu))
     if symbol is None:
         raise NotClassifiable(
             f"no table row matches mult={mult}, tangent cone pattern="

@@ -183,8 +183,11 @@ def _cmd_resolve(args):
     f = _input_poly(args)
     tree = resolve_over_origin(f, cap=args.cap)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(export_tree(tree, "dot") + "\n")
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(export_tree(tree, "dot") + "\n")
+        except OSError as exc:
+            raise LctError(f"cannot write DOT file {args.dot!r}: {exc.strerror}") from exc
     if args.format == "json":
         print(export_tree(tree, "json"))
     else:

@@ -1,15 +1,13 @@
-"""Factorization over the rationals: squarefree binary forms, and
+"""Factorization over the rationals: squarefree parts, without sympy, and
 irreducible univariate factors where irreducibility matters.
 
-Both return the same shape, ``(unit, [(part, exponent), ...])`` with
-``unit * prod(part ** exponent)`` equal to the input.
-``squarefree_binary_form`` dehomogenizes to ``F(t, 1)``, runs Yun's
-algorithm over Q, then re-homogenizes and accounts for the root at
-infinity (the factor y).  It needs no sympy and is all the tangent-cone
-pattern and the closed form's special line need.  Irreducible factors
-(``factor_univariate``, delegated to sympy's exact Zassenhaus-based
-``dup_factor_list`` on the integer polynomial, imported on the first
-factorization) are needed only by the resolution's ``rational_roots``.
+``squarefree_parts`` is Yun's algorithm on a univariate coefficient list;
+``squarefree_binary_form`` runs it on ``F(t, 1)`` and adds the root at
+infinity (the factor y).  Every lct route reads its repeated tangent
+directions from these.  Irreducible factors (``factor_univariate``, sympy's
+exact Zassenhaus-based ``dup_factor_list`` on the integer polynomial,
+imported on first use) are needed only by the resolution, for a repeated
+part of degree >= 2 on an exceptional divisor.
 """
 
 from __future__ import annotations
@@ -18,12 +16,18 @@ import math
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .poly import BPoly, _derivative, coprime_univariate, normalize_primitive
+from .poly import (
+    BPoly,
+    _derivative,
+    coprime_univariate,
+    normalize_primitive,
+    restrict_coeffs,
+)
 
 __all__ = [
     "factor_univariate",
+    "squarefree_parts",
     "squarefree_binary_form",
-    "rational_roots",
 ]
 
 
@@ -43,8 +47,6 @@ def factor_univariate(coeffs):
         coeffs.pop()
     if not coeffs:
         raise ZeroPolynomial("factorization of the zero polynomial")
-    if len(coeffs) == 1:
-        return coeffs[0], []
     denom = math.lcm(*(c.denominator for c in coeffs))
     dense = [ZZ(c.numerator * (denom // c.denominator)) for c in reversed(coeffs)]
     # over ZZ, sympy returns primitive factors with positive leading coefficients
@@ -56,67 +58,73 @@ def factor_univariate(coeffs):
     return unit, factors
 
 
-def _dehomogenize(form):
-    """``F(t, 1)`` of a nonzero binary form as a coefficient list."""
-    coeffs = [Fraction(0)] * (form.degree + 1)
-    for (i, _), c in form.terms.items():
-        coeffs[i] = c
-    return coeffs
-
-
 def _homogenize(coeffs):
     """The binary form of degree ``len(coeffs) - 1`` with ``F(t, 1)`` given."""
     n = len(coeffs) - 1
     return BPoly({(i, n - i): c for i, c in enumerate(coeffs) if c})
 
 
-def _divmod(a, b):
-    """Quotient and remainder of coefficient lists over Q (``b`` nonzero)."""
+def _primitive(a):
+    """A nonzero integer list over its content, with a positive last entry."""
+    g = math.gcd(*a)
+    return [c // (g if a[-1] > 0 else -g) for c in a]
+
+
+def _quo(a, b):
+    """``a / b`` for integer coefficient lists, exact when ``b`` is primitive
+    and divides ``a`` over Q (then it divides in Z[t], by Gauss's lemma)."""
     a = list(a)
     db, lead = len(b) - 1, b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 0)
+    quot = [0] * max(len(a) - db, 0)
     for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = a[k + db] / lead
+        c = quot[k] = a[k + db] // lead
         if c:
             for i, bc in enumerate(b):
                 a[k + i] -= c * bc
-    del a[db:]
-    while a and not a[-1]:
-        a.pop()
-    return quot, a
+    return quot
 
 
-def _gcd_monic(a, b):
+def _gcd(a, b):
+    """The primitive gcd of integer coefficient lists, ``a`` nonzero:
+    Euclid on pseudo-remainders, each cut to its primitive part."""
     while b:
-        a, b = b, _divmod(a, b)[1]
-    return [c / a[-1] for c in a]
+        n, lead = len(b) - 1, b[-1]
+        while len(a) > n:  # a <- lead * a - top(a) * t^k * b drops deg a
+            c, shifted = a[-1], [0] * (len(a) - 1 - n) + b
+            a = [lead * x - c * y for x, y in zip(a, shifted)][:-1]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, _primitive(a) if a else a
+    return _primitive(a)
 
 
-def _yun(f):
-    """Yun's squarefree decomposition over Q of a nonzero ``f``: the monic
-    nonconstant parts ``a_i`` with ``f = lc(f) * prod(a_i ** i)``,
-    as ``(a_i, i)``."""
+def squarefree_parts(f):
+    """Yun's squarefree decomposition over Q of a coefficient list ``f``
+    (index = degree, nonzero last entry): the monic nonconstant parts ``a_i``,
+    squarefree and pairwise coprime, with ``f = lc(f) * prod(a_i ** i)``, as
+    ``(a_i, i)`` in increasing ``i``.  It runs on integer multiples of the
+    polynomials, which Yun's recurrences allow."""
     if len(f) < 2:
         return []
     denom = math.lcm(*(c.denominator for c in f))
-    integral = [c.numerator * (denom // c.denominator) for c in f]
-    if coprime_univariate(integral, _derivative(integral)):  # squarefree: no Euclid
-        return [([c / f[-1] for c in f], 1)]
+    f = [c.numerator * (denom // c.denominator) for c in f]
     df = _derivative(f)
-    g = _gcd_monic(f, df)
-    b, c = _divmod(f, g)[0], _divmod(df, g)[0]
+    if coprime_univariate(f, df):  # squarefree: no Euclid
+        return [([Fraction(c, f[-1]) for c in f], 1)]
+    g = _gcd(f, df)
+    b, c = _quo(f, g), _quo(df, g)
     parts, i = [], 1
     while len(b) > 1:
         # c and b' have the same length; d is zero or keeps its top term
         d = [ci - bi for ci, bi in zip(c, _derivative(b))]
         if not d[-1]:
             d = []
-        a = _gcd_monic(b, d)
+        a = _gcd(b, d)
         if len(a) > 1:
             parts.append((a, i))
-        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+        b, c = _quo(b, a), _quo(d, a)
         i += 1
-    return parts
+    return [([Fraction(c, a[-1]) for c in a], i) for a, i in parts]
 
 
 def squarefree_binary_form(form):
@@ -132,12 +140,10 @@ def squarefree_binary_form(form):
     """
     if form.is_zero:
         raise ZeroPolynomial("squarefree decomposition of the zero form")
-    coeffs = _dehomogenize(form)
-    while not coeffs[-1]:
-        coeffs.pop()
+    coeffs = restrict_coeffs(form.terms, 0, 1)  # F(t, 1)
     unit = coeffs[-1]
     factors = []
-    for part, exp in _yun(coeffs):
+    for part, exp in squarefree_parts(coeffs):
         scale, factor = normalize_primitive(_homogenize(part))
         factors.append((factor, exp))
         unit *= scale**exp
@@ -146,22 +152,3 @@ def squarefree_binary_form(form):
         factors.append((BPoly.monomial(0, 1), pad))
     return unit, factors
 
-
-def rational_roots(coeffs):
-    """All rational roots of a univariate polynomial with multiplicities,
-    plus the irreducible non-linear factors (potential irrational roots).
-
-    Returns ``(roots, nonlinear)`` where ``roots`` is a list of
-    ``(root, multiplicity)`` and ``nonlinear`` a list of
-    ``(factor_coeffs, multiplicity)``.
-    """
-    _, factors = factor_univariate(coeffs)
-    roots = []
-    nonlinear = []
-    for fac_coeffs, exp in factors:
-        if len(fac_coeffs) == 2:
-            b, a = fac_coeffs
-            roots.append((Fraction(-b, a), exp))
-        elif len(fac_coeffs) > 2:
-            nonlinear.append((fac_coeffs, exp))
-    return roots, nonlinear

@@ -90,8 +90,8 @@ def intersection_multiplicity_origin(f, g):
         # and the terms of degree above n lie in m*(f, g): dropping them
         # keeps the ideal (Nakayama) and the unit products from growing
         f, g = _truncate(f, bound - total), _truncate(g, bound - total)
-        fx0 = restrict_coeffs(f, "y")
-        gx0 = restrict_coeffs(g, "y")
+        fx0 = restrict_coeffs(f.terms, 0, 0)  # f(x, 0)
+        gx0 = restrict_coeffs(g.terms, 0, 0)
         if not fx0 and not gx0:
             raise AssertionError("common factor y slipped past the gcd check")
         if not fx0:

@@ -479,14 +479,23 @@ def divides(g, f):
 # ---------------------------------------------------------------------------
 
 
-def restrict_coeffs(f, var_zero):
-    """Coefficient list of f with the variable ``var_zero`` set to 0 (index =
-    degree of the other variable); ``[]`` when ``var_zero`` divides f."""
-    idx = 0 if var_zero == "x" else 1
-    pairs = [(exp[1 - idx], c) for exp, c in f.terms.items() if exp[idx] == 0]
-    coeffs = [Fraction(0)] * (max((d for d, _ in pairs), default=-1) + 1)
-    for d, c in pairs:
-        coeffs[d] = c
+def restrict_coeffs(terms, v, a):
+    """The polynomial with term dict ``terms`` at ``w = a``, where ``w`` is
+    the variable other than ``v`` (0 for x, 1 for y), as a coefficient list
+    in ``v`` (index = degree) with no zero last entry: ``(terms, 1, 0)``
+    sets x = 0, ``(terms, 0, 1)`` dehomogenizes a binary form to
+    ``F(t, 1)``.  ``[]`` when ``w - a`` divides the polynomial."""
+    coeffs = [0] * (max((exp[v] for exp in terms if a or not exp[1 - v]), default=-1) + 1)
+    for exp, c in terms.items():
+        k, w = exp[v], exp[1 - v]
+        if w:
+            if not a:
+                continue  # the term vanishes at w = 0
+            c *= a**w
+        # assign into an empty slot: adding to the int 0 would build a Fraction
+        coeffs[k] = coeffs[k] + c if coeffs[k] else c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
     return coeffs
 
 
@@ -595,16 +604,6 @@ def _split(terms, v):
     return list(cols.values())
 
 
-def _restrict(terms, v, a):
-    """``f`` at ``w = a`` as a coefficient list in ``v``."""
-    coeffs = [0] * (max(exp[v] for exp in terms) + 1)
-    for exp, c in terms.items():
-        coeffs[exp[v]] += c * a ** exp[1 - v]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
 def _certify(f, g):
     """Shared body of the two certificates; ``g is None`` asks whether
     ``f`` is squarefree, otherwise whether ``f`` and ``g`` are coprime."""
@@ -618,9 +617,9 @@ def _certify(f, g):
     # (i) factors involving v survive, with their v-degree, every
     # restriction w = a that keeps the v-degree of f
     for a in _POINTS:
-        p = _restrict(ft, v, a)
+        p = restrict_coeffs(ft, v, a)
         if len(p) == degs[v] + 1:
-            q = _derivative(p) if gt is None else _restrict(gt, v, a)
+            q = _derivative(p) if gt is None else restrict_coeffs(gt, v, a)
             if coprime_univariate(p, q):
                 break
     else:

@@ -13,8 +13,9 @@ All blowup centers must be rational points; a required center that is a
 root of a nonlinear irreducible polynomial raises ``IrrationalCenter``
 (first-class, documented failure, never silent).  After each blowup the
 only points that can violate snc lie on the newest exceptional divisor
-E_new, so candidate centers are the roots of the strict transform
-restricted to E_new plus the points where older divisors meet it.
+E_new: the repeated roots of the curve restricted to E_new, read from its
+Yun parts, and the root t = 0 where a kept divisor meets E_new.  Only a
+repeated part of degree >= 2 is factored (``factor_univariate``).
 
 Every old divisor through a center is a coordinate axis of the center's
 chart, so a center carries at most two of them, one per axis.  Chart 1,
@@ -42,7 +43,7 @@ from .errors import (
     ResolutionCap,
     ZeroPolynomial,
 )
-from .factorize import rational_roots
+from .factorize import factor_univariate, squarefree_parts
 from .localinv import is_square_free
 from .poly import BPoly, restrict_coeffs
 
@@ -137,9 +138,31 @@ class _PendingCenter:
 
 
 def _poly_text(coeffs):
-    return BPoly({(i, 0): c for i, c in enumerate(coeffs) if c}).render().replace(
-        "x", "t"
-    )
+    poly = BPoly({(i, 0): c for i, c in enumerate(coeffs) if c})
+    return poly.render().replace("x", "t")
+
+
+def _centers_on(ph, t0_kept):
+    """The points t of E_new to blow up, from the curve ``ph`` restricted to
+    E_new (a coefficient list in t): every repeated root, and t = 0 if it is
+    a root and ``t0_kept``.  A repeated irrational root raises
+    ``IrrationalCenter`` naming its factor of least degree, then exponent."""
+    centers = {Fraction(0)} if t0_kept and not ph[0] else set()
+    irrational = []
+    for part, exp in squarefree_parts(ph):
+        if exp == 1:
+            continue
+        # a linear part is its own factor; only a longer one needs sympy
+        factors = [(part, 1)] if len(part) == 2 else factor_univariate(part)[1]
+        for q, _ in factors:
+            if len(q) == 2:
+                centers.add(Fraction(-q[0], q[1]))
+            else:
+                irrational.append((q, exp))
+    if irrational:
+        q, _ = min(irrational, key=lambda qe: (len(qe[0]), qe[1]))
+        raise IrrationalCenter(_poly_text(q))
+    return sorted(centers)
 
 
 def resolve_over_origin(f, cap=DEFAULT_CAP):
@@ -190,25 +213,17 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
         # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
         # origin is the point t = infinity
         strict1, strict2 = _charts(center.curve, mu)
-        ph = restrict_coeffs(strict1, "x")  # the curve on E_new, in t
-        roots, nonlinear = rational_roots(ph) if len(ph) > 1 else ([], [])
-        for q_coeffs, exp in nonlinear:
-            if exp >= 2:
-                raise IrrationalCenter(_poly_text(q_coeffs))
-            # transversal crossing at a non-rational point: already snc
-
-        chart = (f"u{divisor.id}", f"v{divisor.id}")
+        ph = restrict_coeffs(strict1.terms, 1, 0)  # the curve on E_new, in t
         pending = [
             _PendingCenter(
                 curve=strict1.translate((0, t0)),
                 on_x=divisor,
                 on_y=center.on_y if t0 == 0 else None,
                 parent=divisor.id,
-                chart=chart,
+                chart=(f"u{divisor.id}", f"v{divisor.id}"),
                 location=(Fraction(0), t0),
             )
-            for t0, exp in sorted(roots)
-            if exp >= 2 or (t0 == 0 and center.on_y is not None)
+            for t0 in _centers_on(ph, center.on_y is not None)
         ]
         inf_exp = mu + 1 - len(ph)  # curve multiplicity at t = infinity
         if inf_exp >= 2 or (inf_exp == 1 and center.on_x is not None):

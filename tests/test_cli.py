@@ -115,6 +115,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "resolve", "(x^2 - 2*y^2)^2 + y^5")
         assert code == 4 and "irreducible" in err
 
+    def test_irrational_center_names_least_degree(self, capsys):
+        # E1 carries t^3 - 3 twice and t^2 - 2 three times; the message
+        # names the factor of least degree, then least multiplicity
+        code, _, err = run(capsys, "resolve", "(y^2-2*x^2)^3*(y^3-3*x^3)^2+x^13")
+        assert code == 4 and err.endswith("polynomial t^2 - 2\n")
+
+    def test_unwritable_dot_file(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "tree.dot")
+        code, out, err = run(capsys, "resolve", "x^2+y^3", "--dot", path)
+        assert code == 1 and out == "" and path in err
+        code, out, err = run(capsys, "resolve", "x^2+y^3", "--dot", path, "--format", "json")
+        payload = json.loads(err)
+        assert code == 1 and out == ""
+        assert payload["error"] == "LctError" and path in payload["message"]
+
     def test_cap(self, capsys):
         code, _, err = run(capsys, "resolve", "x^2+y^3", "--cap", "1")
         assert code == 5

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from lctplane.errors import ZeroPolynomial
-from lctplane.factorize import factor_univariate, rational_roots, squarefree_binary_form
+from lctplane.factorize import factor_univariate, squarefree_binary_form
 from lctplane.localinv import tangent_cone_pattern
 from lctplane.parse import parse_poly
 from lctplane.poly import BPoly, X, Y, gcd_bivariate, gcd_many, normalize_primitive
@@ -42,32 +42,6 @@ binary_forms = st.builds(
 def form(text):
     f = parse_poly(text)
     return f.homogeneous_part(f.degree)
-
-
-class TestRationalRoots:
-    def test_simple(self):
-        # t^2 - 1 = (t-1)(t+1)
-        roots, nonlinear = rational_roots([Fraction(-1), Fraction(0), Fraction(1)])
-        assert sorted(roots) == [(Fraction(-1), 1), (Fraction(1), 1)]
-        assert nonlinear == []
-
-    def test_irrational_pair(self):
-        # t^2 - 2 has no rational roots
-        roots, nonlinear = rational_roots([Fraction(-2), Fraction(0), Fraction(1)])
-        assert roots == []
-        assert len(nonlinear) == 1 and nonlinear[0][1] == 1
-
-    def test_multiplicities(self):
-        # (t - 1/2)^2 * t
-        coeffs = [
-            Fraction(0),
-            Fraction(1, 4),
-            Fraction(-1),
-            Fraction(1),
-        ]
-        roots, nonlinear = rational_roots(coeffs)
-        assert dict(roots) == {Fraction(0): 1, Fraction(1, 2): 2}
-        assert nonlinear == []
 
 
 def _rebuilt(unit, parts):

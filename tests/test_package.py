@@ -14,9 +14,10 @@ import pytest
 import lctplane
 
 # Off-curve, smooth, lambda-set and wbound queries need no algebra, and the
-# closed form, the classifier and the Milnor number of a reduced germ are
-# decided by integer coprimality certificates, so none of them may load
-# sympy; the resolution route factors its strict transforms, which does.
+# closed form, the classifier, the Milnor number and the resolution of a
+# reduced germ are decided by integer coprimality certificates and Yun's
+# squarefree parts, so none of them may load sympy; only a repeated tangent
+# part of degree >= 2 on an exceptional divisor is factored, which does.
 _LAZY_SYMPY = textwrap.dedent(
     """
     import sys
@@ -40,7 +41,9 @@ _LAZY_SYMPY = textwrap.dedent(
     assert lct(parse_poly("x^2+y^5")).method == "classifier"
     assert "sympy" not in sys.modules, "lct"
     assert lct(parse_poly("x^2+y^7")).method == "resolution"
-    assert "sympy" in sys.modules, "resolution lct"
+    assert "sympy" not in sys.modules, "resolution lct"
+    assert main(["resolve", "(x^2-2*y^2)^2+y^5"]) == 4
+    assert "sympy" in sys.modules, "repeated irrational tangent"
     """
 )
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import given, strategies as st
 
 import lctplane
 from lctplane.errors import (
@@ -22,7 +24,9 @@ from lctplane.parse import parse_poly as P
 from lctplane.poly import BPoly, X, Y
 from lctplane.resolution import (
     ResolutionTree,
+    _centers_on,
     _charts,
+    _poly_text,
     export_tree,
     lct_from_tree,
     log_pullback_coefficients,
@@ -164,6 +168,19 @@ class TestResolveOverOrigin:
             assert node.divisor.m == mult + sum(d.m for d in incident)
             assert node.divisor.a == 1 + sum(d.a for d in incident)
 
+    def test_repeated_part_of_degree_two(self):
+        # E1 meets the curve in (t^2 - 1)^2: one repeated squarefree part of
+        # degree 2, factored into the centers t = -1 and t = 1
+        tree = resolve_over_origin(P("(y^2-x^2)^2+x^7"))
+        ledger = [(node.parent, node.divisor.m, node.divisor.a) for node in tree.nodes]
+        assert ledger == [
+            (None, 4, 1),
+            (1, 6, 2), (2, 7, 3), (3, 14, 6),
+            (1, 6, 2), (5, 7, 3), (6, 14, 6),
+        ]
+        assert [tree.nodes[k - 1].center.location for k in (2, 5)] == [(0, -1), (0, 1)]
+        assert lct_from_tree(tree) == Fraction(1, 2)
+
     def test_irrational_center(self):
         with pytest.raises(IrrationalCenter) as exc:
             resolve_over_origin(P("(x^2 - 2*y^2)^2 + y^5"))
@@ -180,6 +197,57 @@ class TestResolveOverOrigin:
     def test_not_through_origin(self):
         with pytest.raises(NotThroughOrigin):
             resolve_over_origin(P("x + 1"))
+
+
+_T = sympy.Symbol("t")
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _no_rational_root(q):
+    disc = q.discriminant()
+    return disc < 0 or not sympy.sqrt(disc).is_rational
+
+
+# Restrictions to E_new: a unit times powers, 1 to 3, of rational lines
+# (t itself among them) and of irreducible quadratics.
+_restrictions = st.builds(
+    lambda unit, powers: sympy.Poly(unit, _T, domain="QQ")
+    * sympy.prod([q**e for q, e in powers]),
+    _small.filter(bool),
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.just(sympy.Poly(_T, domain="QQ")),
+                _small.map(lambda r: sympy.Poly(_T - sympy.Rational(r), domain="QQ")),
+                st.tuples(_small, _small)
+                .map(lambda pq: sympy.Poly(_T**2 + pq[0] * _T + pq[1], _T, domain="QQ"))
+                .filter(_no_rational_root),
+            ),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+class TestCentersOn:
+    @given(_restrictions, st.booleans())
+    def test_matches_irreducible_factors(self, ph, t0_kept):
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(ph.all_coeffs())]
+        _, factors = ph.factor_list()  # least degree, then least exponent first
+        repeated = [(q, e) for q, e in factors if e >= 2]
+        irrational = [q for q, _ in repeated if q.degree() >= 2]
+        if irrational:
+            with pytest.raises(IrrationalCenter) as exc:
+                _centers_on(coeffs, t0_kept)
+            first = [Fraction(int(c)) for c in reversed(irrational[0].all_coeffs())]
+            assert exc.value.minimal_polynomial == _poly_text(first)
+            return
+        roots = {-q.nth(0) / q.nth(1) for q, _ in repeated}
+        if t0_kept and ph.eval(0) == 0:
+            roots.add(0)
+        assert _centers_on(coeffs, t0_kept) == sorted(Fraction(str(r)) for r in roots)
 
 
 class TestLogPullback:
