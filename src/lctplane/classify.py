@@ -136,7 +136,7 @@ def classify_singularity(f):
 def _newton_edge_weights(f):
     """Normal weights ``(w1, w2)`` of the compact edges of f's Newton polygon."""
     hull = []  # the polygon's vertices so far, x-exponent ascending
-    for i, j in sorted(f.terms):
+    for i, j in sorted(f._terms):
         if hull and j >= hull[-1][1]:
             continue  # on or above a point already seen, so not a vertex
         while len(hull) > 1:

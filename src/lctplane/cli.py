@@ -90,6 +90,9 @@ def _dehomogenize(text, chart):
     The two remaining variables become the affine x, y in alphabetical
     order of the original names.
     """
+    axes = {"x": 0, "y": 1, "z": 2}
+    if chart not in axes:
+        raise PreconditionError(f"chart must be one of x, y, z, got {chart!r}")
     raw = parse_terms(text, ("x", "y", "z"))
     if not raw:
         raise PreconditionError("projective input must be nonzero")
@@ -98,13 +101,10 @@ def _dehomogenize(text, chart):
         raise PreconditionError(
             "projective input must be homogeneous in x, y, z"
         )
-    axes = {"x": 0, "y": 1, "z": 2}
-    if chart not in axes:
-        raise PreconditionError(f"chart must be one of x, y, z, got {chart!r}")
     # A homogeneous form's terms differ in the kept exponents, so no two
     # of them land on the same affine term.
     a, b = (i for i in range(3) if i != axes[chart])
-    return BPoly._raw({(exp[a], exp[b]): coeff for exp, coeff in raw.items()})
+    return BPoly({(exp[a], exp[b]): coeff for exp, coeff in raw.items()})
 
 
 def _input_poly(args):
@@ -237,6 +237,17 @@ def _cmd_selftest(args):
     _emit(args, payload, report.lines())
 
 
+def _cap(text):
+    """``--cap``: a blowup count, so an integer of at least 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
 def _add_common(parser, point=True, cap=False):
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -248,7 +259,7 @@ def _add_common(parser, point=True, cap=False):
     if cap:
         parser.add_argument(
             "--cap",
-            type=int,
+            type=_cap,
             default=DEFAULT_CAP,
             metavar="N",
             help="maximum number of blowups",

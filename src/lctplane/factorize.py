@@ -1,11 +1,13 @@
 """Factorization over the rationals: squarefree parts, without sympy, and
 irreducible univariate factors where irreducibility matters.
 
-``squarefree_parts`` is Yun's algorithm on a univariate coefficient list;
-``squarefree_binary_form`` runs it on ``F(t, 1)`` and adds the root at
-infinity (the factor y).  Every lct route reads its repeated tangent
-directions from these.  Irreducible factors (``factor_univariate``, sympy's
-exact Zassenhaus-based ``dup_factor_list`` on the integer polynomial,
+Everything here runs on integer polynomials: a factorization over Q is
+one over Z up to a rational unit, so a ``BPoly``'s integer numerators are
+factored as they are.  ``squarefree_parts`` is Yun's algorithm on a
+univariate integer coefficient list; ``squarefree_binary_form`` runs it on
+``F(t, 1)`` and adds the root at infinity (the factor y).  Every lct route
+reads its repeated tangent directions from these.  Irreducible factors
+(``factor_univariate``, sympy's exact Zassenhaus-based ``dup_factor_list``,
 imported on first use) are needed only by the resolution, for a repeated
 part of degree >= 2 on an exceptional divisor.
 """
@@ -16,13 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .poly import (
-    BPoly,
-    _derivative,
-    coprime_univariate,
-    normalize_primitive,
-    restrict_coeffs,
-)
+from .poly import BPoly, _canonical, _derivative, coprime_univariate, restrict_coeffs
 
 __all__ = [
     "factor_univariate",
@@ -32,36 +28,21 @@ __all__ = [
 
 
 def factor_univariate(coeffs):
-    """Factor a univariate rational polynomial into irreducibles.
+    """Factor a univariate integer polynomial into irreducibles.
 
-    ``coeffs`` is a coefficient list (index = degree).  Returns
-    ``(unit, [(factor_coeffs, exponent), ...])`` with primitive integer
-    factors, positive leading coefficients, such that
+    ``coeffs`` is an integer coefficient list (index = degree, no zero last
+    entry).  Returns ``(unit, [(factor_coeffs, exponent), ...])`` with
+    primitive integer factors, positive leading coefficients, such that
     ``unit * prod(factor ** exponent)`` equals the input exactly.
     """
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_factor_list
 
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
     if not coeffs:
         raise ZeroPolynomial("factorization of the zero polynomial")
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    dense = [ZZ(c.numerator * (denom // c.denominator)) for c in reversed(coeffs)]
     # over ZZ, sympy returns primitive factors with positive leading coefficients
-    content, factor_list = dup_factor_list(dense, ZZ)
-    unit = Fraction(int(content), denom)
-    factors = [
-        ([Fraction(int(c)) for c in reversed(fac)], exp) for fac, exp in factor_list
-    ]
-    return unit, factors
-
-
-def _homogenize(coeffs):
-    """The binary form of degree ``len(coeffs) - 1`` with ``F(t, 1)`` given."""
-    n = len(coeffs) - 1
-    return BPoly({(i, n - i): c for i, c in enumerate(coeffs) if c})
+    content, factor_list = dup_factor_list([ZZ(c) for c in reversed(coeffs)], ZZ)
+    return int(content), [([int(c) for c in reversed(fac)], exp) for fac, exp in factor_list]
 
 
 def _primitive(a):
@@ -99,18 +80,17 @@ def _gcd(a, b):
 
 
 def squarefree_parts(f):
-    """Yun's squarefree decomposition over Q of a coefficient list ``f``
-    (index = degree, nonzero last entry): the monic nonconstant parts ``a_i``,
-    squarefree and pairwise coprime, with ``f = lc(f) * prod(a_i ** i)``, as
-    ``(a_i, i)`` in increasing ``i``.  It runs on integer multiples of the
+    """Yun's squarefree decomposition over Q of an integer coefficient list
+    ``f`` (index = degree, nonzero last entry): the nonconstant parts
+    ``a_i``, primitive with positive leading coefficients, squarefree and
+    pairwise coprime, with ``f = c * prod(a_i ** i)`` for an integer ``c``,
+    as ``(a_i, i)`` in increasing ``i``.  It runs on integer multiples of the
     polynomials, which Yun's recurrences allow."""
     if len(f) < 2:
         return []
-    denom = math.lcm(*(c.denominator for c in f))
-    f = [c.numerator * (denom // c.denominator) for c in f]
     df = _derivative(f)
     if coprime_univariate(f, df):  # squarefree: no Euclid
-        return [([Fraction(c, f[-1]) for c in f], 1)]
+        return [(_primitive(f), 1)]
     g = _gcd(f, df)
     b, c = _quo(f, g), _quo(df, g)
     parts, i = [], 1
@@ -124,7 +104,7 @@ def squarefree_parts(f):
             parts.append((a, i))
         b, c = _quo(b, a), _quo(d, a)
         i += 1
-    return [([Fraction(c, a[-1]) for c in a], i) for a, i in parts]
+    return parts
 
 
 def squarefree_binary_form(form):
@@ -136,17 +116,17 @@ def squarefree_binary_form(form):
     The parts are pairwise coprime and squarefree; a part of degree g
     with exponent e stands for g distinct lines of multiplicity e.  They
     are primitive with integer coefficients and a positive graded-lex
-    leading coefficient (``normalize_primitive``).
+    leading coefficient (the top coefficient in t of Yun's part).
     """
     if form.is_zero:
         raise ZeroPolynomial("squarefree decomposition of the zero form")
-    coeffs = restrict_coeffs(form.terms, 0, 1)  # F(t, 1)
-    unit = coeffs[-1]
+    coeffs = restrict_coeffs(form._terms, 0, 1)  # F(t, 1), times the denominator
+    unit = Fraction(coeffs[-1], form._den)
     factors = []
     for part, exp in squarefree_parts(coeffs):
-        scale, factor = normalize_primitive(_homogenize(part))
-        factors.append((factor, exp))
-        unit *= scale**exp
+        n = len(part) - 1
+        factors.append((_canonical({(i, n - i): c for i, c in enumerate(part) if c}, 1), exp))
+        unit /= part[-1] ** exp
     pad = form.degree + 1 - len(coeffs)
     if pad:
         factors.append((BPoly.monomial(0, 1), pad))

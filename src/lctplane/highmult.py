@@ -137,7 +137,7 @@ def _tail_form(low_exp, high_exp, var_mix_degree):
     pulling x^low has only simple roots, all nonzero."""
     terms = {}
     for i in range(low_exp, high_exp + 1):
-        terms[(i, var_mix_degree - i)] = Fraction(1)
+        terms[(i, var_mix_degree - i)] = 1
     return BPoly(terms)
 
 

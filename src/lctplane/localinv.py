@@ -2,14 +2,16 @@
 
 Intersection multiplicity is computed by the classical exact recursion
 (restrict to y = 0, cancel the lowest x-power, extract y factors), with
-the terms above what the Bezout bound leaves dropped at each step; the
-Milnor number is the intersection multiplicity of the two partial
-derivatives.  Everything is exact rational arithmetic; sympy's gcd runs
-only where the integer certificates of ``poly`` leave a case undecided.
+the terms above what the Bezout bound leaves dropped at each step, on
+the integer term dicts of the two curves' numerators; the Milnor number
+is the intersection multiplicity of the two partial derivatives.
+Everything is exact integer arithmetic; sympy's gcd runs only where the
+integer certificates of ``poly`` leave a case undecided.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,11 +20,14 @@ from .extended import INF
 from .factorize import squarefree_binary_form
 from .poly import (
     BPoly,
+    add_terms,
     certify_coprime,
     certify_squarefree,
     gcd_bivariate,
     gcd_many,
+    mul_terms,
     restrict_coeffs,
+    scale_terms,
 )
 
 __all__ = [
@@ -45,23 +50,9 @@ class WeightedBound:
     leading_part: BPoly
 
 
-def _extract_y(f):
-    """Write f = y^a * h with y not dividing h; return (a, h)."""
-    a = min(j for _, j in f.terms)
-    if a == 0:
-        return 0, f
-    return a, BPoly({(i, j - a): c for (i, j), c in f.terms.items()})
-
-
-def _truncate(f, n):
-    """``f`` without its terms of total degree above ``n``."""
-    if f.degree <= n:
-        return f
-    return BPoly._raw({exp: c for exp, c in f.terms.items() if exp[0] + exp[1] <= n})
-
-
-def _univariate_to_x_poly(coeffs):
-    return BPoly({(i, 0): c for i, c in enumerate(coeffs) if c})
+def _truncate(terms, n):
+    """``terms`` without its terms of total degree above ``n``."""
+    return {exp: c for exp, c in terms.items() if exp[0] + exp[1] <= n}
 
 
 def intersection_multiplicity_origin(f, g):
@@ -82,27 +73,29 @@ def intersection_multiplicity_origin(f, g):
             return INF
 
     bound = f.degree * g.degree  # Bezout: I_0(f, g) <= deg f * deg g
+    # scaling f or g keeps I_0, so the recursion runs on integer numerators
+    f, g = f._terms, g._terms
     total = 0
     while True:
-        if f.coefficient(0, 0) != 0 or g.coefficient(0, 0) != 0:
+        if (0, 0) in f or (0, 0) in g:
             return total
         # I_0(f, g) is now at most n = bound - total, so m^n lies in (f, g)
         # and the terms of degree above n lie in m*(f, g): dropping them
         # keeps the ideal (Nakayama) and the unit products from growing
         f, g = _truncate(f, bound - total), _truncate(g, bound - total)
-        fx0 = restrict_coeffs(f.terms, 0, 0)  # f(x, 0)
-        gx0 = restrict_coeffs(g.terms, 0, 0)
+        fx0 = restrict_coeffs(f, 0, 0)  # f(x, 0)
+        gx0 = restrict_coeffs(g, 0, 0)
         if not fx0 and not gx0:
             raise AssertionError("common factor y slipped past the gcd check")
         if not fx0:
             f, g = g, f
             fx0, gx0 = gx0, fx0
         if not gx0:
-            # y divides g: I(f, g) = a * ord_x f(x,0) + I(f, h)
-            a, h = _extract_y(g)
+            # g = y^a * h: I(f, g) = a * ord_x f(x,0) + I(f, h)
+            a = min(j for _, j in g)
             r = next(i for i, c in enumerate(fx0) if c)
             total += a * r
-            g = h
+            g = {(i, j - a): c for (i, j), c in g.items()}
             continue
         r = next(i for i, c in enumerate(fx0) if c)
         s = next(i for i, c in enumerate(gx0) if c)
@@ -110,12 +103,16 @@ def intersection_multiplicity_origin(f, g):
             f, g = g, f
             fx0, gx0 = gx0, fx0
             r, s = s, r
-        u = _univariate_to_x_poly(fx0[r:])  # f(x,0) = x^r * u, u(0) != 0
-        v = _univariate_to_x_poly(gx0[s:])
-        shift = BPoly.monomial(s - r, 0)
-        g = u * g - v * shift * f
-        if g.is_zero:
+        # f(x, 0) = x^r * u and g(x, 0) = x^s * v with u(0), v(0) != 0;
+        # g <- u * g - x^(s-r) * v * f cancels g(x, 0)'s lowest term, and
+        # dividing out its content keeps the coefficients from growing
+        u = {(i, 0): c for i, c in enumerate(fx0[r:]) if c}
+        v = {(i + s - r, 0): c for i, c in enumerate(gx0[s:]) if c}
+        g = add_terms(mul_terms(u, g), scale_terms(mul_terms(v, f), -1))
+        if not g:
             raise AssertionError("unexpected exact cancellation in recursion")
+        content = math.gcd(*g.values())
+        g = {exp: c // content for exp, c in g.items()}
 
 
 def milnor_number_origin(f):

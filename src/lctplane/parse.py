@@ -31,9 +31,10 @@ The text is tokenized in one regex pass, and each sum is added once by
 the term kernel's ``add_terms``.  The module is variable-set generic,
 because the CLI parses projective input in x, y, z, so the product and
 power (the only arithmetic left here) work on exponent tuples of any
-length.  Its term dicts are canonical (no zero coefficient), so
-``parse_poly``, the bivariate entry point, wraps them in a
-:class:`~lctplane.poly.BPoly` without checking them again.
+length.  Integer literals and variables have ``int`` coefficients, so
+only a ``p/q`` literal makes a ``Fraction``; ``parse_poly``, the
+bivariate entry point, builds its :class:`~lctplane.poly.BPoly` from the
+result.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Parses into n-variable term dicts: {(e_1, ..., e_n): Fraction}.
+    """Parses into n-variable term dicts: {(e_1, ..., e_n): int or Fraction}.
 
     Sums and negations go through the term kernel (``add_terms``,
     ``scale_terms``), which does not care how long an exponent key is.
@@ -118,7 +119,6 @@ class _Parser:
     # n-variable product and power (see the class docstring)
 
     def _const(self, c):
-        c = Fraction(c)
         return {(0,) * len(self.variables): c} if c else {}
 
     def _mul(self, a, b):
@@ -231,7 +231,7 @@ class _Parser:
                     f"unknown variable {value!r}, expected one of {'/'.join(self.variables)}", pos
                 )
             self.advance()
-            return {tuple(int(v == value) for v in self.variables): Fraction(1)}
+            return {tuple(int(v == value) for v in self.variables): 1}
         if kind == "int":
             self.advance()
             if not self.take("/"):
@@ -279,7 +279,7 @@ def parse_terms(text, variables):
 
 def parse_poly(text):
     """Parse a bivariate polynomial in x and y."""
-    return BPoly._raw(parse_terms(text, ("x", "y")))
+    return BPoly(parse_terms(text, ("x", "y")))
 
 
 def parse_rational(text):

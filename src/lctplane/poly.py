@@ -1,20 +1,24 @@
 """Sparse bivariate polynomials with exact rational coefficients.
 
 A polynomial in x, y is a map from exponent pairs ``(i, j)`` to nonzero
-``Fraction`` coefficients; the zero polynomial is the empty map.  All
-values are immutable and every operation is pure, so everything here is
-safe to share between threads.
+``int`` numerators over one positive ``int`` denominator, with no factor
+common to all of them; the zero polynomial is the empty map over 1.  So
+equal polynomials have equal representations, and every lct route, which
+is invariant under scaling f, reads the integer numerators directly: only
+building from rationals, rendering and the public ``Fraction`` view
+``terms`` ever see the denominator.  All values are immutable and every
+operation is pure, so everything here is safe to share between threads.
 
 The term order used for rendering and leading-term extraction is graded
 lexicographic (total degree first, then x-degree).
 
 Bivariate gcds are delegated to sympy's exact dense gcd over ``ZZ[x, y]``
-(a heuristic gcd with a PRS fallback, on the operands with their
-denominators cleared); sympy is imported on the first gcd, so code that
-never takes one never loads it.  A yes/no question (coprime? squarefree?)
-is first put to ``certify_coprime`` or ``certify_squarefree``: integer
-gcds of values at a few points, which prove the answer "yes" for reduced
-input without sympy and leave every other case to the exact gcd.
+(a heuristic gcd with a PRS fallback, on the integer numerators); sympy
+is imported on the first gcd, so code that never takes one never loads
+it.  A yes/no question (coprime? squarefree?) is first put to
+``certify_coprime`` or ``certify_squarefree``: integer gcds of values at
+a few points, which prove the answer "yes" for reduced input without
+sympy and leave every other case to the exact gcd.
 ``translate`` is an exact integer Taylor shift done one variable at a time
 (``shift_terms``); everything else is the term-dict kernel below.
 
@@ -57,7 +61,8 @@ def _grlex_key(exp):
 
 # ---------------------------------------------------------------------------
 # Term-dict kernels: the inner loops of all polynomial arithmetic.  Terms
-# are plain dicts mapping ``(i, j)`` to nonzero ``Fraction`` coefficients.
+# are plain dicts mapping ``(i, j)`` to nonzero coefficients: the ``int``
+# numerators of a ``BPoly``, or rationals in the parser.
 # ---------------------------------------------------------------------------
 
 
@@ -109,57 +114,63 @@ def scale_terms(a, c):
 
 
 def shift_terms(a, var, s):
-    """Term dict with variable ``var`` (0 for x, 1 for y) replaced by
-    ``var + s``, for a nonzero rational ``s = p/q``.
+    """Integer term dict with variable ``var`` (0 for x, 1 for y) replaced
+    by ``var + s``, for a nonzero rational ``s = p/q``, as ``(terms, q^n)``:
+    the shifted polynomial is the integer ``terms`` over ``q^n``, where
+    ``n`` is the degree in ``var``.
 
     Taylor shift one column at a time (the terms sharing the other
-    variable's exponent), in integers.  Write ``v`` for ``var``; with the
-    column over the common denominator ``L`` and ``n`` its top degree,
-    ``N_e v^e`` contributes ``N_e C(e, k) p^(e-k) q^(n-e+k)`` to the
-    numerator of ``v^k``, whose coefficient is that numerator over
-    ``L q^n``.
+    variable's exponent).  Write ``v`` for ``var``: ``N_e v^e`` contributes
+    ``N_e C(e, k) p^(e-k) q^(n-e+k)`` to the numerator of ``v^k``.
     """
     p, q = s.numerator, s.denominator
     columns = {}
     for exp, coeff in a.items():
         columns.setdefault(exp[1 - var], []).append((exp[var], coeff))
+    n = max((exp[var] for exp in a), default=0)
+    ppow, qpow = [1], [1]
+    for _ in range(n):
+        ppow.append(ppow[-1] * p)
+        qpow.append(qpow[-1] * q)
     out = {}
     for other, column in columns.items():
-        n = max(e for e, _ in column)
-        denom = math.lcm(*(coeff.denominator for _, coeff in column))
-        ppow, qpow = [1], [1]
-        for _ in range(n):
-            ppow.append(ppow[-1] * p)
-            qpow.append(qpow[-1] * q)
-        acc = [0] * (n + 1)
-        for e, coeff in column:
-            num = coeff.numerator * (denom // coeff.denominator)
+        acc = [0] * (max(e for e, _ in column) + 1)
+        for e, num in column:
             binom = 1
             for k in range(e, -1, -1):
                 acc[k] += num * binom * ppow[e - k] * qpow[n - e + k]
                 binom = binom * k // (e - k + 1)
-        denom *= qpow[n]
         for k, v in enumerate(acc):
             if v:
-                out[(k, other) if var == 0 else (other, k)] = Fraction(v, denom)
-    return out
+                out[(k, other) if var == 0 else (other, k)] = v
+    return out, qpow[n]
 
 
 class BPoly:
-    """Immutable sparse bivariate polynomial over the rationals."""
+    """Immutable sparse bivariate polynomial over the rationals: ``int``
+    numerators ``_terms`` over the positive ``int`` denominator ``_den``,
+    with no factor common to all of them."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms=None):
-        canonical = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in term {(i, j)}")
-                c = Fraction(c)
-                if c:
-                    canonical[(int(i), int(j))] = c
-        object.__setattr__(self, "_terms", canonical)
+        """The polynomial with rational coefficients ``terms``, a map from
+        ``(i, j)`` to anything ``Fraction`` accepts."""
+        coeffs = {}
+        for (i, j), c in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in term {(i, j)}")
+            c = c if type(c) is int else Fraction(c)
+            if c:
+                coeffs[(int(i), int(j))] = c
+        # over the lcm of the reduced denominators, the numerators share no
+        # factor with it
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        object.__setattr__(
+            self, "_terms",
+            {exp: c.numerator * (den // c.denominator) for exp, c in coeffs.items()},
+        )
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -168,34 +179,25 @@ class BPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms):
-        """Wrap an already-canonical term dict without copying checks."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
-        return self
-
-    @classmethod
     def zero(cls):
         return ZERO
 
     @classmethod
     def constant(cls, c):
-        c = Fraction(c)
-        return cls._raw({(0, 0): c} if c else {})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def monomial(cls, i, j, c=1):
         c = Fraction(c)
-        if c == 0:
-            return ZERO
-        return cls._raw({(i, j): c})
+        return _canonical({(i, j): c.numerator} if c else {}, c.denominator)
 
     # -- basic structure -------------------------------------------------
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        """The coefficients, as a read-only map to ``Fraction``."""
+        den = self._den
+        return MappingProxyType({exp: Fraction(c, den) for exp, c in self._terms.items()})
 
     @property
     def is_zero(self):
@@ -209,7 +211,7 @@ class BPoly:
         return max(i + j for i, j in self._terms)
 
     def coefficient(self, i, j):
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._terms.get((i, j), 0), self._den)
 
     def is_constant(self):
         return all(exp == (0, 0) for exp in self._terms)
@@ -219,21 +221,21 @@ class BPoly:
         if not self._terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
         exp = max(self._terms, key=_grlex_key)
-        return exp, self._terms[exp]
+        return exp, Fraction(self._terms[exp], self._den)
 
     # -- equality, hashing, rendering ------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, BPoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == BPoly.constant(other)._terms
+            other = BPoly.constant(other)
+        if isinstance(other, BPoly):
+            return self._den == other._den and self._terms == other._terms
         return NotImplemented
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            h = hash((self._den, frozenset(self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -244,7 +246,7 @@ class BPoly:
         pieces = []
         for exp in sorted(self._terms, key=_grlex_key, reverse=True):
             i, j = exp
-            c = self._terms[exp]
+            c = Fraction(self._terms[exp], self._den)
             mono = []
             if i == 1:
                 mono.append("x")
@@ -281,12 +283,15 @@ class BPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return BPoly._raw(add_terms(self._terms, other._terms))
+        den = math.lcm(self._den, other._den)
+        a, b = (f._terms if f._den == den else scale_terms(f._terms, den // f._den)
+                for f in (self, other))
+        return _canonical(add_terms(a, b), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BPoly._raw(scale_terms(self._terms, Fraction(-1)))
+        return _canonical(scale_terms(self._terms, -1), self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -302,9 +307,9 @@ class BPoly:
             c = Fraction(other)
             if c == 0:
                 return ZERO
-            return BPoly._raw(scale_terms(self._terms, c))
+            return _canonical(scale_terms(self._terms, c.numerator), self._den * c.denominator)
         if isinstance(other, BPoly):
-            return BPoly._raw(mul_terms(self._terms, other._terms))
+            return _canonical(mul_terms(self._terms, other._terms), self._den * other._den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -336,7 +341,7 @@ class BPoly:
     def homogeneous_part(self, k):
         """Sum of the terms of total degree ``k`` (possibly zero)."""
         picked = {exp: c for exp, c in self._terms.items() if exp[0] + exp[1] == k}
-        return BPoly._raw(picked)
+        return _canonical(picked, self._den)
 
     def weighted_order(self, w):
         """Minimal weighted degree and the weighted leading part.
@@ -355,7 +360,7 @@ class BPoly:
             for exp, c in self._terms.items()
             if exp[0] * w1 + exp[1] * w2 == wt
         }
-        return wt, BPoly._raw(lead)
+        return wt, _canonical(lead, self._den)
 
     def derivative(self, var):
         """Partial derivative with respect to ``"x"`` or ``"y"``."""
@@ -370,7 +375,7 @@ class BPoly:
                     out[(i, j - 1)] = c * j
         else:
             raise ValueError(f"unknown variable {var!r}")
-        return BPoly._raw(out)
+        return _canonical(out, self._den)
 
     # -- substitution ----------------------------------------------------
 
@@ -387,23 +392,25 @@ class BPoly:
         result = ZERO
         for (i, j), c in self._terms.items():
             result = result + xpows[i] * ypows[j] * c
-        return result
+        return result * Fraction(1, self._den)
 
     def translate(self, p):
         """``f(x + p1, y + p2)``; degree is preserved.
 
-        An exact Taylor shift, first in y and then in x (``shift_terms``):
-        the same terms as ``substitute(X + p1, Y + p2)`` at a cost per term
-        of its degree in the shifted variable, with no ``BPoly`` or
-        ``Fraction`` arithmetic in the inner loop.
+        An exact Taylor shift of the numerators, first in y and then in x
+        (``shift_terms``): the same polynomial as
+        ``substitute(X + p1, Y + p2)`` at a cost per term of its degree in
+        the shifted variable, in integers only.
         """
         p1, p2 = Fraction(p[0]), Fraction(p[1])
-        terms = self._terms
+        terms, den = self._terms, self._den
         if p2:
-            terms = shift_terms(terms, 1, p2)
+            terms, q = shift_terms(terms, 1, p2)
+            den *= q
         if p1:
-            terms = shift_terms(terms, 0, p1)
-        return self if terms is self._terms else BPoly._raw(terms)
+            terms, q = shift_terms(terms, 0, p1)
+            den *= q
+        return self if terms is self._terms else _canonical(terms, den)
 
     # -- exact division --------------------------------------------------
 
@@ -416,7 +423,8 @@ class BPoly:
         if not self._terms:
             return ZERO
         g_exp, g_coeff = g.leading_term()
-        rem = dict(self._terms)
+        g_terms = g.terms
+        rem = dict(self.terms)
         quot = {}
         while rem:
             r_exp = max(rem, key=_grlex_key)
@@ -425,16 +433,28 @@ class BPoly:
                 raise NotDivisible(f"{g} does not divide {self}")
             c = rem[r_exp] / g_coeff
             quot[(di, dj)] = quot.get((di, dj), Fraction(0)) + c
-            rem = add_terms(
-                rem, scale_terms(mul_terms({(di, dj): Fraction(1)}, g._terms), -c)
-            )
-        return BPoly({exp: c for exp, c in quot.items() if c})
+            rem = add_terms(rem, scale_terms(mul_terms({(di, dj): Fraction(1)}, g_terms), -c))
+        return BPoly(quot)
 
 
-ZERO = BPoly._raw({})
-ONE = BPoly._raw({(0, 0): Fraction(1)})
-X = BPoly._raw({(1, 0): Fraction(1)})
-Y = BPoly._raw({(0, 1): Fraction(1)})
+def _canonical(terms, den):
+    """The ``BPoly`` of the integer term dict ``terms`` over the positive
+    ``int`` ``den``, their common factor divided out."""
+    g = math.gcd(den, *terms.values())
+    if g != 1:
+        terms = {exp: c // g for exp, c in terms.items()}
+        den //= g
+    self = BPoly.__new__(BPoly)
+    object.__setattr__(self, "_terms", terms)
+    object.__setattr__(self, "_den", den)
+    object.__setattr__(self, "_hash", None)
+    return self
+
+
+ZERO = BPoly()
+ONE = BPoly({(0, 0): 1})
+X = BPoly({(1, 0): 1})
+Y = BPoly({(0, 1): 1})
 
 
 def _coerce(value):
@@ -445,24 +465,16 @@ def _coerce(value):
     return NotImplemented
 
 
-def _int_terms(f):
-    """The terms of ``f`` times the lcm of its denominators, as ints."""
-    denom = math.lcm(*(c.denominator for c in f._terms.values()))
-    return {exp: c.numerator * (denom // c.denominator) for exp, c in f._terms.items()}
-
-
 def normalize_primitive(f):
     """Split ``f = unit * primitive`` with integer primitive content-1 part
     whose graded-lex leading coefficient is positive."""
     if f.is_zero:
         raise ZeroPolynomial("cannot normalize the zero polynomial")
-    scaled = _int_terms(f)
-    lead_exp = max(scaled, key=_grlex_key)
-    content = math.gcd(*scaled.values())
-    if scaled[lead_exp] < 0:
+    content = math.gcd(*f._terms.values())
+    if f._terms[max(f._terms, key=_grlex_key)] < 0:
         content = -content
-    primitive = BPoly._raw({exp: Fraction(c // content) for exp, c in scaled.items()})
-    return f._terms[lead_exp] / primitive._terms[lead_exp], primitive
+    primitive = _canonical({exp: c // content for exp, c in f._terms.items()}, 1)
+    return Fraction(content, f._den), primitive
 
 
 def divides(g, f):
@@ -475,16 +487,17 @@ def divides(g, f):
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers over Q (coefficient lists, index = degree).
+# Univariate helpers over Z (coefficient lists, index = degree).
 # ---------------------------------------------------------------------------
 
 
 def restrict_coeffs(terms, v, a):
-    """The polynomial with term dict ``terms`` at ``w = a``, where ``w`` is
-    the variable other than ``v`` (0 for x, 1 for y), as a coefficient list
-    in ``v`` (index = degree) with no zero last entry: ``(terms, 1, 0)``
-    sets x = 0, ``(terms, 0, 1)`` dehomogenizes a binary form to
-    ``F(t, 1)``.  ``[]`` when ``w - a`` divides the polynomial."""
+    """The polynomial with integer term dict ``terms`` at the integer
+    ``w = a``, where ``w`` is the variable other than ``v`` (0 for x, 1 for
+    y), as a coefficient list in ``v`` (index = degree) with no zero last
+    entry: ``(terms, 1, 0)`` sets x = 0, ``(terms, 0, 1)`` dehomogenizes a
+    binary form to ``F(t, 1)``.  ``[]`` when ``w - a`` divides the
+    polynomial."""
     coeffs = [0] * (max((exp[v] for exp in terms if a or not exp[1 - v]), default=-1) + 1)
     for exp, c in terms.items():
         k, w = exp[v], exp[1 - v]
@@ -492,8 +505,7 @@ def restrict_coeffs(terms, v, a):
             if not a:
                 continue  # the term vanishes at w = 0
             c *= a**w
-        # assign into an empty slot: adding to the int 0 would build a Fraction
-        coeffs[k] = coeffs[k] + c if coeffs[k] else c
+        coeffs[k] += c
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
@@ -505,12 +517,11 @@ def restrict_coeffs(terms, v, a):
 
 
 def _to_dense(f):
-    """``f`` with its denominators cleared, as a sympy dense polynomial in
-    ``ZZ[x, y]``."""
+    """The numerators of ``f``, as a sympy dense polynomial in ``ZZ[x, y]``."""
     from sympy.polys.densebasic import dmp_from_dict
     from sympy.polys.domains import ZZ
 
-    return dmp_from_dict({exp: ZZ(c) for exp, c in _int_terms(f).items()}, 1, ZZ)
+    return dmp_from_dict({exp: ZZ(c) for exp, c in f._terms.items()}, 1, ZZ)
 
 
 def gcd_bivariate(f, g):
@@ -527,9 +538,7 @@ def gcd_bivariate(f, g):
     # Not PolyElement.gcd: over ZZ it runs heugcd with no PRS fallback and can fail.
     h = dmp_gcd(_to_dense(f), _to_dense(g), 1, ZZ)
     terms = dmp_to_dict(h, 1, ZZ)
-    return normalize_primitive(
-        BPoly({exp: Fraction(int(c)) for exp, c in terms.items()})
-    )[1]
+    return normalize_primitive(_canonical({exp: int(c) for exp, c in terms.items()}, 1))[1]
 
 
 def gcd_many(polys):
@@ -607,13 +616,13 @@ def _split(terms, v):
 def _certify(f, g):
     """Shared body of the two certificates; ``g is None`` asks whether
     ``f`` is squarefree, otherwise whether ``f`` and ``g`` are coprime."""
-    ft = _int_terms(f)
+    ft = f._terms
     degs = max(i for i, _ in ft), max(j for _, j in ft)
     if not any(degs):
         return True
     # v: the variable of smaller positive degree, so restrictions are short
     v = 0 if degs[0] and (degs[0] <= degs[1] or not degs[1]) else 1
-    gt = None if g is None else _int_terms(g)
+    gt = None if g is None else g._terms
     # (i) factors involving v survive, with their v-degree, every
     # restriction w = a that keeps the v-degree of f
     for a in _POINTS:

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .factorize import factor_univariate, squarefree_parts
 from .localinv import is_square_free
-from .poly import BPoly, restrict_coeffs
+from .poly import BPoly, _canonical, restrict_coeffs
 
 __all__ = [
     "ExcDivisor",
@@ -120,10 +120,10 @@ def _charts(f, m):
     ``x^i y^(i+j-m)``.  Both maps are injective on exponents, so no
     coefficients combine, and ``i + j >= m`` keeps exponents non-negative.
     """
-    terms = f.terms.items()
+    terms, den = f._terms.items(), f._den
     return (
-        BPoly._raw({(i + j - m, j): c for (i, j), c in terms}),
-        BPoly._raw({(i, i + j - m): c for (i, j), c in terms}),
+        _canonical({(i + j - m, j): c for (i, j), c in terms}, den),
+        _canonical({(i, i + j - m): c for (i, j), c in terms}, den),
     )
 
 
@@ -144,8 +144,8 @@ def _poly_text(coeffs):
 
 def _centers_on(ph, t0_kept):
     """The points t of E_new to blow up, from the curve ``ph`` restricted to
-    E_new (a coefficient list in t): every repeated root, and t = 0 if it is
-    a root and ``t0_kept``.  A repeated irrational root raises
+    E_new (an integer coefficient list in t): every repeated root, and t = 0
+    if it is a root and ``t0_kept``.  A repeated irrational root raises
     ``IrrationalCenter`` naming its factor of least degree, then exponent."""
     centers = {Fraction(0)} if t0_kept and not ph[0] else set()
     irrational = []
@@ -213,7 +213,7 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
         # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
         # origin is the point t = infinity
         strict1, strict2 = _charts(center.curve, mu)
-        ph = restrict_coeffs(strict1.terms, 1, 0)  # the curve on E_new, in t
+        ph = restrict_coeffs(strict1._terms, 1, 0)  # the curve on E_new, in t
         pending = [
             _PendingCenter(
                 curve=strict1.translate((0, t0)),

@@ -93,6 +93,7 @@ class TestLct:
             ("x^2 + (z-1)*(x-y)", "z", "homogeneous"),
             ("0", "z", "nonzero"),
             ("x^2*z + y^3", "w", "chart"),
+            ("x^2 + y^3", "w", "chart"),
         ],
     )
     def test_projective_refusals(self, capsys, form, chart, reason):
@@ -133,6 +134,13 @@ class TestExitCodes:
     def test_cap(self, capsys):
         code, _, err = run(capsys, "resolve", "x^2+y^3", "--cap", "1")
         assert code == 5
+
+    @pytest.mark.parametrize("argv", [("resolve", "x^2+y^3"), ("lct", "x^2+y^7")])
+    @pytest.mark.parametrize("cap", ["-1", "x"])
+    def test_cap_must_be_a_count(self, capsys, argv, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", cap])
+        assert exc.value.code == 2 and "--cap" in capsys.readouterr().err
 
     def test_degree_limit(self, capsys):
         code, _, err = run(capsys, "lambda-set", "1001")

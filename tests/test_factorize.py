@@ -93,9 +93,11 @@ class TestFactorUnivariate:
         f = _univariate(a)
         if b is not None:
             f = f * _univariate(b) ** 2
-        coeffs = [f.coefficient(i, 0) for i in range(f.degree + 1)]
+        # an integer multiple of f
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
+        coeffs = [int(f.coefficient(i, 0) * den) for i in range(f.degree + 1)]
         unit, factors = factor_univariate(coeffs)
-        rebuilt = BPoly.constant(unit)
+        rebuilt = BPoly.constant(Fraction(unit, den))
         for fac, exp in factors:
             assert len(fac) >= 2 and exp >= 1
             assert all(c.denominator == 1 for c in fac)

@@ -1,5 +1,6 @@
 """Unit tests for the sparse bivariate polynomial core."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,85 @@ class TestConstruction:
     def test_hashable_and_equal(self):
         assert hash(P("x + y")) == hash(Y + X)
         assert P("x + y") == Y + X
+
+
+def _plain(pairs):
+    """``(exponent, Fraction)`` pairs summed into a dict, zeros dropped."""
+    out = {}
+    for exp, c in pairs:
+        out[exp] = out.get(exp, 0) + c
+    return {exp: c for exp, c in out.items() if c}
+
+
+_scalars = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+_weights = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
+
+
+class TestCanonicalForm:
+    """Every result holds int numerators over one positive int denominator
+    with no common factor, and its ``terms`` are those of plain ``Fraction``
+    dict arithmetic on the operands' ``terms``."""
+
+    @staticmethod
+    def check(f, want):
+        assert type(f._den) is int and f._den > 0
+        assert all(type(c) is int and c for c in f._terms.values())
+        assert math.gcd(f._den, *f._terms.values()) == 1
+        assert f.terms == want
+
+    @given(
+        st.one_of(sparse_polys, wide_polys),
+        st.one_of(sparse_polys, wide_polys),
+        _scalars,
+        shifts,
+        st.integers(0, 18),
+        st.tuples(_weights, _weights),
+    )
+    def test_operations(self, f, g, c, p, k, w):
+        ft, gt = f.terms, g.terms
+        self.check(f + g, _plain([*ft.items(), *gt.items()]))
+        self.check(f - g, _plain([*ft.items(), *((e, -v) for e, v in gt.items())]))
+        self.check(
+            f * g,
+            _plain(((i1 + i2, j1 + j2), a * b) for (i1, j1), a in ft.items() for (i2, j2), b in gt.items()),
+        )
+        self.check(f * c, _plain((e, v * c) for e, v in ft.items()))
+        self.check(
+            f.translate(p),
+            _plain(
+                ((a, b), v * math.comb(i, a) * math.comb(j, b) * p[0] ** (i - a) * p[1] ** (j - b))
+                for (i, j), v in ft.items()
+                for a in range(i + 1)
+                for b in range(j + 1)
+            ),
+        )
+        self.check(f.derivative("x"), _plain(((i - 1, j), v * i) for (i, j), v in ft.items() if i))
+        self.check(f.derivative("y"), _plain(((i, j - 1), v * j) for (i, j), v in ft.items() if j))
+        self.check(f.homogeneous_part(k), {e: v for e, v in ft.items() if sum(e) == k})
+        if f:
+            wt, lead = f.weighted_order(w)
+            assert wt == min(i * w[0] + j * w[1] for i, j in ft)
+            self.check(lead, {(i, j): v for (i, j), v in ft.items() if i * w[0] + j * w[1] == wt})
+
+    @given(st.one_of(sparse_polys, wide_polys), _scalars)
+    def test_equal_values_have_equal_forms(self, f, c):
+        rebuilt = sum((BPoly.monomial(i, j, v) for (i, j), v in f.terms.items()), ZERO)
+        for g in (rebuilt, f * c * (1 / c), (f * c - f * (c - 1)), BPoly(dict(f.terms))):
+            assert g == f and hash(g) == hash(f)
+            assert g._terms == f._terms and g._den == f._den
+
+    def test_equal_values_built_differently(self):
+        pairs = [
+            (P("1/2*x") * 2, X),
+            (P("1/3*x") + P("2/3*x"), X),
+            (P("2/3*x + 2/3*y") * Fraction(3, 2), X + Y),
+            (P("4*x^2 - 2*y").derivative("y"), BPoly.constant(-2)),
+            (P("1/2*x^2 + 3*y").homogeneous_part(2) * 2, X**2),
+            (BPoly({(0, 0): Fraction(6, 4)}), BPoly.constant(Fraction(3, 2))),
+            (P("x + 1/2") - P("x"), BPoly.constant(Fraction(1, 2))),
+        ]
+        for got, want in pairs:
+            assert got == want and hash(got) == hash(want)
 
 
 class TestArithmetic:

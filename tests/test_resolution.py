@@ -234,7 +234,8 @@ _restrictions = st.builds(
 class TestCentersOn:
     @given(_restrictions, st.booleans())
     def test_matches_irreducible_factors(self, ph, t0_kept):
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(ph.all_coeffs())]
+        _, integral = ph.clear_denoms(convert=True)  # an integer multiple of ph
+        coeffs = [int(c) for c in reversed(integral.all_coeffs())]
         _, factors = ph.factor_list()  # least degree, then least exponent first
         repeated = [(q, e) for q, e in factors if e >= 2]
         irrational = [q for q, _ in repeated if q.degree() >= 2]
