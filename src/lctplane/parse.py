@@ -27,18 +27,31 @@ denominator of the base (for a base with integer coefficients this bounds
 the result's), and one charged more than ``MAX_COEFF_BITS`` is rejected
 with :class:`~lctplane.errors.CoefficientTooLarge` before it is expanded.
 
-The text is tokenized in one regex pass, and each sum is added once by
-the term kernel's ``add_terms``.  The module is variable-set generic,
-because the CLI parses projective input in x, y, z, so the product and
-power (the only arithmetic left here) work on exponent tuples of any
-length.  Integer literals and variables have ``int`` coefficients, so
-only a ``p/q`` literal makes a ``Fraction``; ``parse_poly``, the
-bivariate entry point, builds its :class:`~lctplane.poly.BPoly` from the
-result.
+The lexer's unit is a whole monomial run: one token for a ``*``-joined
+product of ``int`` or ``p/q`` literals and ``var`` or ``var^n`` factors,
+whose coefficient and exponent vector are computed as it is matched, so
+``3/2*x^2*y - y^3`` is three tokens.  Everything else (parentheses,
+powers of a parenthesized or literal base, exponents, every malformed
+stretch) is read on the one-operator and one-literal tokens of the
+grammar above.  A run never takes a factor followed by ``^``, ``/``,
+``(``, a name or an int, never starts where an exponent or a denominator
+is due, and gives way to those tokens where a zero denominator, an
+unknown name, an exponent over ``MAX_EXPONENT`` or an over-long literal
+must be reported, so every error and its position are the grammar's.
+
+Each sum is added once by the term kernel's ``add_terms``, and a power
+of a two-term base is written out by the binomial theorem.  The module is
+variable-set generic, because the CLI parses projective input in x, y, z,
+so the product and power (the only arithmetic left here) work on
+exponent tuples of any length.  Integer literals and variables have
+``int`` coefficients, so only a ``p/q`` literal makes a ``Fraction``;
+``parse_poly``, the bivariate entry point, builds its
+:class:`~lctplane.poly.BPoly` from the result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -55,16 +68,76 @@ MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
 MAX_COEFF_BITS = 1 << 16
 
-# One match per token; the last group catches any other character, so
-# ``finditer`` skips nothing but whitespace.
+# One match per token; the last group catches any other character, so a
+# scan skips nothing but whitespace.
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^()])|(\S))")
 _KINDS = (None, "int", "name", "op")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _tokenize(text):
+@functools.cache
+def _run():
+    """A monomial run: a ``*``-joined product of ``int`` or ``p/q`` literals
+    and ``name`` or ``name^n`` factors.  A factor followed by ``^``, ``/``,
+    ``(``, a name or an int is left out, since the grammar reads it
+    differently (``2/3^2``, ``x^2^3``) or rejects it (``x/2``, ``x y``).
+    Compiled on the first parse, not on import."""
+    factor = r"(?:[0-9]+(?:\s*/\s*[0-9]+)?|[A-Za-z_]\w*(?:\s*\^\s*[0-9]+)?)(?!\s*[\^/(\w])"
+    return re.compile(rf"\s*({factor}(?:\s*\*\s*{factor})*)")
+
+
+def _monomial(run, index):
+    """The one-term dict of a monomial ``run`` over the variables of
+    ``index`` (name -> position), or None when an unknown name, a zero
+    denominator, an exponent over ``MAX_EXPONENT`` or an over-long literal
+    in it must be reported by the grammar, on its one-literal tokens."""
+    num, den, exps = 1, 1, [0] * len(index)
+    try:
+        for factor in run.split("*"):
+            base, _, power = factor.partition("^")
+            base = base.strip()
+            if base[0].isdigit():  # int() ignores the surrounding whitespace
+                p, _, q = base.partition("/")
+                num *= int(p)
+                if q:
+                    q = int(q)
+                    if not q:
+                        return None
+                    den *= q
+            elif base in index:
+                n = int(power) if power else 1
+                if n > MAX_EXPONENT:
+                    return None
+                exps[index[base]] += n
+            else:
+                return None
+    except ValueError:  # beyond the interpreter's int string-conversion limit
+        return None
+    if not num:
+        return {}
+    # a product with a p/q literal is a Fraction, as the grammar's would be
+    return {tuple(exps): num if "/" not in run else Fraction(num, den)}
+
+
+def _tokenize(text, variables):
+    """The tokens of ``text`` as ``(kind, value, position)``, ending in an
+    ``end`` token.  A monomial run is one ``mono`` token whose value is its
+    term dict.  No run is read where the grammar wants an exponent or a
+    denominator (after ``^``, ``^(``, ``^(`` and a sign, or ``/``) or where
+    ``_monomial`` declines it; the one-operator and one-literal tokens
+    are read there instead."""
+    run, index = _run(), {v: i for i, v in enumerate(variables)}
     tokens = []
-    for m in _TOKEN.finditer(text):
+    pos = 0
+    plain = False
+    while True:
+        if not plain and (m := run.match(text, pos)) and (terms := _monomial(m[1], index)) is not None:
+            tokens.append(("mono", terms, m.start(1)))
+            pos = m.end()
+            continue
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            break
         group = m.lastindex
         if group == 4:
             raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
@@ -74,7 +147,11 @@ def _tokenize(text):
                 value = int(value)
             except ValueError:  # beyond the interpreter's int string-conversion limit
                 raise ParseError(f"integer literal too long ({len(value)} digits)", m.start(1)) from None
+            plain = False
+        else:
+            plain = value in {"^", "/"} or (plain and value in {"(", "+", "-"})
         tokens.append((_KINDS[group], value, m.start(group)))
+        pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -93,7 +170,7 @@ class _Parser:
 
     def __init__(self, text, variables):
         self.variables = tuple(variables)
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, self.variables)
         self.idx = 0
 
     # token helpers
@@ -141,6 +218,20 @@ class _Parser:
         if len(a) == 1:  # a monomial: scale its exponents, no products
             ((exp, c),) = a.items()
             return {tuple(e * n for e in exp): c**n}
+        if len(a) == 2:
+            # the binomial theorem: each k gives its own exponent, so no
+            # two terms collide and none is zero
+            (e1, c1), (e2, c2) = a.items()
+            c1pow = [1]
+            for _ in range(n):
+                c1pow.append(c1pow[-1] * c1)
+            out, binom, c2pow = {}, 1, 1
+            for k in range(n + 1):
+                exp = tuple(i * (n - k) + j * k for i, j in zip(e1, e2))
+                out[exp] = binom * c1pow[n - k] * c2pow
+                binom = binom * (n - k) // (k + 1)
+                c2pow *= c2
+            return out
         # Repeated multiplication by the short base: squaring a dense
         # bivariate power costs more than the n - 1 products it saves.
         out = self._const(1)
@@ -170,23 +261,25 @@ class _Parser:
     def term(self):
         total = self.factor()
         while True:
-            kind, value, pos = self.peek()
-            if self.take("*"):
+            kind, value, pos = self.tokens[self.idx]
+            if kind == "op" and value == "*":
+                self.idx += 1
                 rhs = self.factor()
                 degrees = map(sum, zip(_max_exponents(total), _max_exponents(rhs)))
                 _check_terms("product", len(total) * len(rhs), degrees, pos)
                 total = self._mul(total, rhs)
             elif kind == "op" and value == "/":
                 raise NonPolynomial("division is only allowed inside rational literals", pos)
-            elif kind in ("int", "name") or (kind == "op" and value == "("):
+            elif kind in ("mono", "int", "name") or (kind == "op" and value == "("):
                 raise ParseError("implicit multiplication by juxtaposition is not allowed", pos)
             else:
                 return total
 
     def factor(self):
         base = self.base()
-        pos = self.peek()[2]
-        if self.take("^"):
+        kind, value, pos = self.tokens[self.idx]
+        if kind == "op" and value == "^":
+            self.idx += 1
             n = self.exponent()
             degree = max((sum(exp) for exp in base), default=0)
             if max(n, n * degree) > MAX_EXPONENT:
@@ -225,6 +318,9 @@ class _Parser:
 
     def base(self):
         kind, value, pos = self.peek()
+        if kind == "mono":
+            self.advance()
+            return value
         if kind == "name":
             if value not in self.variables:
                 raise ParseError(

@@ -20,7 +20,8 @@ it.  A yes/no question (coprime? squarefree?) is first put to
 a few points, which prove the answer "yes" for reduced input without
 sympy and leave every other case to the exact gcd.
 ``translate`` is an exact integer Taylor shift done one variable at a time
-(``shift_terms``); everything else is the term-dict kernel below.
+(``shift_terms``, Horner's rule on dense columns); everything else is the
+term-dict kernel below.
 
 Homogeneous parts and tangent cones are plain ``BPoly`` values, whose
 squarefree parts come from ``factorize.squarefree_binary_form``; the lct
@@ -120,13 +121,21 @@ def shift_terms(a, var, s):
     ``n`` is the degree in ``var``.
 
     Taylor shift one column at a time (the terms sharing the other
-    variable's exponent).  Write ``v`` for ``var``: ``N_e v^e`` contributes
-    ``N_e C(e, k) p^(e-k) q^(n-e+k)`` to the numerator of ``v^k``.
+    variable's exponent).  Write ``v`` for ``var`` and ``P = sum N_e v^e``
+    for a column of degree ``m``: ``q^n P(v + p/q) = R(q v)``, where
+    ``R(w) = sum c_e (w + p)^e`` with ``c_e = N_e q^(n-e)`` is a shift by
+    the integer ``p``, and ``v^k`` then takes ``q^k``.  A dense column is
+    shifted by Horner's rule (repeated synthetic division,
+    ``c[k] += p * c[k+1]``), ``m(m+1)/2`` products by the small ``p`` (von
+    zur Gathen and Gerhard, "Fast algorithms for Taylor shifts and certain
+    difference equations", ISSAC 1997); a sparse one, where that would be
+    several times the ``e + 1`` products of expanding each ``(w + p)^e``
+    by the binomial theorem, is expanded term by term.
     """
     p, q = s.numerator, s.denominator
     columns = {}
     for exp, coeff in a.items():
-        columns.setdefault(exp[1 - var], []).append((exp[var], coeff))
+        columns.setdefault(exp[1 - var], {})[exp[var]] = coeff
     n = max((exp[var] for exp in a), default=0)
     ppow, qpow = [1], [1]
     for _ in range(n):
@@ -134,15 +143,26 @@ def shift_terms(a, var, s):
         qpow.append(qpow[-1] * q)
     out = {}
     for other, column in columns.items():
-        acc = [0] * (max(e for e, _ in column) + 1)
-        for e, num in column:
-            binom = 1
-            for k in range(e, -1, -1):
-                acc[k] += num * binom * ppow[e - k] * qpow[n - e + k]
-                binom = binom * k // (e - k + 1)
-        for k, v in enumerate(acc):
+        m = max(column)
+        c = [0] * (m + 1)
+        if m * (m + 1) <= 5 * (sum(column) + len(column)):  # vs the sum of e + 1
+            for e, num in column.items():
+                c[e] = num * qpow[n - e]
+            for i in range(m):
+                acc = c[m]
+                for k in range(m - 1, i - 1, -1):
+                    acc = c[k] + p * acc
+                    c[k] = acc
+        else:
+            for e, num in column.items():
+                num *= qpow[n - e]
+                binom = 1
+                for k in range(e, -1, -1):
+                    c[k] += num * binom * ppow[e - k]
+                    binom = binom * k // (e - k + 1)
+        for k, v in enumerate(c):
             if v:
-                out[(k, other) if var == 0 else (other, k)] = v
+                out[(k, other) if var == 0 else (other, k)] = v * qpow[k]
     return out, qpow[n]
 
 
@@ -160,7 +180,7 @@ class BPoly:
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term {(i, j)}")
-            c = c if type(c) is int else Fraction(c)
+            c = c if type(c) in (int, Fraction) else Fraction(c)
             if c:
                 coeffs[(int(i), int(j))] = c
         # over the lcm of the reduced denominators, the numerators share no
@@ -235,7 +255,10 @@ class BPoly:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self._den, frozenset(self._terms.items())))
+            if self.is_constant():  # equal to its scalar, so hashed like it
+                h = hash(Fraction(self._terms.get((0, 0), 0), self._den))
+            else:
+                h = hash((self._den, frozenset(self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -399,8 +422,8 @@ class BPoly:
 
         An exact Taylor shift of the numerators, first in y and then in x
         (``shift_terms``): the same polynomial as
-        ``substitute(X + p1, Y + p2)`` at a cost per term of its degree in
-        the shifted variable, in integers only.
+        ``substitute(X + p1, Y + p2)``, in integers only, at the cost
+        ``shift_terms`` gives.
         """
         p1, p2 = Fraction(p[0]), Fraction(p[1])
         terms, den = self._terms, self._den

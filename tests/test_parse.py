@@ -201,6 +201,13 @@ ERROR_CONTRACT = [
     ("1/2/3", NonPolynomial, "division is only allowed inside rational literals", 3),
     ("x**2", ParseError, "expected variable, rational or parenthesized expression", 2),
     ("- - x", ParseError, "expected variable, rational or parenthesized expression", 2),
+    # at the edges of a monomial run
+    ("2*x^3^2", ParseError, "unexpected trailing input '^'", 5),
+    ("3/0*x", ParseError, "zero denominator", 2),
+    ("2*x/3", NonPolynomial, "division is only allowed inside rational literals", 3),
+    ("x*y z", ParseError, "implicit multiplication by juxtaposition is not allowed", 4),
+    ("x2*y", ParseError, "unknown variable 'x2', expected one of x/y", 0),
+    ("x * y ^ 2 ^ 3", ParseError, "unexpected trailing input '^'", 10),
 ]
 
 
@@ -221,6 +228,28 @@ def test_overlong_integer_literal_is_a_parse_error(capsys):
     assert str(exc.value) == "integer literal too long (5001 digits) (at position 4)"
     assert main(["lct", text]) == 2
     assert "integer literal too long" in capsys.readouterr().err
+
+
+def test_exponent_limit_inside_a_monomial(no_huge_powers):
+    with pytest.raises(ExponentTooLarge) as exc:
+        parse_poly("x*y^1001")
+    assert str(exc.value) == "power exceeds the exponent limit 1000 (at position 3)"
+
+
+class TestBinomialPower:
+    @pytest.mark.parametrize("base", ["x + y", "2*x - 3/4*y^2", "x^3*y - 5", "1/2 + y", "-x*y + 7/3*x^2"])
+    def test_matches_repeated_multiplication(self, base):
+        parser = _Parser("0", ("x", "y"))
+        a = parse_terms(base, ("x", "y"))
+        expected = {(0, 0): 1}
+        for n in range(13):
+            assert list(parser._pow(a, n).items()) == list(expected.items())
+            expected = parser._mul(expected, a)
+
+    def test_thousandth_power(self):
+        terms = parse_terms("(x+y)^1000", ("x", "y"))
+        assert len(terms) == 1001
+        assert terms[(500, 500)] == math.comb(1000, 500)
 
 
 def expressions(names):
@@ -267,6 +296,38 @@ def expressions(names):
     return st.lists(sums, min_size=1, max_size=3).map(product)
 
 
+@st.composite
+def monomial_sums(draw, names):
+    """Flat sums of signed monomials such as ``3/2*x*y^4`` or
+    ``y ^ 4*x * 3/2``: literals and variable powers in shuffled order,
+    random whitespace around every operator, drawn as (text, sympy Poly)."""
+    gens = sympy.symbols(names)
+
+    def space():
+        return draw(st.sampled_from(("", " ", "  ", "\t")))
+
+    text, total = "", sympy.Integer(0)
+    for i in range(draw(st.integers(1, 6))):
+        factors, value = [], sympy.Integer(1)
+        for _ in range(draw(st.integers(0, 2))):
+            q = draw(st.fractions(min_value=0, max_value=20, max_denominator=6))
+            slash = q.denominator > 1 or draw(st.booleans())
+            factors.append(f"{q.numerator}{space()}/{space()}{q.denominator}" if slash else str(q.numerator))
+            value *= sympy.Rational(q.numerator, q.denominator)
+        for name, gen in zip(names, gens):
+            for _ in range(draw(st.integers(0, 2))):
+                e = draw(st.integers(0, 4))
+                factors.append(name if e == 1 and draw(st.booleans()) else f"{name}{space()}^{space()}{e}")
+                value *= gen**e
+        factors = draw(st.permutations(factors or ["1"]))
+        sign = draw(st.sampled_from("+-"))
+        if i or sign == "-" or draw(st.booleans()):
+            text += f"{space()}{sign}"
+        text += space() + f"{space()}*{space()}".join(factors)
+        total += value if sign == "+" else -value
+    return text + space(), sympy.Poly(total, *gens, domain="QQ")
+
+
 def sympy_terms(p):
     return {exp: Fraction(int(c.p), int(c.q)) for exp, c in p.as_dict().items()}
 
@@ -281,6 +342,16 @@ class TestAgainstSympy:
 
     @given(expressions(("x", "y", "z")))
     def test_parse_terms_three_variables(self, drawn):
+        text, expected = drawn
+        assert parse_terms(text, ("x", "y", "z")) == sympy_terms(expected)
+
+    @given(monomial_sums(("x", "y")))
+    def test_monomial_sums(self, drawn):
+        text, expected = drawn
+        assert parse_poly(text).terms == sympy_terms(expected)
+
+    @given(monomial_sums(("x", "y", "z")))
+    def test_monomial_sums_three_variables(self, drawn):
         text, expected = drawn
         assert parse_terms(text, ("x", "y", "z")) == sympy_terms(expected)
 

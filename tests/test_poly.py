@@ -126,6 +126,13 @@ class TestConstruction:
         assert hash(P("x + y")) == hash(Y + X)
         assert P("x + y") == Y + X
 
+    @pytest.mark.parametrize("c", [0, 3, -7, Fraction(1, 2), Fraction(-9, 4)])
+    def test_constant_hashes_like_its_scalar(self, c):
+        const = BPoly.constant(c)
+        assert const == c and hash(const) == hash(c)
+        assert len({const, c}) == 1 and len({c, const}) == 1
+        assert {c: "scalar", const: "polynomial"} == {c: "polynomial"}
+
 
 def _plain(pairs):
     """``(exponent, Fraction)`` pairs summed into a dict, zeros dropped."""
@@ -296,6 +303,13 @@ class TestCoordinateChanges:
         f = P("x^40*y^40 + x + y")
         p = (Fraction(1, 2), Fraction(-3, 7))
         assert f.translate(p)._terms == _substituted(f, p)._terms
+
+    def test_translate_dense_columns(self):
+        f = P("(x - 2*y + 1/3)^9 + x*y^7")
+        p = (Fraction(-5, 2), Fraction(4, 3))
+        shifted = f.translate(p)
+        assert shifted._terms == _substituted(f, p)._terms
+        assert shifted.translate((-p[0], -p[1])) == f
 
     def test_translate_ak_chain(self):
         f = P("x^2 + y^121 + 3*x*y^40")
