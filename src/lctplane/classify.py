@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import (
     DegreeOutOfRange,
@@ -62,8 +62,7 @@ for _row in _TABLES["classes"]:
     _BY_TRIPLE[_key] = _row["symbol"]
 
 
-@dataclass(frozen=True)
-class SingularityClass:
+class SingularityClass(NamedTuple):
     """One classified germ: table symbol plus its numeric invariants."""
 
     symbol: str

@@ -76,7 +76,8 @@ def _at_point(polys, text):
     point = _pair(text, "point must be 'X,Y'")
     for f in polys:
         if not f.is_zero and (
-            f.degree * coeff_bits(point) + coeff_bits(f.terms.values()) > MAX_COEFF_BITS
+            f.degree * coeff_bits(point) + coeff_bits((f._den, *f._terms.values()))
+            > MAX_COEFF_BITS
         ):
             raise CoefficientTooLarge(
                 f"shift to --point exceeds the coefficient limit of {MAX_COEFF_BITS} bits"
@@ -117,7 +118,7 @@ def _input_poly(args):
 
 def _emit(args, payload, text_lines):
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         for line in text_lines:
             print(line)

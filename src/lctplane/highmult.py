@@ -12,9 +12,8 @@ curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DegreeOutOfRange,
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HighMultAnalysis:
+class HighMultAnalysis(NamedTuple):
     """Full dossier of the multiplicity-(d-1) analysis at the origin."""
 
     d: int

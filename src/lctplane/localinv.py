@@ -12,8 +12,8 @@ integer certificates of ``poly`` leave a case undecided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotThroughOrigin, ZeroPolynomial
 from .extended import INF
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedBound:
+class WeightedBound(NamedTuple):
     """The weighted-homogeneous lct upper bound ``b = (w1 + w2) / wt(f)``."""
 
     weights: tuple

@@ -236,13 +236,6 @@ class BPoly:
     def is_constant(self):
         return all(exp == (0, 0) for exp in self._terms)
 
-    def leading_term(self):
-        """Graded-lex leading ``((i, j), coefficient)``; input nonzero."""
-        if not self._terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        exp = max(self._terms, key=_grlex_key)
-        return exp, Fraction(self._terms[exp], self._den)
-
     # -- equality, hashing, rendering ------------------------------------
 
     def __eq__(self, other):
@@ -438,26 +431,34 @@ class BPoly:
     # -- exact division --------------------------------------------------
 
     def divide_exact(self, g):
-        """Quotient ``q`` with ``q * g == self``; ``NotDivisible`` otherwise."""
+        """Quotient ``q`` with ``q * g == self``; ``NotDivisible`` otherwise.
+
+        Divides the integer numerators by the primitive part of ``g``'s: by
+        Gauss's lemma the quotient is then integral whenever ``g`` divides
+        ``self`` over the rationals, so every leading coefficient divides
+        exactly, and a step that does not proves ``g`` is no divisor.
+        """
         if not isinstance(g, BPoly):
             g = BPoly.constant(g)
         if g.is_zero:
             raise DivisorZero("division by the zero polynomial")
         if not self._terms:
             return ZERO
-        g_exp, g_coeff = g.leading_term()
-        g_terms = g.terms
-        rem = dict(self.terms)
+        content = math.gcd(*g._terms.values())
+        g_terms = {exp: c // content for exp, c in g._terms.items()}
+        g_exp = max(g_terms, key=_grlex_key)
+        g_lead = g_terms[g_exp]
+        rem = self._terms
         quot = {}
         while rem:
             r_exp = max(rem, key=_grlex_key)
             di, dj = r_exp[0] - g_exp[0], r_exp[1] - g_exp[1]
-            if di < 0 or dj < 0:
+            c, r = divmod(rem[r_exp], g_lead)
+            if di < 0 or dj < 0 or r:
                 raise NotDivisible(f"{g} does not divide {self}")
-            c = rem[r_exp] / g_coeff
-            quot[(di, dj)] = quot.get((di, dj), Fraction(0)) + c
-            rem = add_terms(rem, scale_terms(mul_terms({(di, dj): Fraction(1)}, g_terms), -c))
-        return BPoly(quot)
+            quot[(di, dj)] = c * g._den
+            rem = add_terms(rem, mul_terms({(di, dj): -c}, g_terms))
+        return _canonical(quot, self._den * content)
 
 
 def _canonical(terms, den):

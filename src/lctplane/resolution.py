@@ -31,9 +31,8 @@ is the same in every process.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     IncompleteTree,
@@ -61,8 +60,7 @@ __all__ = [
 DEFAULT_CAP = 64
 
 
-@dataclass(frozen=True)
-class ExcDivisor:
+class ExcDivisor(NamedTuple):
     """One exceptional divisor with curve order m and discrepancy a."""
 
     id: int
@@ -74,8 +72,7 @@ class ExcDivisor:
         return Fraction(self.a + 1, self.m)
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(NamedTuple):
     """A blowup center: local chart, location, incident divisors, and the
     local strict-transform equation (center translated to the origin).
 
@@ -89,20 +86,18 @@ class ChartPoint:
     local_equation: BPoly
 
 
-@dataclass(frozen=True)
-class BlowupNode:
+class BlowupNode(NamedTuple):
     divisor: ExcDivisor
     parent: Optional[int]
     center: ChartPoint
 
 
-@dataclass
-class ResolutionTree:
+class ResolutionTree(NamedTuple):
     """Ledger of all blowups performed over the origin; divisor k is
     ``nodes[k - 1]``."""
 
     input: BPoly
-    nodes: list = field(default_factory=list)
+    nodes: Sequence = ()
     complete: bool = False
 
     def divisors(self):
@@ -125,16 +120,6 @@ def _charts(f, m):
         _canonical({(i + j - m, j): c for (i, j), c in terms}, den),
         _canonical({(i, i + j - m): c for (i, j), c in terms}, den),
     )
-
-
-@dataclass
-class _PendingCenter:
-    curve: BPoly  # local strict transform, center at origin
-    on_x: Optional[ExcDivisor]  # old divisor along x = 0 through the center
-    on_y: Optional[ExcDivisor]  # old divisor along y = 0 through the center
-    parent: Optional[int]
-    chart: tuple
-    location: tuple
 
 
 def _poly_text(coeffs):
@@ -174,73 +159,51 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
 
-    tree = ResolutionTree(input=f)
+    nodes = []
     if f.multiplicity() <= 1:
-        tree.complete = True  # smooth germ, nothing to do
-        return tree
+        return ResolutionTree(f, nodes, True)  # smooth germ, nothing to do
 
-    stack = [
-        _PendingCenter(
-            curve=f, on_x=None, on_y=None, parent=None, chart=("x", "y"), location=(0, 0)
-        )
-    ]
+    # each pending center is (curve, on_x, on_y, parent, chart, location):
+    # the local strict transform with the center at the origin, the old
+    # divisors through it along x = 0 and along y = 0 (or None), the id of
+    # the divisor it lies on, and its place on that divisor
+    stack = [(f, None, None, None, ("x", "y"), (0, 0))]
 
     while stack:
-        if len(tree.nodes) >= cap:
+        if len(nodes) >= cap:
             raise ResolutionCap(f"more than {cap} blowups; cap exceeded")
-        center = stack.pop()
-        olds = [div for div in (center.on_x, center.on_y) if div is not None]
-        mu = center.curve.multiplicity()
+        curve, on_x, on_y, parent, chart, location = stack.pop()
+        olds = [div for div in (on_x, on_y) if div is not None]
+        mu = curve.multiplicity()
         divisor = ExcDivisor(
-            id=len(tree.nodes) + 1,
+            id=len(nodes) + 1,
             m=mu + sum(div.m for div in olds),
             a=1 + sum(div.a for div in olds),
         )
-        tree.nodes.append(
-            BlowupNode(
-                divisor=divisor,
-                parent=center.parent,
-                center=ChartPoint(
-                    chart=center.chart,
-                    location=center.location,
-                    incident=frozenset(div.id for div in olds),
-                    local_equation=center.curve,
-                ),
-            )
-        )
+        incident = frozenset(div.id for div in olds)
+        nodes.append(BlowupNode(divisor, parent, ChartPoint(chart, location, incident, curve)))
 
         # chart 1: (u, v) -> (u, u v), E_new = {u = 0}, on which v is the
         # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
         # origin is the point t = infinity
-        strict1, strict2 = _charts(center.curve, mu)
+        strict1, strict2 = _charts(curve, mu)
         ph = restrict_coeffs(strict1._terms, 1, 0)  # the curve on E_new, in t
+        k = divisor.id
         pending = [
-            _PendingCenter(
-                curve=strict1.translate((0, t0)),
-                on_x=divisor,
-                on_y=center.on_y if t0 == 0 else None,
-                parent=divisor.id,
-                chart=(f"u{divisor.id}", f"v{divisor.id}"),
-                location=(Fraction(0), t0),
+            (
+                strict1.translate((0, t0)), divisor, on_y if t0 == 0 else None, k,
+                (f"u{k}", f"v{k}"), (Fraction(0), t0),
             )
-            for t0 in _centers_on(ph, center.on_y is not None)
+            for t0 in _centers_on(ph, on_y is not None)
         ]
         inf_exp = mu + 1 - len(ph)  # curve multiplicity at t = infinity
-        if inf_exp >= 2 or (inf_exp == 1 and center.on_x is not None):
+        if inf_exp >= 2 or (inf_exp == 1 and on_x is not None):
             pending.append(
-                _PendingCenter(
-                    curve=strict2,
-                    on_x=center.on_x,
-                    on_y=divisor,
-                    parent=divisor.id,
-                    chart=(f"s{divisor.id}", f"w{divisor.id}"),
-                    location=(Fraction(0), Fraction(0)),
-                )
+                (strict2, on_x, divisor, k, (f"s{k}", f"w{k}"), (Fraction(0), Fraction(0)))
             )
         stack.extend(reversed(pending))  # visit t ascending, infinity last
 
-    tree.complete = True
-    return tree
+    return ResolutionTree(f, nodes, True)
 
 
 def lct_from_tree(tree):
@@ -281,7 +244,7 @@ def export_tree(tree, fmt="json"):
             ],
             "lct": str(lct_from_tree(tree)),
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload)
     if fmt == "dot":
         lines = ["digraph resolution {"]
         for node in tree.nodes:

@@ -13,8 +13,8 @@ with the instance rendered verbatim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import (
     all_symbols,
@@ -56,21 +56,17 @@ _TABLE1 = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     checked: int
-    detail: str = ""
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
-        extra = f" ({self.detail})" if self.detail else ""
-        return f"[{status}] {self.name}: {self.checked} checks{extra}"
+        return f"[{status}] {self.name}: {self.checked} checks"
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     scope: str
     seed: int
     results: tuple

@@ -58,6 +58,11 @@ class TestLct:
         assert code == 0
         assert payload == {"lct": "1", "method": "trivial"}
 
+    @pytest.mark.parametrize("command", ["lct", "resolve"])
+    def test_json_is_one_line(self, capsys, command):
+        code, out, _ = run(capsys, command, "x^2+y^3", "--format", "json")
+        assert code == 0 and out.count("\n") == 1 and out.endswith("}\n")
+
     def test_resolution_dispatch(self, capsys):
         # degree 6, multiplicity 2: only the resolution engine applies
         code, payload, _ = run_json(capsys, "lct", "x^2 + y^6 + x*y^4")

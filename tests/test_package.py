@@ -24,6 +24,7 @@ _LAZY_SYMPY = textwrap.dedent(
     from lctplane import lct, parse_poly
     from lctplane.cli import main
 
+    assert "dataclasses" not in sys.modules, "dataclasses"
     assert "sympy" not in sys.modules, "import"
     for argv in (
         ["lct", "x^2+y^3", "--point", "7,5"],

@@ -323,6 +323,7 @@ class TestDivision:
     def test_exact(self):
         assert P("x^3 + x*y^3").divide_exact(X) == P("x^2 + y^3")
         assert ZERO.divide_exact(X) == ZERO
+        assert P("1/2*x + 1/3").divide_exact(P("6*x + 4")) == BPoly.constant(Fraction(1, 12))
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
@@ -335,6 +336,17 @@ class TestDivision:
     def test_divides(self):
         assert divides(X, P("x^3 + x*y^3"))
         assert not divides(Y, P("x^3 + x*y^3"))
+        # the first step's leading coefficient 1 is not a multiple of 2
+        assert not divides(P("2*x + 1"), P("x + 1"))
+
+    @given(
+        st.one_of(sparse_polys, wide_polys),
+        st.one_of(small_polys, wide_polys, factors).filter(bool),
+    )
+    def test_product_divides_back(self, f, g):
+        assert (f * g).divide_exact(g) == f
+        if not g.is_constant():
+            assert not divides(g, f * g + 1)
 
 
 class TestGcd:
