@@ -27,17 +27,16 @@ denominator of the base (for a base with integer coefficients this bounds
 the result's), and one charged more than ``MAX_COEFF_BITS`` is rejected
 with :class:`~lctplane.errors.CoefficientTooLarge` before it is expanded.
 
-The lexer's unit is a whole monomial run: one token for a ``*``-joined
-product of ``int`` or ``p/q`` literals and ``var`` or ``var^n`` factors,
-whose coefficient and exponent vector are computed as it is matched, so
-``3/2*x^2*y - y^3`` is three tokens.  Everything else (parentheses,
-powers of a parenthesized or literal base, exponents, every malformed
-stretch) is read on the one-operator and one-literal tokens of the
-grammar above.  A run never takes a factor followed by ``^``, ``/``,
-``(``, a name or an int, never starts where an exponent or a denominator
-is due, and gives way to those tokens where a zero denominator, an
-unknown name, an exponent over ``MAX_EXPONENT`` or an over-long literal
-must be reported, so every error and its position are the grammar's.
+``parse_poly`` first tries the flat-sum reader: one pattern pass that
+checks the whole text is a sum of signed monomials ``c[/q][*x[^i]][*y[^j]]``
+in that order, with whitespace allowed only around the signs and at the
+ends (the form ``BPoly.render`` writes), and reads each monomial as it is
+matched, summing integer numerators over the lcm of the denominators.
+Any other text (parentheses, powers, another factor order, z), and a flat
+sum with a zero denominator, an exponent over ``MAX_EXPONENT`` or an
+over-long literal, goes to the grammar, so every error and its position
+are the grammar's.  The grammar's tokens are one operator or one literal
+each, and digits are ASCII only.
 
 Each sum is added once by the term kernel's ``add_terms``, and a power
 of a two-term base is written out by the binomial theorem.  The module is
@@ -46,7 +45,8 @@ so the product and power (the only arithmetic left here) work on
 exponent tuples of any length.  Integer literals and variables have
 ``int`` coefficients, so only a ``p/q`` literal makes a ``Fraction``;
 ``parse_poly``, the bivariate entry point, builds its
-:class:`~lctplane.poly.BPoly` from the result.
+:class:`~lctplane.poly.BPoly` from the grammar's result when the reader
+hands the text on.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from operator import add
 
 from .errors import CoefficientTooLarge, ExponentTooLarge, NonPolynomial, ParseError
 from .errors import TooManyTerms
-from .poly import BPoly, add_terms, scale_terms
+from .poly import BPoly, _canonical, add_terms, scale_terms
 
 __all__ = ["MAX_COEFF_BITS", "MAX_EXPONENT", "MAX_TERMS", "coeff_bits", "parse_poly",
            "parse_terms", "parse_rational"]
@@ -68,76 +68,61 @@ MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
 MAX_COEFF_BITS = 1 << 16
 
-# One match per token; the last group catches any other character, so a
-# scan skips nothing but whitespace.
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^()])|(\S))")
+# One match per token; the last group catches any other character.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_]\w*)|([-+*/^()])|(\S))")
 _KINDS = (None, "int", "name", "op")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 @functools.cache
-def _run():
-    """A monomial run: a ``*``-joined product of ``int`` or ``p/q`` literals
-    and ``name`` or ``name^n`` factors.  A factor followed by ``^``, ``/``,
-    ``(``, a name or an int is left out, since the grammar reads it
-    differently (``2/3^2``, ``x^2^3``) or rejects it (``x/2``, ``x y``).
-    Compiled on the first parse, not on import."""
-    factor = r"(?:[0-9]+(?:\s*/\s*[0-9]+)?|[A-Za-z_]\w*(?:\s*\^\s*[0-9]+)?)(?!\s*[\^/(\w])"
-    return re.compile(rf"\s*({factor}(?:\s*\*\s*{factor})*)")
+def _flat():
+    """One signed monomial ``c[/q][*x[^i]][*y[^j]]`` of a flat sum, which a
+    sign or the end of the stripped text must follow.  Each ``*`` is
+    required only after a factor (the conditional groups), and the first
+    lookahead keeps a monomial from being empty.  Where no monomial
+    matches, the last group takes the rest of the text, so ``findall``
+    skips nothing and the scan is linear in the text.  Compiled on the
+    first parse, not on import."""
+    return re.compile(
+        r"\s*(?:([+-])\s*)?(?=[0-9xy])(?:([0-9]+)(?:/([0-9]+))?)?(?:(?(2)\*)(x)(?:\^([0-9]+))?)?"
+        r"(?:(?(2)\*|(?(4)\*))(y)(?:\^([0-9]+))?)?(?=\s*[-+]|\Z)|\s*(\S[\s\S]*)"
+    )
 
 
-def _monomial(run, index):
-    """The one-term dict of a monomial ``run`` over the variables of
-    ``index`` (name -> position), or None when an unknown name, a zero
-    denominator, an exponent over ``MAX_EXPONENT`` or an over-long literal
-    in it must be reported by the grammar, on its one-literal tokens."""
-    num, den, exps = 1, 1, [0] * len(index)
+def _read_flat(text):
+    """The ``BPoly`` of ``text`` if it is a flat sum of monomials in x and
+    y, read in one pattern pass; None if the grammar must read it or
+    report its error (see the module docstring)."""
+    monomials = _flat().findall(text.strip())
+    if not monomials:
+        return None
     try:
-        for factor in run.split("*"):
-            base, _, power = factor.partition("^")
-            base = base.strip()
-            if base[0].isdigit():  # int() ignores the surrounding whitespace
-                p, _, q = base.partition("/")
-                num *= int(p)
-                if q:
-                    q = int(q)
-                    if not q:
-                        return None
-                    den *= q
-            elif base in index:
-                n = int(power) if power else 1
-                if n > MAX_EXPONENT:
-                    return None
-                exps[index[base]] += n
-            else:
+        den = math.lcm(*(int(m[2]) for m in monomials if m[2]))
+        if not den:  # a zero denominator
+            return None
+        sums = {}
+        for sign, p, q, x, i, y, j, other in monomials:
+            if other:
                 return None
+            i = int(i or 1) if x else 0
+            j = int(j or 1) if y else 0
+            if i > MAX_EXPONENT or j > MAX_EXPONENT:
+                return None
+            c = int(p or 1) * (den // int(q) if q else den)
+            exp = (i, j)
+            sums[exp] = sums.get(exp, 0) + (-c if sign == "-" else c)
     except ValueError:  # beyond the interpreter's int string-conversion limit
         return None
-    if not num:
-        return {}
-    # a product with a p/q literal is a Fraction, as the grammar's would be
-    return {tuple(exps): num if "/" not in run else Fraction(num, den)}
+    return _canonical({exp: s for exp, s in sums.items() if s}, den)
 
 
-def _tokenize(text, variables):
+def _tokenize(text):
     """The tokens of ``text`` as ``(kind, value, position)``, ending in an
-    ``end`` token.  A monomial run is one ``mono`` token whose value is its
-    term dict.  No run is read where the grammar wants an exponent or a
-    denominator (after ``^``, ``^(``, ``^(`` and a sign, or ``/``) or where
-    ``_monomial`` declines it; the one-operator and one-literal tokens
-    are read there instead."""
-    run, index = _run(), {v: i for i, v in enumerate(variables)}
+    ``end`` token.  Each token is matched where the last one ended, and
+    only trailing whitespace fails to match, so the scan is linear."""
     tokens = []
     pos = 0
-    plain = False
-    while True:
-        if not plain and (m := run.match(text, pos)) and (terms := _monomial(m[1], index)) is not None:
-            tokens.append(("mono", terms, m.start(1)))
-            pos = m.end()
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
+    while m := _TOKEN.match(text, pos):
         group = m.lastindex
         if group == 4:
             raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
@@ -147,9 +132,6 @@ def _tokenize(text, variables):
                 value = int(value)
             except ValueError:  # beyond the interpreter's int string-conversion limit
                 raise ParseError(f"integer literal too long ({len(value)} digits)", m.start(1)) from None
-            plain = False
-        else:
-            plain = value in {"^", "/"} or (plain and value in {"(", "+", "-"})
         tokens.append((_KINDS[group], value, m.start(group)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
@@ -170,7 +152,7 @@ class _Parser:
 
     def __init__(self, text, variables):
         self.variables = tuple(variables)
-        self.tokens = _tokenize(text, self.variables)
+        self.tokens = _tokenize(text)
         self.idx = 0
 
     # token helpers
@@ -270,7 +252,7 @@ class _Parser:
                 total = self._mul(total, rhs)
             elif kind == "op" and value == "/":
                 raise NonPolynomial("division is only allowed inside rational literals", pos)
-            elif kind in ("mono", "int", "name") or (kind == "op" and value == "("):
+            elif kind in ("int", "name") or (kind == "op" and value == "("):
                 raise ParseError("implicit multiplication by juxtaposition is not allowed", pos)
             else:
                 return total
@@ -318,9 +300,6 @@ class _Parser:
 
     def base(self):
         kind, value, pos = self.peek()
-        if kind == "mono":
-            self.advance()
-            return value
         if kind == "name":
             if value not in self.variables:
                 raise ParseError(
@@ -374,8 +353,10 @@ def parse_terms(text, variables):
 
 
 def parse_poly(text):
-    """Parse a bivariate polynomial in x and y."""
-    return BPoly(parse_terms(text, ("x", "y")))
+    """Parse a bivariate polynomial in x and y: a flat sum of monomials
+    by ``_read_flat``, anything else by the grammar."""
+    f = _read_flat(text)
+    return f if f is not None else BPoly(parse_terms(text, ("x", "y")))
 
 
 def parse_rational(text):

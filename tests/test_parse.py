@@ -11,6 +11,7 @@ from lctplane.cli import main
 from lctplane.errors import (
     CoefficientTooLarge,
     ExponentTooLarge,
+    LctError,
     NonPolynomial,
     ParseError,
     TooManyTerms,
@@ -20,6 +21,7 @@ from lctplane.parse import (
     MAX_EXPONENT,
     MAX_TERMS,
     _Parser,
+    _read_flat,
     coeff_bits,
     parse_poly,
     parse_rational,
@@ -201,13 +203,16 @@ ERROR_CONTRACT = [
     ("1/2/3", NonPolynomial, "division is only allowed inside rational literals", 3),
     ("x**2", ParseError, "expected variable, rational or parenthesized expression", 2),
     ("- - x", ParseError, "expected variable, rational or parenthesized expression", 2),
-    # at the edges of a monomial run
+    # inside a monomial and at its edges
     ("2*x^3^2", ParseError, "unexpected trailing input '^'", 5),
     ("3/0*x", ParseError, "zero denominator", 2),
     ("2*x/3", NonPolynomial, "division is only allowed inside rational literals", 3),
     ("x*y z", ParseError, "implicit multiplication by juxtaposition is not allowed", 4),
     ("x2*y", ParseError, "unknown variable 'x2', expected one of x/y", 0),
     ("x * y ^ 2 ^ 3", ParseError, "unexpected trailing input '^'", 10),
+    # digits are ASCII only, as in ``parse_rational``
+    ("x^\u0663+y^2", ParseError, "unexpected character '\u0663'", 2),
+    ("\uff13*x^2+y^3", ParseError, "unexpected character '\uff13'", 0),
 ]
 
 
@@ -354,6 +359,100 @@ class TestAgainstSympy:
     def test_monomial_sums_three_variables(self, drawn):
         text, expected = drawn
         assert parse_terms(text, ("x", "y", "z")) == sympy_terms(expected)
+
+
+@st.composite
+def flat_sums(draw):
+    """Flat sums ``c[/q][*x[^i]][*y[^j]]`` as ``BPoly.render`` writes them:
+    random signs, integer and ``p/q`` coefficients, exponents 0 to
+    ``MAX_EXPONENT``, monomials drawn from a small pool so that some repeat
+    or cancel, and random whitespace around the signs and at the ends."""
+    def monomial():
+        coeff = draw(st.sampled_from(("", "int", "p/q")))
+        x, y = (draw(st.one_of(st.none(), st.integers(0, MAX_EXPONENT))) for _ in "xy")
+        parts = [] if coeff == "" else [str(draw(st.integers(0, 10**6)))]
+        if coeff == "p/q":
+            parts[0] += f"/{draw(st.integers(1, 10**6))}"
+        for name, e in (("x", x), ("y", y)):
+            if e is not None:
+                parts.append(name if e == 1 and draw(st.booleans()) else f"{name}^{e}")
+        return "*".join(parts or ["1"])
+
+    def space():
+        return draw(st.sampled_from(("", " ", "  ", "\t")))
+
+    pool = [monomial() for _ in range(draw(st.integers(1, 4)))]
+    text = space()
+    for k in range(draw(st.integers(1, 8))):
+        sign = draw(st.sampled_from("+-"))
+        if k or sign == "-" or draw(st.booleans()):
+            text += f"{sign}{space()}"
+        text += draw(st.sampled_from(pool)) + space()
+    return text
+
+
+# Near misses of a flat sum, each spliced into one as a summand: the
+# grammar must read them, or report their error.
+NEAR_MISSES = ("3/0*x", "0/0", "x^1001", "0*y^1001", "0*x*y^1001", "1" + "0" * 5000 + "*y",
+               "x^\u0663", "\u0663*y", "x^2^3", "2/3^2", "2x", "x*yy", "y*x", "x * y", "x^ 2",
+               "3 / 4*x", "(x+y)", "+-x", "-")
+
+
+class TestFlatReader:
+    @staticmethod
+    def grammar(text):
+        return BPoly(parse_terms(text, ("x", "y")))
+
+    def assert_same_as_grammar(self, text):
+        try:
+            expected = self.grammar(text)
+        except LctError as exc:
+            with pytest.raises(LctError) as got:
+                parse_poly(text)
+            assert (type(got.value), str(got.value), getattr(got.value, "position", None)) == (
+                type(exc), str(exc), getattr(exc, "position", None))
+        else:
+            assert parse_poly(text) == expected
+
+    @given(flat_sums())
+    def test_reads_flat_sums_as_the_grammar(self, text):
+        assert _read_flat(text) is not None
+        self.assert_same_as_grammar(text)
+
+    @given(flat_sums(), st.sampled_from(NEAR_MISSES), st.sampled_from(("+", " - ", "", " ")), st.booleans())
+    def test_near_misses_go_to_the_grammar(self, text, miss, sign, at_end):
+        text = f"{text}{sign}{miss}" if at_end else f"{miss}{sign}{text}"
+        self.assert_same_as_grammar(text)
+
+    @pytest.mark.parametrize("text", ["", "   ", "x+", "x - ", "+", "x^2^3", "2/3^2", "2x", "x*yy", "+-x"])
+    def test_malformed(self, text):
+        assert _read_flat(text) is None
+        self.assert_same_as_grammar(text)
+
+    @pytest.mark.parametrize("text", [
+        "x" + " " * 50_000, " " * 50_000, "x +" + " " * 50_000 + "- y", "x" + " " * 50_000 + "@",
+        "1" * 50_000 + "@", "x^" + "1" * 50_000 + " " * 50_000 + "@", "+".join(["x*y"] * 20_000),
+    ])
+    def test_long_texts(self, text):
+        """Backtracking over whitespace or digits keeps both scans linear in
+        the text; a quadratic one would take minutes here."""
+        self.assert_same_as_grammar(text)
+
+    @given(st.dictionaries(st.tuples(st.integers(0, MAX_EXPONENT), st.integers(0, MAX_EXPONENT)),
+                           st.fractions(max_denominator=10**6), max_size=8))
+    def test_round_trip_render(self, terms):
+        f = BPoly(terms)
+        assert _read_flat(f.render()) == f
+        assert parse_poly(f.render()) == f
+
+    def test_fast_path_is_taken(self, monkeypatch):
+        def refuse(text, variables):
+            raise AssertionError(f"the grammar read {text!r}")
+
+        monkeypatch.setattr("lctplane.parse.parse_terms", refuse)
+        assert parse_poly("3/2*x*y^14-2*y^15+3*x^2") == BPoly(
+            {(1, 14): Fraction(3, 2), (0, 15): -2, (2, 0): 3})
+        assert parse_poly("x^2 + y^3") == BPoly({(2, 0): 1, (0, 3): 1})
 
 
 class TestHelpers:
