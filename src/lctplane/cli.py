@@ -32,19 +32,11 @@ from .errors import CoefficientTooLarge, LctError, ParseError, PreconditionError
 from .extended import INF
 from .highmult import construct_witness, lambda_set, reducibility_hint
 from .localinv import (
-    intersection_multiplicity_origin,
-    milnor_number_origin,
-    weighted_lct_upper_bound,
+    intersection_multiplicity_origin, milnor_number_origin, weighted_lct_upper_bound,
 )
 from .parse import MAX_COEFF_BITS, coeff_bits, parse_poly, parse_rational, parse_terms
 from .poly import BPoly
-from .resolution import (
-    DEFAULT_CAP,
-    export_tree,
-    lct_from_tree,
-    resolve_over_origin,
-)
-from .selftest import run_selftest
+from .resolution import DEFAULT_CAP, export_tree, lct_from_tree, resolve_over_origin
 
 __all__ = ["main"]
 
@@ -224,6 +216,8 @@ def _cmd_wbound(args):
 
 
 def _cmd_selftest(args):
+    from .selftest import run_selftest  # with the corpus, needed by no other command
+
     report = run_selftest(scope=args.scope, seed=args.seed)
     payload = {
         "scope": report.scope,
@@ -268,6 +262,7 @@ def _add_common(parser, point=True, cap=False):
 
 
 def build_parser():
+    """The top-level parser and the map from subcommand name to its parser."""
     parser = argparse.ArgumentParser(
         prog="lctplane",
         description="Exact log canonical thresholds of reduced plane curves.",
@@ -337,16 +332,25 @@ def build_parser():
     _add_common(p, point=False)
     p.set_defaults(func=_cmd_selftest)
 
-    return parser
+    return parser, sub.choices
 
 
 # Built on the first ``main`` call, not at import, and shared by later calls:
-# ``parse_args`` only reads the parser and returns a fresh namespace.
-_shared_parser = functools.cache(build_parser)
+# parsing only reads the parsers and returns a fresh namespace.
+_shared_parsers = functools.cache(build_parser)
 
 
 def main(argv=None):
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = _shared_parsers()
+    if argv and argv[0] in subparsers:
+        # parse_args in one pass: the subcommand reads the rest, the top level refuses leftovers
+        args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.subcommand = argv[0]
+    else:  # no subcommand, help or an unknown name
+        args = parser.parse_args(argv)
     try:
         args.func(args)
     except LctError as exc:

@@ -468,6 +468,12 @@ def _canonical(terms, den):
     if g != 1:
         terms = {exp: c // g for exp, c in terms.items()}
         den //= g
+    return _reduced(terms, den)
+
+
+def _reduced(terms, den):
+    """The ``BPoly`` of the integer term dict ``terms`` over the positive
+    ``int`` ``den``, which already share no common factor."""
     self = BPoly.__new__(BPoly)
     object.__setattr__(self, "_terms", terms)
     object.__setattr__(self, "_den", den)

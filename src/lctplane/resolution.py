@@ -23,14 +23,17 @@ chart, so a center carries at most two of them, one per axis.  Chart 1,
 meeting E_new = {u = 0} at t = 0, and loses the one along ``x = 0``;
 chart 2, ``(u, v) -> (u v, v)``, keeps the divisor along ``x = 0``,
 meeting E_new = {v = 0} at t = infinity, and loses the one along
-``y = 0``.  Centers are visited depth first, the points of each E_new in
-the order rational t ascending, then infinity, so the divisor numbering
-is the same in every process.
+``y = 0``.  Chart 1 is built at every blowup, since it holds every finite
+point of E_new and the restriction of the curve to E_new; chart 2 only
+when t = infinity is a center.  Centers are visited depth first, the
+points of each E_new in the order rational t ascending, then infinity,
+so the divisor numbering is the same in every process.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .factorize import factor_univariate, squarefree_parts
 from .localinv import is_square_free
-from .poly import BPoly, _canonical, restrict_coeffs
+from .poly import BPoly, _reduced, restrict_coeffs
 
 __all__ = [
     "ExcDivisor",
@@ -58,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 64
+_ZERO = Fraction(0)  # shared by every center location
 
 
 class ExcDivisor(NamedTuple):
@@ -104,22 +108,20 @@ class ResolutionTree(NamedTuple):
         return [node.divisor for node in self.nodes]
 
 
-def _charts(f, m):
-    """Strict transforms of ``f``, of multiplicity ``m`` at the origin, in
-    both charts of the point blowup.
+def _strict(f, m, chart):
+    """Strict transform of ``f``, of multiplicity ``m`` at the origin, in
+    chart 1 or 2 of the point blowup.
 
     Each chart is an exponent relabelling that divides out the exceptional
     power ``m``: chart 1, ``(x, y) -> (x, x*y)`` with exceptional divisor
     ``x = 0``, sends ``x^i y^j`` to ``x^(i+j-m) y^j``; chart 2,
     ``(x, y) -> (x*y, y)`` with exceptional divisor ``y = 0``, sends it to
-    ``x^i y^(i+j-m)``.  Both maps are injective on exponents, so no
-    coefficients combine, and ``i + j >= m`` keeps exponents non-negative.
-    """
-    terms, den = f._terms.items(), f._den
-    return (
-        _canonical({(i + j - m, j): c for (i, j), c in terms}, den),
-        _canonical({(i, i + j - m): c for (i, j), c in terms}, den),
-    )
+    ``x^i y^(i+j-m)``.  Both maps are injective on exponents, so the
+    numerators over ``f._den`` stay in lowest terms with no gcd pass, and
+    ``i + j >= m`` keeps exponents non-negative."""
+    if chart == 1:
+        return _reduced({(i + j - m, j): c for (i, j), c in f._terms.items()}, f._den)
+    return _reduced({(i, i + j - m): c for (i, j), c in f._terms.items()}, f._den)
 
 
 def _poly_text(coeffs):
@@ -132,7 +134,7 @@ def _centers_on(ph, t0_kept):
     E_new (an integer coefficient list in t): every repeated root, and t = 0
     if it is a root and ``t0_kept``.  A repeated irrational root raises
     ``IrrationalCenter`` naming its factor of least degree, then exponent."""
-    centers = {Fraction(0)} if t0_kept and not ph[0] else set()
+    centers = {_ZERO} if t0_kept and not ph[0] else set()
     irrational = []
     for part, exp in squarefree_parts(ph):
         if exp == 1:
@@ -173,33 +175,33 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
         if len(nodes) >= cap:
             raise ResolutionCap(f"more than {cap} blowups; cap exceeded")
         curve, on_x, on_y, parent, chart, location = stack.pop()
-        olds = [div for div in (on_x, on_y) if div is not None]
         mu = curve.multiplicity()
-        divisor = ExcDivisor(
-            id=len(nodes) + 1,
-            m=mu + sum(div.m for div in olds),
-            a=1 + sum(div.a for div in olds),
-        )
-        incident = frozenset(div.id for div in olds)
-        nodes.append(BlowupNode(divisor, parent, ChartPoint(chart, location, incident, curve)))
+        m, a, incident = mu, 1, ()
+        if on_x is not None:
+            m, a, incident = m + on_x.m, a + on_x.a, (on_x.id,)
+        if on_y is not None:
+            m, a, incident = m + on_y.m, a + on_y.a, (*incident, on_y.id)
+        k = len(nodes) + 1
+        divisor = ExcDivisor(k, m, a)
+        center = ChartPoint(chart, location, frozenset(incident), curve)
+        nodes.append(BlowupNode(divisor, parent, center))
 
         # chart 1: (u, v) -> (u, u v), E_new = {u = 0}, on which v is the
         # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
         # origin is the point t = infinity
-        strict1, strict2 = _charts(curve, mu)
+        strict1 = _strict(curve, mu, 1)
         ph = restrict_coeffs(strict1._terms, 1, 0)  # the curve on E_new, in t
-        k = divisor.id
         pending = [
             (
-                strict1.translate((0, t0)), divisor, on_y if t0 == 0 else None, k,
-                (f"u{k}", f"v{k}"), (Fraction(0), t0),
+                strict1.translate((0, t0)) if t0 else strict1, divisor, None if t0 else on_y,
+                k, (f"u{k}", f"v{k}"), (_ZERO, t0),
             )
             for t0 in _centers_on(ph, on_y is not None)
         ]
         inf_exp = mu + 1 - len(ph)  # curve multiplicity at t = infinity
         if inf_exp >= 2 or (inf_exp == 1 and on_x is not None):
             pending.append(
-                (strict2, on_x, divisor, k, (f"s{k}", f"w{k}"), (Fraction(0), Fraction(0)))
+                (_strict(curve, mu, 2), on_x, divisor, k, (f"s{k}", f"w{k}"), (_ZERO, _ZERO))
             )
         stack.extend(reversed(pending))  # visit t ascending, infinity last
 
@@ -207,13 +209,21 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
 
 
 def lct_from_tree(tree):
-    """lct at the origin: min(1, min over divisors of (a + 1) / m)."""
+    """lct at the origin: min(1, min over divisors of (a + 1) / m), the
+    candidates compared as integer cross products."""
     if not tree.complete:
         raise IncompleteTree("resolution has pending centers")
-    best = Fraction(1)
-    for div in tree.divisors():
-        best = min(best, div.candidate)
-    return best
+    num, den = 1, 1
+    for _, m, a in tree.divisors():
+        if (a + 1) * den < num * m:
+            num, den = a + 1, m
+    return Fraction(num, den)
+
+
+def _candidate_text(div):
+    """``str(div.candidate)``, without building the ``Fraction``."""
+    g = math.gcd(div.a + 1, div.m)
+    return f"{(div.a + 1) // g}/{div.m // g}" if div.m != g else str((div.a + 1) // g)
 
 
 def log_pullback_coefficients(tree, lam):
@@ -238,7 +248,7 @@ def export_tree(tree, fmt="json"):
                     "parent": node.parent,
                     "m": node.divisor.m,
                     "a": node.divisor.a,
-                    "candidate": str(node.divisor.candidate),
+                    "candidate": _candidate_text(node.divisor),
                 }
                 for node in tree.nodes
             ],
@@ -251,7 +261,7 @@ def export_tree(tree, fmt="json"):
             div = node.divisor
             lines.append(
                 f'  E{div.id} [label="E{div.id} m={div.m} a={div.a} '
-                f'cand={div.candidate}"];'
+                f'cand={_candidate_text(div)}"];'
             )
         for node in tree.nodes:
             if node.parent is not None:

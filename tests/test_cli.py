@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from lctplane.cli import main
+from lctplane import cli
+from lctplane.cli import build_parser, main
 from lctplane.errors import (
     CoefficientTooLarge,
     IncompleteTree,
@@ -220,6 +221,57 @@ class TestRepeatedCalls:
         code, out, err = run(capsys, "lct", "x^2+y^3")
         assert code == 0 and err == ""
         assert out.strip() == "lct = 5/6 (method: highmult)"
+
+
+def outcome(capsys, argv):
+    """Exit code (a usage error's ``SystemExit`` code too), stdout, stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestRouting:
+    """``main`` hands a named subcommand's arguments straight to its parser;
+    every answer, usage error and help text must be what one ``parse_args``
+    on a fresh top-level parser, then the same dispatch, gives."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lct", "x^2+y^3"],
+            ["lct", "x^2+y^7", "--format", "json", "--point", "0,0"],
+            ["lct", "x^2+y^7", "--cap", "1"],
+            ["resolve", "x^2+y^3", "--cap=5", "--format=json"],
+            ["classify", "x^2+y^5", "--projective", "z"],
+            ["imult", "x", "y"],
+            ["witness", "3", "5/9", "--format", "json"],
+            ["wbound", "x^3+y^4", "--weights", "4,3"],
+            ["lct", "x^2+y^3", "--bogus"],
+            ["lct", "x^2+y^3", "extra"],
+            ["imult", "x", "y", "z", "--bogus"],
+            ["lct"],
+            ["lct", "x^2+y^3", "--format", "xml"],
+            ["lct", "x^2+y^3", "--cap", "-1"],
+            ["lct", "x^2+y^3", "--point"],
+            ["lct", "-h"],
+            ["resolve", "x^2+y^3", "--he"],
+            ["lct", "--", "-x^2+y^3"],
+            ["lct", "-x^2+y^3"],
+            ["lcx", "x^2+y^3"],
+            [],
+            ["-h"],
+        ],
+        ids=lambda argv: " ".join(argv) or "(empty)",
+    )
+    def test_same_as_one_parse_args(self, capsys, monkeypatch, argv):
+        got = outcome(capsys, argv)
+        # with no subcommand map, ``main`` routes every argv through a fresh
+        # parser's ``parse_args``
+        monkeypatch.setattr(cli, "_shared_parsers", lambda: (build_parser()[0], {}))
+        assert got == outcome(capsys, argv)
 
 
 class TestSubcommands:

@@ -45,6 +45,7 @@ _LAZY_SYMPY = textwrap.dedent(
     assert "sympy" not in sys.modules, "resolution lct"
     assert main(["resolve", "(x^2-2*y^2)^2+y^5"]) == 4
     assert "sympy" in sys.modules, "repeated irrational tangent"
+    assert "lctplane.selftest" not in sys.modules, "selftest"
     """
 )
 

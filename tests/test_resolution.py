@@ -1,6 +1,7 @@
 """Unit tests for the blowup-based resolution oracle."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import lctplane
 from lctplane.errors import (
@@ -20,13 +21,14 @@ from lctplane.errors import (
     NotThroughOrigin,
     ResolutionCap,
 )
+from lctplane.localinv import is_square_free
 from lctplane.parse import parse_poly as P
 from lctplane.poly import BPoly, X, Y
 from lctplane.resolution import (
     ResolutionTree,
     _centers_on,
-    _charts,
     _poly_text,
+    _strict,
     export_tree,
     lct_from_tree,
     log_pullback_coefficients,
@@ -41,7 +43,8 @@ _TWO_BRANCHES = "x^2*(y-3*x)^3 + x^7 + y^7"
 
 def charts(f):
     """Strict transforms of ``f`` in both charts of the blowup of the origin."""
-    return _charts(f, f.multiplicity())
+    mu = f.multiplicity()
+    return _strict(f, mu, 1), _strict(f, mu, 2)
 
 
 class TestBlowupTransform:
@@ -249,6 +252,43 @@ class TestCentersOn:
         if t0_kept and ph.eval(0) == 0:
             roots.add(0)
         assert _centers_on(coeffs, t0_kept) == sorted(Fraction(str(r)) for r in roots)
+
+
+# Reduced germs singular at the origin: sums of two to six terms of degree
+# 2..6, and cusps (y - r x)^2 + c x^n, whose center on E1 is at t = r, so the
+# translated charts are drawn as well as the t = 0 and t = infinity ones.
+_reduced_germs = st.one_of(
+    st.dictionaries(
+        st.sampled_from([(i, d - i) for d in range(2, 7) for i in range(d + 1)]),
+        _small.filter(bool),
+        min_size=2,
+        max_size=6,
+    ).map(BPoly),
+    st.builds(
+        lambda r, c, n: (Y - r * X) ** 2 + c * X**n, _small, _small.filter(bool), st.integers(3, 9)
+    ),
+).filter(is_square_free)
+
+
+class TestLedgerReadout:
+    @given(_reduced_germs)
+    def test_readout_and_lowest_terms(self, f):
+        try:
+            tree = resolve_over_origin(f)
+        except (IrrationalCenter, ResolutionCap):
+            assume(False)
+        divisors = tree.divisors()
+        assert lct_from_tree(tree) == min(
+            [Fraction(1)] + [Fraction(d.a + 1, d.m) for d in divisors]
+        )
+        payload = json.loads(export_tree(tree, "json"))
+        assert [d["candidate"] for d in payload["divisors"]] == [
+            str(Fraction(d.a + 1, d.m)) for d in divisors
+        ]
+        # the charts skip the gcd pass: every local equation is still canonical
+        for node in tree.nodes:
+            g = node.center.local_equation
+            assert g._den > 0 and math.gcd(g._den, *g._terms.values()) == 1
 
 
 class TestLogPullback:
