@@ -1,13 +1,16 @@
 """Self-verification suite: cross-checks every computation path against
 the others on seeded random instances and the shipped golden data.
 
-``run_selftest`` executes eight criteria (``lct``'s closed form vs the
-resolution oracle, lambda-set realization, table reproduction, normal
-form invariants, classifier round trips, bound properties, intersection
-multiplicity identities, and the resolution ledger shape) and reports a
-pass/fail line with instance counts for each.  Deterministic for a given
-seed.  The first failing instance aborts the run via ``SelfTestFailure``
-with the instance rendered verbatim.
+Each of the paper's eight acceptance criteria (``lct``'s closed form vs
+the resolution oracle, lambda-set realization, table reproduction,
+normal form invariants, classifier round trips, bound properties,
+intersection multiplicity identities, and the resolution ledger shape)
+is one ``check_*`` function that takes its counts, and an ``rng`` where
+it draws instances, and returns a ``CheckResult`` with its instance
+count.  ``run_selftest`` runs the eight with the counts of its scope;
+the acceptance tests run them with their own counts.  Deterministic for a
+given seed.  The first failing instance aborts the run via
+``SelfTestFailure`` with the instance rendered verbatim.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .classify import (
 )
 from .corpus import random_high_mult_instance, random_rational
 from .dispatch import lct
-from .errors import SelfTestFailure
+from .errors import NotSquareFree, SelfTestFailure
 from .highmult import analyze_high_mult, construct_witness, lambda_set
 from .localinv import (
     intersection_multiplicity_origin,
@@ -36,23 +39,35 @@ from .parse import parse_poly
 from .poly import BPoly
 from .resolution import lct_from_tree, log_pullback_coefficients, resolve_over_origin
 
-__all__ = ["CheckResult", "SelfTestReport", "run_selftest"]
+__all__ = [
+    "CheckResult",
+    "SelfTestReport",
+    "check_bounds",
+    "check_fulton",
+    "check_lambda_realization",
+    "check_ledger",
+    "check_normal_forms",
+    "check_round_trip",
+    "check_table1",
+    "check_theorem_vs_oracle",
+    "run_selftest",
+]
 
 # Table 1: all lct values occurring on reduced curves of each degree.
 _TABLE1 = {
-    1: ["1"],
-    2: ["1"],
-    3: ["2/3", "3/4", "5/6", "1"],
-    4: [
+    1: ("1",),
+    2: ("1",),
+    3: ("2/3", "3/4", "5/6", "1"),
+    4: (
         "1/2", "5/9", "7/12", "3/5", "5/8", "9/14", "2/3",
         "7/10", "3/4", "5/6", "1",
-    ],
-    5: [
+    ),
+    5: (
         "2/5", "7/16", "9/20", "5/11", "7/15", "1/2", "8/15",
         "6/11", "11/20", "5/9", "9/16", "4/7", "15/26", "7/12",
         "13/22", "3/5", "11/18", "5/8", "9/14", "2/3", "7/10",
         "3/4", "5/6", "1",
-    ],
+    ),
 }
 
 
@@ -95,21 +110,23 @@ def _fail(name, instance, expected, got):
     )
 
 
-def _check_table1():
-    n = 0
+def check_table1():
+    """Criterion 1: ``table1_values(d)`` is Table 1 for d = 1..5, with 24
+    values at d = 5."""
     for d, expected in _TABLE1.items():
         want = tuple(Fraction(v) for v in expected)
         got = table1_values(d)
         if got != want:
             _fail("table1", f"d={d}", list(map(str, want)), list(map(str, got)))
-        n += 1
     if len(table1_values(5)) != 24:
         _fail("table1", "d=5 count", 24, len(table1_values(5)))
-    return CheckResult("table1-reproduction", True, n + 1)
+    return CheckResult("table1-reproduction", True, len(_TABLE1) + 1)
 
 
-def _check_theorem_vs_oracle(rng, per_degree):
-    n = 0
+def check_theorem_vs_oracle(rng, per_degree):
+    """Criterion 2: on ``per_degree`` random multiplicity-(d-1) curves of
+    each degree 3..6 the dispatcher takes the closed form, whose lct equals
+    the resolution oracle's and lies in ``lambda_set(d)``."""
     for d in (3, 4, 5, 6):
         for _ in range(per_degree):
             f = random_high_mult_instance(d, rng)
@@ -121,27 +138,44 @@ def _check_theorem_vs_oracle(rng, per_degree):
                 _fail("theorem-vs-oracle", f.render(), fast, oracle)
             if fast not in lambda_set(d):
                 _fail("lambda-membership", f.render(), f"in {lambda_set(d)}", fast)
-            n += 1
-    return CheckResult("theorem-vs-oracle", True, n)
+    return CheckResult("theorem-vs-oracle", True, 4 * per_degree)
 
 
-def _check_lambda_realization(max_degree):
+def check_lambda_realization(rng, max_degree, per_degree):
+    """Criterion 3: each target of ``lambda_set(d)``, d = 3..max_degree, is
+    the lct of its witness, a degree-d curve of multiplicity d-1; and the
+    lct of ``per_degree`` random such curves of each degree 3..5 lies in
+    ``lambda_set(d)``."""
     n = 0
     for d in range(3, max_degree + 1):
         for target in lambda_set(d):
             f = construct_witness(d, target)
+            if (f.degree, f.multiplicity()) != (d, d - 1):
+                _fail(
+                    "lambda-witness",
+                    f.render(),
+                    f"degree {d}, multiplicity {d - 1}",
+                    f"degree {f.degree}, multiplicity {f.multiplicity()}",
+                )
             got = analyze_high_mult(f).lct
             if got != target:
                 _fail("lambda-realization", f.render(), target, got)
             n += 1
-    return CheckResult("lambda-realization", True, n)
+    for d in (3, 4, 5):
+        for _ in range(per_degree):
+            f = random_high_mult_instance(d, rng)
+            got = analyze_high_mult(f).lct
+            if got not in lambda_set(d):
+                _fail("lambda-membership", f.render(), f"in {lambda_set(d)}", got)
+    return CheckResult("lambda-realization", True, n + 3 * per_degree)
 
 
-def _check_normal_forms(samples_per_symbol):
-    n = 0
+def check_normal_forms(per_symbol):
+    """Criterion 4: (multiplicity, Milnor number) of ``per_symbol`` samples
+    of each normal form match its table row."""
     for symbol in all_symbols():
         info = class_info(symbol)
-        for seed in range(samples_per_symbol):
+        for seed in range(per_symbol):
             f = sample_normal_form(symbol, seed)
             mult = f.multiplicity()
             mu = milnor_number_origin(f)
@@ -152,41 +186,62 @@ def _check_normal_forms(samples_per_symbol):
                     (info.mult, info.mu),
                     (mult, mu),
                 )
-            n += 1
-    return CheckResult("normal-form-invariants", True, n)
+    return CheckResult("normal-form-invariants", True, len(all_symbols()) * per_symbol)
 
 
-def _check_round_trip(samples_per_symbol):
-    n = 0
+def check_round_trip(per_symbol):
+    """Criterion 5: the classifier names the symbol of ``per_symbol``
+    samples of each normal form, and two degenerate family boundaries
+    stay out of the table."""
     for symbol in all_symbols():
-        for seed in range(samples_per_symbol):
+        for seed in range(per_symbol):
             f = sample_normal_form(symbol, seed)
             got = classify_singularity(f).symbol
             if got != symbol:
                 _fail("classifier-round-trip", f.render(), symbol, got)
-            n += 1
-    return CheckResult("classifier-round-trip", True, n)
+    # the T(2,4,4) boundary a^2 = 4 degenerates to a square
+    square = parse_poly("x^4 + 2*x^2*y^2 + y^4")
+    try:
+        got = classify_singularity(square).symbol
+    except NotSquareFree:
+        pass
+    else:
+        _fail("classifier-boundary", square.render(), "NotSquareFree", got)
+    # the T(2,3,6) boundary 4a^3 + 27 = 0 has no root p/q, |p| <= 40, q <= 10
+    roots = [
+        a
+        for a in (Fraction(p, q) for p in range(-40, 41) for q in range(1, 11))
+        if 4 * a**3 + 27 == 0
+    ]
+    if roots:
+        _fail("classifier-boundary", "4a^3 + 27 = 0", "no root p/q", roots)
+    return CheckResult("classifier-round-trip", True, len(all_symbols()) * per_symbol + 2)
 
 
-def _check_bounds(rng, n_instances, weights_per_instance):
-    n = 0
-    for _ in range(n_instances):
-        d = rng.choice([3, 4, 5])
-        f = random_high_mult_instance(d, rng)
-        lct = analyze_high_mult(f).lct
+def check_bounds(rng, per_degree, weights_per_instance):
+    """Criterion 6: 1/mult <= lct <= 2/mult and lct <= the weighted bound
+    for ``weights_per_instance`` random weights in 1..9, on ``per_degree``
+    random multiplicity-(d-1) curves of each degree 3..5, whose lct is also
+    at most 2/(d-1), and on one sample of each normal form."""
+    corpus = []
+    for d in (3, 4, 5):
+        for _ in range(per_degree):
+            f = random_high_mult_instance(d, rng)
+            corpus.append((f, analyze_high_mult(f).lct, True))
+    for symbol in all_symbols():
+        corpus.append((sample_normal_form(symbol, 0), class_info(symbol).lct, False))
+    for f, value, high_mult in corpus:
         mult = f.multiplicity()
-        if not Fraction(1, mult) <= lct <= Fraction(2, mult):
-            _fail("mult-bounds", f.render(), f"in [1/{mult}, 2/{mult}]", lct)
-        if lct > Fraction(2, d - 1):
-            _fail("mult-bounds", f.render(), f"<= 2/{d - 1}", lct)
+        if not Fraction(1, mult) <= value <= Fraction(2, mult):
+            _fail("mult-bounds", f.render(), f"in [1/{mult}, 2/{mult}]", value)
+        if high_mult and value > Fraction(2, f.degree - 1):
+            _fail("mult-bounds", f.render(), f"<= 2/{f.degree - 1}", value)
         for _ in range(weights_per_instance):
-            w = (rng.randint(1, 6), rng.randint(1, 6))
+            w = (rng.randint(1, 9), rng.randint(1, 9))
             bound = weighted_lct_upper_bound(f, w).bound
-            if lct > bound:
-                _fail("weighted-bound", f"{f.render()} w={w}", f"<= {bound}", lct)
-            n += 1
-        n += 1
-    return CheckResult("bound-properties", True, n)
+            if value > bound:
+                _fail("weighted-bound", f"{f.render()} w={w}", f"<= {bound}", value)
+    return CheckResult("bound-properties", True, len(corpus) * (weights_per_instance + 1))
 
 
 def _random_through_origin(rng):
@@ -203,8 +258,13 @@ def _random_through_origin(rng):
             return f
 
 
-def _check_fulton(rng, n_pairs):
-    n = 0
+_SMOOTH = ("x + y^2", "y + x^2", "x - y^3", "x + y")
+
+
+def check_fulton(rng, n_pairs):
+    """Criterion 7: the intersection multiplicity is symmetric and additive
+    on ``n_pairs`` random curve triples; mu = 0 at smooth points and
+    mu(A_k) = k."""
     for _ in range(n_pairs):
         f = _random_through_origin(rng)
         g = _random_through_origin(rng)
@@ -222,23 +282,23 @@ def _check_fulton(rng, n_pairs):
                 parts,
                 gh,
             )
-        n += 1
-    # mu = 0 exactly at smooth points; mu(A_k) = k
     for k in range(1, 13):
         f = parse_poly(f"x^2 + y^{k + 1}")
         mu = milnor_number_origin(f)
         if mu != k:
             _fail("milnor-Ak", f.render(), k, mu)
-        n += 1
-    smooth = parse_poly("x + y^2")
-    if milnor_number_origin(smooth) != 0:
-        _fail("milnor-smooth", smooth.render(), 0, milnor_number_origin(smooth))
-    n += 1
-    return CheckResult("fulton-properties", True, n)
+    for text in _SMOOTH:
+        mu = milnor_number_origin(parse_poly(text))
+        if mu != 0:
+            _fail("milnor-smooth", text, 0, mu)
+    return CheckResult("fulton-properties", True, n_pairs + 12 + len(_SMOOTH))
 
 
-def _check_ledger(max_degree):
-    n = 0
+def check_ledger(max_degree):
+    """Criterion 8: the cusp's ledger is (2,1), (3,2), (6,4) with lct 5/6;
+    along the component-case chains of degree 3..max_degree, k_q = k and
+    the j-th tower divisor has log-pullback coefficient lam*(j*d+1) - 2*j."""
+    n = 1
     cusp = parse_poly("x^2 + y^3")
     tree = resolve_over_origin(cusp)
     got = sorted((d.m, d.a) for d in tree.divisors())
@@ -246,31 +306,29 @@ def _check_ledger(max_degree):
         _fail("cusp-ledger", cusp.render(), [(2, 1), (3, 2), (6, 4)], got)
     if lct_from_tree(tree) != Fraction(5, 6):
         _fail("cusp-ledger", cusp.render(), "5/6", lct_from_tree(tree))
-    n += 1
-    # component-case chains: the j-th tower divisor has (m, a) =
-    # (j*d + 1, 2*j), so its log-pullback coefficient is lam*(j*d+1) - 2*j
+    # component-case chains: the j-th tower divisor has (m, a) = (j*d + 1, 2*j)
     for d in range(3, max_degree + 1):
         for k in range((d - 1) // 2, d - 1):
-            target = Fraction(2 * k + 1, k * d + 1)
-            f = construct_witness(d, target)
+            lam = Fraction(2 * k + 1, k * d + 1)
+            f = construct_witness(d, lam)
             analysis = analyze_high_mult(f)
-            if not analysis.line_is_component:
-                _fail("component-ledger", f.render(), "line is component", analysis)
+            got = (analysis.line_is_component, analysis.k_q, analysis.lct)
+            if got != (True, k, lam):
+                _fail(
+                    "component-ledger",
+                    f.render(),
+                    f"line is component, k_q = {k}, lct = {lam}",
+                    f"line is component: {got[0]}, k_q = {got[1]}, lct = {got[2]}",
+                )
             tree = resolve_over_origin(f)
-            lam = analysis.lct
             coeffs = log_pullback_coefficients(tree, lam)
             chain = sorted(
                 (div.m, div.a, div.id)
                 for div in tree.divisors()
                 if div.m % d == 1 and div.m > 1
             )
-            if len(chain) != analysis.k_q:
-                _fail(
-                    "component-ledger",
-                    f.render(),
-                    f"{analysis.k_q} tower divisors",
-                    len(chain),
-                )
+            if len(chain) != k:
+                _fail("component-ledger", f.render(), f"{k} tower divisors", len(chain))
             for j, (m, a, div_id) in enumerate(chain, start=1):
                 if (m, a) != (j * d + 1, 2 * j):
                     _fail(
@@ -297,19 +355,19 @@ def run_selftest(scope="fast", seed=1):
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
     rng = random.Random(f"selftest#{seed}")
     if scope == "fast":
-        per_degree, lam_max, per_symbol = 12, 5, 2
-        bound_instances, fulton_pairs, ledger_max = 30, 60, 5
+        per_degree, lam_max, lam_random, per_symbol = 12, 5, 4, 2
+        bound_per_degree, fulton_pairs, ledger_max = 10, 60, 5
     else:
-        per_degree, lam_max, per_symbol = 40, 7, 6
-        bound_instances, fulton_pairs, ledger_max = 100, 200, 7
+        per_degree, lam_max, lam_random, per_symbol = 40, 7, 10, 6
+        bound_per_degree, fulton_pairs, ledger_max = 34, 200, 7
     results = (
-        _check_table1(),
-        _check_theorem_vs_oracle(rng, per_degree),
-        _check_lambda_realization(lam_max),
-        _check_normal_forms(per_symbol),
-        _check_round_trip(per_symbol),
-        _check_bounds(rng, bound_instances, 20),
-        _check_fulton(rng, fulton_pairs),
-        _check_ledger(ledger_max),
+        check_table1(),
+        check_theorem_vs_oracle(rng, per_degree),
+        check_lambda_realization(rng, lam_max, lam_random),
+        check_normal_forms(per_symbol),
+        check_round_trip(per_symbol),
+        check_bounds(rng, bound_per_degree, 20),
+        check_fulton(rng, fulton_pairs),
+        check_ledger(ledger_max),
     )
     return SelfTestReport(scope=scope, seed=seed, results=results)

@@ -333,7 +333,17 @@ class TestSubcommands:
         assert code == 0
         assert payload["passed"] is True
         assert payload["total_checked"] >= 400
-        assert len(payload["criteria"]) == 8
+        assert [c["name"] for c in payload["criteria"]] == [
+            "table1-reproduction",
+            "theorem-vs-oracle",
+            "lambda-realization",
+            "normal-form-invariants",
+            "classifier-round-trip",
+            "bound-properties",
+            "fulton-properties",
+            "resolution-ledger",
+        ]
+        assert all(c["passed"] and c["checked"] > 0 for c in payload["criteria"])
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "lct", "x^2+y^3")

@@ -1,0 +1,60 @@
+"""A wrong Table 1 value fails both the self-test and the acceptance test,
+wherever it sits: in what ``table1_values`` returns, in a row of
+``data/tables.json``, or in the shipped copy of the table."""
+
+import pytest
+
+import test_acceptance
+from lctplane import classify, selftest
+from lctplane.cli import main
+from lctplane.errors import SelfTestFailure
+
+
+def _drop_from_table1_values(monkeypatch):
+    real = selftest.table1_values
+    monkeypatch.setattr(
+        selftest, "table1_values", lambda d: real(d)[1:] if d == 5 else real(d)
+    )
+
+
+def _wrong_lct_in_tables_json(monkeypatch):
+    # A6 occurs from degree 4 on, and no other row shares its lct 9/14
+    row = classify._CLASSES["A6"]
+    monkeypatch.setitem(classify._CLASSES, "A6", {**row, "lct": "9/13"})
+
+
+def _drop_from_shipped_table1(monkeypatch):
+    monkeypatch.setitem(selftest._TABLE1, 5, selftest._TABLE1[5][1:])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_from_table1_values, _wrong_lct_in_tables_json, _drop_from_shipped_table1],
+)
+def test_wrong_table1_value_fails_selftest_and_acceptance(monkeypatch, corrupt):
+    corrupt(monkeypatch)
+    with pytest.raises(SelfTestFailure, match="^table1: instance d=[45]"):
+        selftest.run_selftest("full")
+    with pytest.raises(SelfTestFailure, match="^table1"):
+        test_acceptance.test_criterion_1_table1_reproduction()
+
+
+def test_cli_selftest_exits_1_and_prints_the_instance(monkeypatch, capsys):
+    _drop_from_table1_values(monkeypatch)
+    assert main(["selftest", "fast"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: table1: instance d=5\n  expected: ['2/5', ")
+
+
+def test_acceptance_literal_catches_a_table_wrong_in_both_shipped_copies(monkeypatch):
+    """The same wrong value in the data and in the shipped table passes the
+    self-test, which compares the two; the acceptance test's own literal
+    still catches it."""
+    _wrong_lct_in_tables_json(monkeypatch)
+    for d in (4, 5):
+        wrong = tuple(str(v) for v in classify.table1_values(d))
+        monkeypatch.setitem(selftest._TABLE1, d, wrong)
+    assert selftest.check_table1().passed
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_1_table1_reproduction()
