@@ -1,14 +1,15 @@
 """Exact log canonical thresholds of reduced plane curves.
 
-Three independent routes to the lct of a curve germ, all in exact
-rational arithmetic:
+Three routes to the lct of a curve germ, all in exact rational
+arithmetic:
 
 * a closed-form fast path at points of multiplicity d-1 on degree-d
   curves (``analyze_high_mult``),
 * an embedded-resolution oracle via iterated point blowups
   (``resolve_over_origin`` / ``lct_from_tree``),
 * a complete classifier and table lookup for curves of degree at most 5
-  (``classify_singularity``).
+  (``classify_singularity``), which matches the oracle's blowup ledger
+  against each table row's.
 
 ``lct`` picks the first route that applies to the germ at the origin (the
 ``lctplane lct`` command calls it); ``lct_low_degree`` uses it at any

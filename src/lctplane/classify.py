@@ -1,15 +1,24 @@
 """Degree <= 5 singularity classification and lct lookup.
 
 The classification tables ship as a versioned JSON data file embedded in
-the package (``data/tables.json``).  A singular germ is classified by the
-triple (multiplicity, tangent-cone line pattern, Milnor number), which is
-injective on the table rows — this injectivity is asserted by the test
-suite on the static data, and any triple outside the table raises
-``NotClassifiable`` rather than guessing.
+the package (``data/tables.json``).  A singular germ is classified by its
+resolution ledger: the blowup tree over the origin, each divisor labelled
+by its (m, a) and by the divisors through its center.  That tree with its
+proximity data is the germ's Enriques diagram, which determines its
+topological type (Casas-Alvero, *Singularities of Plane Curves*, 2000), so
+a match proves the row at any degree.  Each row's ledger comes from one
+normal-form sample, built for a multiplicity's rows on its first
+classification; the test suite asserts that the rows' ledgers are
+distinct.  A ledger matching no row raises ``NotClassifiable`` rather than
+guessing.  A germ whose resolution needs an irrational center falls back
+to the triple (multiplicity, tangent-cone line pattern, Milnor number),
+which is injective on the table rows and proves a row on curves of degree
+at most 5.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -19,9 +28,11 @@ from typing import NamedTuple
 
 from .errors import (
     DegreeOutOfRange,
+    IrrationalCenter,
     NotClassifiable,
     NotSingular,
     NotSquareFree,
+    ResolutionCap,
     ZeroPolynomial,
 )
 from .localinv import (
@@ -31,6 +42,7 @@ from .localinv import (
     weighted_lct_upper_bound,
 )
 from .parse import parse_poly
+from .resolution import DEFAULT_CAP, _blowups
 
 __all__ = [
     "SingularityClass",
@@ -98,13 +110,17 @@ def allowed_types(d):
 def classify_singularity(f):
     """Classify the singular germ of f at the origin.
 
-    The lookup covers every germ occurring on a reduced curve of degree
-    at most 5 (any polynomial realizing such a germ is accepted, e.g. the
-    normal forms themselves, whose global degree can exceed 5); a triple
-    outside the table raises ``NotClassifiable``.  Past degree 5 the triple
-    no longer determines the type, so a row whose lct exceeds
-    ``weighted_lct_upper_bound`` at a compact Newton edge's weights is
-    refused too; that never refuses a correct row, nor proves a kept one.
+    The germ is resolved over the origin and its ledger's signature
+    (``_signature``) looked up among the rows of its multiplicity; the
+    lookup covers every germ occurring on a reduced curve of degree at most
+    5 (any polynomial realizing such a germ is accepted, e.g. the normal
+    forms themselves, at any degree).  A ledger larger than every row's, or
+    matching none, raises ``NotClassifiable``.  A germ whose resolution
+    needs an irrational center is classified by the triple (multiplicity,
+    tangent cone pattern, Milnor number) instead, which is injective only
+    on germs of curves of degree at most 5; past degree 5 a row whose lct
+    exceeds ``weighted_lct_upper_bound`` at a compact Newton edge's weights
+    is refused, which never refuses a correct row, nor proves a kept one.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot classify the zero polynomial")
@@ -113,6 +129,65 @@ def classify_singularity(f):
     mult = f.multiplicity()
     if f.coefficient(0, 0) != 0 or mult < 2:
         raise NotSingular("origin is not a singular point of the curve")
+    cap, by_signature = _ledger_rows(mult)
+    if not by_signature:
+        raise NotClassifiable(f"no table row has multiplicity {mult}")
+    try:
+        nodes = _blowups(f, cap)
+    except IrrationalCenter:
+        return _classify_by_triple(f, mult)
+    except ResolutionCap:
+        raise NotClassifiable(
+            f"the resolution ledger needs more than {cap} blowups, the most of "
+            f"any table row of multiplicity {mult}"
+        ) from None
+    symbol = by_signature.get(_signature(nodes))
+    if symbol is None:
+        ledger = ", ".join(f"({node.divisor.m},{node.divisor.a})" for node in nodes)
+        raise NotClassifiable(
+            f"no table row of multiplicity {mult} has the resolution ledger "
+            f"(m, a) = {ledger}"
+        )
+    return class_info(symbol)
+
+
+def _signature(nodes):
+    """The ledger as an unordered rooted tree, in canonical text: each node
+    is its divisor's ``m,a``, the depths of its incident divisors (all of
+    them its ancestors, the root at depth 0), and its children's texts in
+    sorted order, in parentheses."""
+    depth = {None: -1}
+    for node in nodes:
+        depth[node.divisor.id] = depth[node.parent] + 1
+    texts = {}  # parent id -> the texts of its children seen so far
+    for node in reversed(nodes):  # every child comes after its parent
+        div = node.divisor
+        incident = sorted(depth[k] for k in node.center.incident)
+        children = "".join(sorted(texts.pop(div.id, ())))
+        texts.setdefault(node.parent, []).append(f"{div.m},{div.a},{incident}({children})")
+    return texts[None][0]
+
+
+@functools.cache
+def _ledger_rows(mult):
+    """``(cap, {signature: symbol})`` for the table rows of multiplicity
+    ``mult``, from each row's seed-0 normal-form sample; ``cap`` is the size
+    of the largest of their ledgers."""
+    cap, by_signature = 0, {}
+    for symbol, row in _CLASSES.items():
+        if row["mult"] == mult:
+            nodes = _blowups(sample_normal_form(symbol, 0), DEFAULT_CAP)
+            signature = _signature(nodes)
+            assert signature not in by_signature, f"ambiguous ledger {signature}"
+            by_signature[signature] = symbol
+            cap = max(cap, len(nodes))
+    return cap, by_signature
+
+
+def _classify_by_triple(f, mult):
+    """The row of the triple (multiplicity, tangent cone pattern, Milnor
+    number), kept only if its lct passes the Newton-edge bounds of a germ
+    of degree above 5."""
     pattern = tangent_cone_pattern(f)
     mu = milnor_number_origin(f)  # finite: f is reduced, so the point is isolated
     symbol = _BY_TRIPLE.get((mult, pattern, mu))

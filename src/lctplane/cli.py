@@ -15,7 +15,8 @@ computation: an exponent above ``parse.MAX_EXPONENT`` (1000), as in
 ``--point`` shift charged more than ``parse.MAX_COEFF_BITS`` (65536)
 coefficient bits (``CoefficientTooLarge``), as ``(10^1000)^1000``; and a
 ``lambda-set`` or ``witness`` degree above 1000.  ``classify`` exits 3 on
-a germ of degree above 5 whose row's lct exceeds a Newton-edge bound.
+a germ whose resolution ledger matches no table row, as ``x^3+y^7``, or
+needs more blowups than every row of its multiplicity, as ``x^2+y^201``.
 """
 
 from __future__ import annotations

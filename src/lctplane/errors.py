@@ -102,9 +102,11 @@ class NotSingular(PreconditionError):
 
 
 class NotClassifiable(LctError):
-    """The (multiplicity, tangent-cone pattern, Milnor number) triple does
-    not match any classification table row, or the matching row's lct
-    exceeds a Newton-edge bound of the germ.  Never silently guessed."""
+    """No classification table row has the germ's resolution ledger; or,
+    for a germ with an irrational blowup center, none has its
+    (multiplicity, tangent-cone pattern, Milnor number) triple, or the
+    matching row's lct exceeds a Newton-edge bound.  Never silently
+    guessed."""
     exit_code = 3
 
 

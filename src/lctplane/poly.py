@@ -431,34 +431,43 @@ class BPoly:
     # -- exact division --------------------------------------------------
 
     def divide_exact(self, g):
-        """Quotient ``q`` with ``q * g == self``; ``NotDivisible`` otherwise.
-
-        Divides the integer numerators by the primitive part of ``g``'s: by
-        Gauss's lemma the quotient is then integral whenever ``g`` divides
-        ``self`` over the rationals, so every leading coefficient divides
-        exactly, and a step that does not proves ``g`` is no divisor.
-        """
+        """Quotient ``q`` with ``q * g == self``; ``NotDivisible`` otherwise."""
         if not isinstance(g, BPoly):
             g = BPoly.constant(g)
-        if g.is_zero:
-            raise DivisorZero("division by the zero polynomial")
-        if not self._terms:
-            return ZERO
-        content = math.gcd(*g._terms.values())
-        g_terms = {exp: c // content for exp, c in g._terms.items()}
-        g_exp = max(g_terms, key=_grlex_key)
-        g_lead = g_terms[g_exp]
-        rem = self._terms
-        quot = {}
-        while rem:
-            r_exp = max(rem, key=_grlex_key)
-            di, dj = r_exp[0] - g_exp[0], r_exp[1] - g_exp[1]
-            c, r = divmod(rem[r_exp], g_lead)
-            if di < 0 or dj < 0 or r:
-                raise NotDivisible(f"{g} does not divide {self}")
-            quot[(di, dj)] = c * g._den
-            rem = add_terms(rem, mul_terms({(di, dj): -c}, g_terms))
-        return _canonical(quot, self._den * content)
+        q = _quotient(self, g)
+        if q is None:
+            raise NotDivisible(f"{g} does not divide {self}")
+        return q
+
+
+def _quotient(f, g):
+    """``f / g`` for ``BPoly`` operands, or None when ``g`` does not divide
+    ``f``.
+
+    Divides the integer numerators by the primitive part of ``g``'s: by
+    Gauss's lemma the quotient is then integral whenever ``g`` divides
+    ``f`` over the rationals, so every leading coefficient divides
+    exactly, and a step that does not proves ``g`` is no divisor.
+    """
+    if g.is_zero:
+        raise DivisorZero("division by the zero polynomial")
+    if not f._terms:
+        return ZERO
+    content = math.gcd(*g._terms.values())
+    g_terms = {exp: c // content for exp, c in g._terms.items()}
+    g_exp = max(g_terms, key=_grlex_key)
+    g_lead = g_terms[g_exp]
+    rem = f._terms
+    quot = {}
+    while rem:
+        r_exp = max(rem, key=_grlex_key)
+        di, dj = r_exp[0] - g_exp[0], r_exp[1] - g_exp[1]
+        c, r = divmod(rem[r_exp], g_lead)
+        if di < 0 or dj < 0 or r:
+            return None
+        quot[(di, dj)] = c * g._den
+        rem = add_terms(rem, mul_terms({(di, dj): -c}, g_terms))
+    return _canonical(quot, f._den * content)
 
 
 def _canonical(terms, den):
@@ -508,12 +517,8 @@ def normalize_primitive(f):
 
 
 def divides(g, f):
-    """True iff ``g`` divides ``f`` exactly (``g`` nonzero)."""
-    try:
-        f.divide_exact(g)
-        return True
-    except NotDivisible:
-        return False
+    """True iff the ``BPoly`` ``g`` divides ``f`` exactly (``g`` nonzero)."""
+    return _quotient(f, g) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -160,10 +160,15 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
         raise NotThroughOrigin("curve does not pass through the origin")
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
+    return ResolutionTree(f, _blowups(f, cap), True)
 
+
+def _blowups(f, cap):
+    """The ledger's nodes for the reduced f through the origin: the blowup
+    loop of ``resolve_over_origin``, which checks its preconditions."""
     nodes = []
     if f.multiplicity() <= 1:
-        return ResolutionTree(f, nodes, True)  # smooth germ, nothing to do
+        return nodes  # smooth germ, nothing to do
 
     # each pending center is (curve, on_x, on_y, parent, chart, location):
     # the local strict transform with the center at the origin, the old
@@ -205,7 +210,7 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
             )
         stack.extend(reversed(pending))  # visit t ascending, infinity last
 
-    return ResolutionTree(f, nodes, True)
+    return nodes
 
 
 def lct_from_tree(tree):

@@ -9,6 +9,7 @@ import pytest
 
 from lctplane import lct_low_degree
 from lctplane.classify import (
+    _signature,
     all_symbols,
     allowed_types,
     class_info,
@@ -25,6 +26,7 @@ from lctplane.errors import (
 from lctplane.extended import INF
 from lctplane.localinv import milnor_number_origin
 from lctplane.parse import parse_poly as P
+from lctplane.resolution import resolve_over_origin
 
 TABLES_SHA256 = "e94a12e9fd237a46c0cbc1f4b2f5c4aaebe4c890239b9a10c8cbf3e0b26f4d53"
 
@@ -106,7 +108,7 @@ class TestClassify:
     @pytest.mark.parametrize("text", ["x^3 + y^7", "x^3 + x*y^5", "y^3 + x^2*y^3 + x^8"])
     def test_newton_bound_refuses_row(self, text):
         # each germ has the triple of a T(2,3,k) row, whose lct is 1/2, but
-        # its lct is 10/21, 7/15 or 11/24: the bound at its one Newton edge
+        # its lct is 10/21, 7/15 or 11/24, and its resolution ledger is no row's
         with pytest.raises(NotClassifiable):
             classify_singularity(P(text))
 
@@ -116,6 +118,34 @@ class TestClassify:
         if milnor_number_origin(f) is not INF:
             with pytest.raises(NotClassifiable):
                 classify_singularity(f)
+
+
+class TestLedgerClassifier:
+    def test_rows_have_distinct_signatures(self):
+        signatures = {}
+        for symbol in all_symbols():
+            for seed in range(10):
+                nodes = resolve_over_origin(sample_normal_form(symbol, seed)).nodes
+                signatures.setdefault(symbol, set()).add(_signature(nodes))
+        assert all(len(sigs) == 1 for sigs in signatures.values())
+        assert len(set.union(*signatures.values())) == 40
+
+    def test_signature_ignores_order_of_children(self):
+        # a cusp and a tacnode-like branch on E1 at t = 0 and t = 1, then
+        # swapped: the ledgers list the two subtrees in opposite orders
+        f = resolve_over_origin(P("(y^2 - x^3)*((y - x)^2 - x^4)")).nodes
+        g = resolve_over_origin(P("((y - x)^2 - x^3)*(y^2 - x^4)")).nodes
+        assert [n.divisor.m for n in f] == [4, 5, 10, 6]
+        assert [n.divisor.m for n in g] == [4, 6, 5, 10]
+        assert _signature(f) == _signature(g)
+
+    @pytest.mark.parametrize("text", ["x^2 + y^5 + y^7", "x^2 + y^5 + x^3*y^4"])
+    def test_degree_above_5_matches_a4(self, text):
+        assert classify_singularity(P(text)).symbol == "A4"
+
+    def test_irrational_center_falls_back_to_triple(self):
+        cls = classify_singularity(P("(x^2 - 2*y^2)^2 + y^5"))
+        assert (cls.symbol, cls.mu) == ("T(2,5,5)", 11)
 
 
 class TestLctLowDegree:

@@ -157,7 +157,13 @@ class TestExitCodes:
     def test_classify_refusal(self, capsys):
         # T(2,3,8)'s triple, but the degree-7 germ's lct is 10/21, not 1/2
         code, _, err = run(capsys, "classify", "x^3+y^7")
-        assert code == 3 and "Newton edge" in err
+        assert code == 3 and "resolution ledger" in err
+
+    def test_classify_chain_refused_within_cap(self, capsys):
+        # the blowup cap of lct would exit 5; the classifier stops at the
+        # largest multiplicity-2 row ledger
+        code, _, err = run(capsys, "classify", "x^2+y^201")
+        assert code == 3 and "more than 8 blowups" in err
 
     def test_point_coefficient_limit(self, capsys, monkeypatch):
         def shift(self, point):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from lctplane.errors import ZeroPolynomial
-from lctplane.factorize import factor_univariate, squarefree_binary_form
+from lctplane.factorize import factor_univariate, squarefree_binary_form, squarefree_parts
 from lctplane.localinv import tangent_cone_pattern
 from lctplane.parse import parse_poly
 from lctplane.poly import BPoly, X, Y, gcd_bivariate, gcd_many, normalize_primitive
@@ -84,6 +86,41 @@ class TestSquarefreeBinaryForm:
             entries.extend([exp] * factor.total_degree())
         assert tangent_cone_pattern(f) == tuple(sorted(entries, reverse=True))
         assert tangent_cone_pattern(f + X ** (f.degree + 1)) == tangent_cone_pattern(f)
+
+
+def _times(a, b):
+    """The product of integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Integer coefficient lists with a nonzero constant and a nonzero last entry.
+_unit_at_zero = st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(
+    lambda c: c[0] and c[-1]
+)
+
+
+class TestSquarefreeParts:
+    @given(
+        st.integers(0, 4),
+        st.integers(-3, 3).filter(bool),
+        st.lists(st.tuples(_unit_at_zero, st.integers(1, 4)), max_size=3),
+    )
+    @example(3, 5, [])  # t^v alone
+    @example(2, -1, [([1, 1], 2), ([2, 0, 1], 1)])  # g has a part of exponent v
+    @example(1, 1, [([1, 1], 2)])  # t enters before g's parts
+    def test_matches_sympy(self, v, unit, factors):
+        # f = t^v * g with g(0) != 0
+        g = [unit]
+        for c, e in factors:
+            for _ in range(e):
+                g = _times(g, c)
+        f = [0] * v + g
+        _, want = dup_sqf_list([ZZ(c) for c in reversed(f)], ZZ)
+        assert squarefree_parts(f) == [([int(c) for c in reversed(p)], e) for p, e in want]
 
 
 class TestFactorUnivariate:

@@ -339,6 +339,19 @@ class TestDivision:
         # the first step's leading coefficient 1 is not a multiple of 2
         assert not divides(P("2*x + 1"), P("x + 1"))
 
+    def test_divides_renders_no_message(self, monkeypatch):
+        f, g = P("x^3 + x*y^3"), P("x + 1")
+
+        def render(self):
+            raise AssertionError("divides rendered a polynomial")
+
+        monkeypatch.setattr(BPoly, "render", render)
+        assert not divides(g, f) and not divides(Y, f)
+        monkeypatch.undo()
+        with pytest.raises(NotDivisible) as info:
+            f.divide_exact(g)
+        assert str(info.value) == f"{g} does not divide {f}"
+
     @given(
         st.one_of(sparse_polys, wide_polys),
         st.one_of(small_polys, wide_polys, factors).filter(bool),
