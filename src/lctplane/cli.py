@@ -8,8 +8,9 @@ rendered ``p/q`` in lowest terms and infinity as ``inf``.
 
 Exit codes, each error class's ``exit_code``: 0 success, 2 parse error,
 3 precondition violation or unclassifiable germ, 4 irrational blowup
-center, 5 blowup cap exceeded, 1 anything else.  These exit 3 before any
-computation: an exponent above ``parse.MAX_EXPONENT`` (1000), as in
+center, 5 blowup cap exceeded, 1 anything else, and a ``selftest``
+whose report says FAIL.  These exit 3 before any computation: an
+exponent above ``parse.MAX_EXPONENT`` (1000), as in
 ``x^2+y^999999999``; a power or product that could expand to more than
 ``parse.MAX_TERMS`` (10000) terms, as ``(1+x+y)^1000``; a power or a
 ``--point`` shift charged more than ``parse.MAX_COEFF_BITS`` (65536)
@@ -68,8 +69,10 @@ def _at_point(polys, text):
         return polys
     point = _pair(text, "point must be 'X,Y'")
     for f in polys:
+        # the numerators and the denominator (at least 1) are the ints shifted
         if not f.is_zero and (
-            f.degree * coeff_bits(point) + coeff_bits((f._den, *f._terms.values()))
+            f.degree * coeff_bits(point)
+            + max(f._den, max(map(abs, f._terms.values()))).bit_length()
             > MAX_COEFF_BITS
         ):
             raise CoefficientTooLarge(
@@ -227,10 +230,12 @@ def _cmd_selftest(args):
         "total_checked": report.total_checked,
         "criteria": [
             {"name": r.name, "passed": r.passed, "checked": r.checked}
+            | ({} if r.passed else {"failure": r.failure})
             for r in report.results
         ],
     }
     _emit(args, payload, report.lines())
+    return 0 if report.passed else 1
 
 
 def _cap(text):
@@ -353,7 +358,7 @@ def main(argv=None):
     else:  # no subcommand, help or an unknown name
         args = parser.parse_args(argv)
     try:
-        args.func(args)
+        code = args.func(args)
     except LctError as exc:
         if getattr(args, "format", "text") == "json":
             print(
@@ -369,7 +374,7 @@ def main(argv=None):
         else:
             print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    return 0
+    return code or 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ it.  A yes/no question (coprime? squarefree?) is first put to
 a few points, which prove the answer "yes" for reduced input without
 sympy and leave every other case to the exact gcd.
 ``translate`` is an exact integer Taylor shift done one variable at a time
-(``shift_terms``, Horner's rule on dense columns); everything else is the
+(``shift_terms``: running sums on long dense columns, Horner's rule on
+shorter ones, the binomial theorem on sparse ones); everything else is the
 term-dict kernel below.
 
 Homogeneous parts and tangent cones are plain ``BPoly`` values, whose
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
 
 from .errors import BothZero, DivisorZero, NotDivisible, ZeroPolynomial
@@ -114,6 +116,11 @@ def scale_terms(a, c):
     return {key: coeff * c for key, coeff in a.items()}
 
 
+# Least degree of a dense column shifted by running sums rather than by
+# Horner's rule: below it the list building costs more than the C sums save.
+_PREFIX_SUM_DEGREE = 22
+
+
 def shift_terms(a, var, s):
     """Integer term dict with variable ``var`` (0 for x, 1 for y) replaced
     by ``var + s``, for a nonzero rational ``s = p/q``, as ``(terms, q^n)``:
@@ -128,9 +135,13 @@ def shift_terms(a, var, s):
     shifted by Horner's rule (repeated synthetic division,
     ``c[k] += p * c[k+1]``), ``m(m+1)/2`` products by the small ``p`` (von
     zur Gathen and Gerhard, "Fast algorithms for Taylor shifts and certain
-    difference equations", ISSAC 1997); a sparse one, where that would be
-    several times the ``e + 1`` products of expanding each ``(w + p)^e``
-    by the binomial theorem, is expanded term by term.
+    difference equations", ISSAC 1997).  From degree ``_PREFIX_SUM_DEGREE``
+    on, the column is scaled to ``d_e = c_e p^e``, so each synthetic
+    division is a running sum that ``itertools.accumulate`` takes in C,
+    and the k-th result is divided exactly by ``p^k``.  A sparse column,
+    where Horner's rule would be several times the ``e + 1`` products of
+    expanding each ``(w + p)^e`` by the binomial theorem, is expanded term
+    by term.
     """
     p, q = s.numerator, s.denominator
     columns = {}
@@ -145,7 +156,24 @@ def shift_terms(a, var, s):
     for other, column in columns.items():
         m = max(column)
         c = [0] * (m + 1)
-        if m * (m + 1) <= 5 * (sum(column) + len(column)):  # vs the sum of e + 1
+        if m * (m + 1) > 5 * (sum(column) + len(column)):  # vs the sum of e + 1
+            for e, num in column.items():
+                num *= qpow[n - e]
+                binom = 1
+                for k in range(e, -1, -1):
+                    c[k] += num * binom * ppow[e - k]
+                    binom = binom * k // (e - k + 1)
+        elif m >= _PREFIX_SUM_DEGREE:
+            # with d_e = c_e p^e each synthetic division is a running sum,
+            # taken from the top down: r[m - e] holds d_e
+            r = [0] * (m + 1)
+            for e, num in column.items():
+                r[m - e] = num * qpow[n - e] * ppow[e]
+            for k in range(m):
+                r = list(accumulate(r))
+                c[k] = r.pop() // ppow[k]
+            c[m] = r[0] // ppow[m]
+        else:
             for e, num in column.items():
                 c[e] = num * qpow[n - e]
             for i in range(m):
@@ -153,13 +181,6 @@ def shift_terms(a, var, s):
                 for k in range(m - 1, i - 1, -1):
                     acc = c[k] + p * acc
                     c[k] = acc
-        else:
-            for e, num in column.items():
-                num *= qpow[n - e]
-                binom = 1
-                for k in range(e, -1, -1):
-                    c[k] += num * binom * ppow[e - k]
-                    binom = binom * k // (e - k + 1)
         for k, v in enumerate(c):
             if v:
                 out[(k, other) if var == 0 else (other, k)] = v * qpow[k]

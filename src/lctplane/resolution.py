@@ -13,9 +13,13 @@ All blowup centers must be rational points; a required center that is a
 root of a nonlinear irreducible polynomial raises ``IrrationalCenter``
 (first-class, documented failure, never silent).  After each blowup the
 only points that can violate snc lie on the newest exceptional divisor
-E_new: the repeated roots of the curve restricted to E_new, read from its
-Yun parts, and the root t = 0 where a kept divisor meets E_new.  Only a
-repeated part of degree >= 2 is factored (``factor_univariate``).
+E_new: the repeated roots of the curve restricted to E_new, and the root
+t = 0 where a kept divisor meets E_new.  That restriction is the tangent
+cone, the terms of least degree mu, read as a polynomial in t.  A
+monomial cone ``c x^(mu-j) y^j`` decides from j alone: t = 0 is a center
+when j >= 2, or when j = 1 and a kept divisor runs along ``y = 0``.  Any
+other cone is read from its Yun parts, and only a repeated part of
+degree >= 2 is factored (``factor_univariate``).
 
 Every old divisor through a center is a coordinate axis of the center's
 chart, so a center carries at most two of them, one per axis.  Chart 1,
@@ -23,11 +27,11 @@ chart, so a center carries at most two of them, one per axis.  Chart 1,
 meeting E_new = {u = 0} at t = 0, and loses the one along ``x = 0``;
 chart 2, ``(u, v) -> (u v, v)``, keeps the divisor along ``x = 0``,
 meeting E_new = {v = 0} at t = infinity, and loses the one along
-``y = 0``.  Chart 1 is built at every blowup, since it holds every finite
-point of E_new and the restriction of the curve to E_new; chart 2 only
-when t = infinity is a center.  Centers are visited depth first, the
-points of each E_new in the order rational t ascending, then infinity,
-so the divisor numbering is the same in every process.
+``y = 0``.  Chart 1, which holds every finite point of E_new, is built
+only when E_new has a finite center; chart 2 only when t = infinity is a
+center.  Centers are visited depth first, the points of each E_new in
+the order rational t ascending, then infinity, so the divisor numbering
+is the same in every process.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .errors import (
 )
 from .factorize import factor_univariate, squarefree_parts
 from .localinv import is_square_free
-from .poly import BPoly, _reduced, restrict_coeffs
+from .poly import BPoly, _reduced
 
 __all__ = [
     "ExcDivisor",
@@ -191,19 +195,31 @@ def _blowups(f, cap):
         center = ChartPoint(chart, location, frozenset(incident), curve)
         nodes.append(BlowupNode(divisor, parent, center))
 
+        # the curve on E_new, in the coordinate t of chart 1, is its tangent
+        # cone: ph[j] is the coefficient of x^(mu - j) y^j, the last one nonzero
+        ph = [0] * (mu + 1)
+        for (i, j), c in curve._terms.items():
+            if i + j == mu:
+                ph[j] = c
+        while not ph[-1]:
+            ph.pop()
+        j = len(ph) - 1
+        if ph.count(0) == j:  # a monomial cone c t^j: t = 0 is the only root
+            centers = [_ZERO] if j >= 2 or (j == 1 and on_y is not None) else []
+        else:
+            centers = _centers_on(ph, on_y is not None)
         # chart 1: (u, v) -> (u, u v), E_new = {u = 0}, on which v is the
-        # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
-        # origin is the point t = infinity
-        strict1 = _strict(curve, mu, 1)
-        ph = restrict_coeffs(strict1._terms, 1, 0)  # the curve on E_new, in t
+        # coordinate t, built only for a finite center; chart 2:
+        # (u, v) -> (u v, v), E_new = {v = 0}, whose origin is t = infinity
+        strict1 = _strict(curve, mu, 1) if centers else None
         pending = [
             (
                 strict1.translate((0, t0)) if t0 else strict1, divisor, None if t0 else on_y,
                 k, (f"u{k}", f"v{k}"), (_ZERO, t0),
             )
-            for t0 in _centers_on(ph, on_y is not None)
+            for t0 in centers
         ]
-        inf_exp = mu + 1 - len(ph)  # curve multiplicity at t = infinity
+        inf_exp = mu - j  # curve multiplicity at t = infinity
         if inf_exp >= 2 or (inf_exp == 1 and on_x is not None):
             pending.append(
                 (_strict(curve, mu, 2), on_x, divisor, k, (f"s{k}", f"w{k}"), (_ZERO, _ZERO))

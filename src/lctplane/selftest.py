@@ -9,8 +9,10 @@ is one ``check_*`` function that takes its counts, and an ``rng`` where
 it draws instances, and returns a ``CheckResult`` with its instance
 count.  ``run_selftest`` runs the eight with the counts of its scope;
 the acceptance tests run them with their own counts.  Deterministic for a
-given seed.  The first failing instance aborts the run via
-``SelfTestFailure`` with the instance rendered verbatim.
+given seed.  A check raises ``SelfTestFailure`` on its first failing
+instance, with the instance rendered verbatim; ``run_selftest`` records
+that text in the criterion's ``CheckResult`` and runs the others, so its
+report says which criteria failed.
 """
 
 from __future__ import annotations
@@ -75,10 +77,12 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     checked: int
+    failure: str = ""  # a failed check's instance, expected value and value got
 
     def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: {self.checked} checks"
+        if not self.passed:
+            return f"[FAIL] {self.name}: {self.failure}"
+        return f"[PASS] {self.name}: {self.checked} checks"
 
 
 class SelfTestReport(NamedTuple):
@@ -348,8 +352,9 @@ def run_selftest(scope="fast", seed=1):
     """Run the cross-check suite; returns a SelfTestReport.
 
     ``scope`` is "fast" (a few seconds) or "full" (adds larger sample
-    sizes and lambda-set realization up to degree 7).  Raises
-    ``SelfTestFailure`` on the first failing instance.
+    sizes and lambda-set realization up to degree 7).  A criterion that
+    fails is reported with its first failing instance and no checks
+    counted, and the remaining criteria still run.
     """
     if scope not in ("fast", "full"):
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
@@ -360,14 +365,20 @@ def run_selftest(scope="fast", seed=1):
     else:
         per_degree, lam_max, lam_random, per_symbol = 40, 7, 10, 6
         bound_per_degree, fulton_pairs, ledger_max = 34, 200, 7
-    results = (
-        check_table1(),
-        check_theorem_vs_oracle(rng, per_degree),
-        check_lambda_realization(rng, lam_max, lam_random),
-        check_normal_forms(per_symbol),
-        check_round_trip(per_symbol),
-        check_bounds(rng, bound_per_degree, 20),
-        check_fulton(rng, fulton_pairs),
-        check_ledger(ledger_max),
+    criteria = (
+        ("table1-reproduction", check_table1),
+        ("theorem-vs-oracle", lambda: check_theorem_vs_oracle(rng, per_degree)),
+        ("lambda-realization", lambda: check_lambda_realization(rng, lam_max, lam_random)),
+        ("normal-form-invariants", lambda: check_normal_forms(per_symbol)),
+        ("classifier-round-trip", lambda: check_round_trip(per_symbol)),
+        ("bound-properties", lambda: check_bounds(rng, bound_per_degree, 20)),
+        ("fulton-properties", lambda: check_fulton(rng, fulton_pairs)),
+        ("resolution-ledger", lambda: check_ledger(ledger_max)),
     )
-    return SelfTestReport(scope=scope, seed=seed, results=results)
+    results = []
+    for name, check in criteria:
+        try:
+            results.append(check())
+        except SelfTestFailure as exc:
+            results.append(CheckResult(name, False, 0, str(exc)))
+    return SelfTestReport(scope=scope, seed=seed, results=tuple(results))

@@ -18,6 +18,7 @@ from lctplane.errors import (
     PreconditionError,
     ResolutionCap,
 )
+from lctplane.parse import MAX_COEFF_BITS
 from lctplane.poly import BPoly
 
 
@@ -174,6 +175,16 @@ class TestExitCodes:
         for argv in (["lct", "x^1000+y"], ["imult", "x^1000+y", "x"]):
             code, _, err = run(capsys, *argv, "--point", point)
             assert code == 3 and "coefficient limit" in err
+
+    def test_point_coefficient_limit_boundary(self, capsys):
+        # the charge is the degree times the point's bits plus f's bits
+        bits = (MAX_COEFF_BITS - 1) // 15
+        assert 15 * bits + 1 == MAX_COEFF_BITS
+        point = f"--point={2 ** (bits - 1)},0"  # 1315 digits
+        code, payload, _ = run_json(capsys, "lct", "x^15+y", point)
+        assert code == 0 and payload == {"lct": "inf", "method": "trivial"}
+        code, _, err = run_json(capsys, "lct", "x^15+2*y", point)  # one bit more
+        assert code == 3 and json.loads(err)["error"] == "CoefficientTooLarge"
 
     def test_exit_code_on_error_types(self):
         expected = {

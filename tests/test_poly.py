@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from lctplane.errors import BothZero, DivisorZero, NotDivisible, ZeroPolynomial
 from lctplane.extended import INF, NEG_INF
@@ -16,6 +16,7 @@ from lctplane.poly import (
     X,
     Y,
     ZERO,
+    _PREFIX_SUM_DEGREE,
     certify_coprime,
     certify_squarefree,
     coprime_univariate,
@@ -61,6 +62,25 @@ _shift_coords = st.one_of(
     st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=9)
 )
 shifts = st.tuples(_shift_coords, _shift_coords)
+# One or two dense columns of degree 16..130 in y (var 1) or in x (var 0),
+# so both the running-sum shift and Horner's rule below it are drawn.
+_column = st.integers(16, 130).flatmap(
+    lambda m: st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+        min_size=m + 1,
+        max_size=m + 1,
+    )
+)
+dense_polys = st.builds(
+    lambda cols, var: BPoly(
+        {(k, e) if var else (e, k): c for k, col in enumerate(cols) for e, c in enumerate(col)}
+    ),
+    st.lists(_column, min_size=1, max_size=2),
+    st.sampled_from((0, 1)),
+)
+_dense_shifts = st.sampled_from(
+    [Fraction(v) for v in ("1", "-1", "2", "-2", "1/2", "-1/2", "3/7", "-5/3")]
+)
 # Nonconstant factors, a third of them in one variable only.
 _one_var_polys = st.builds(
     lambda coeffs, var: BPoly(
@@ -310,6 +330,28 @@ class TestCoordinateChanges:
         shifted = f.translate(p)
         assert shifted._terms == _substituted(f, p)._terms
         assert shifted.translate((-p[0], -p[1])) == f
+
+    # no shrink phase: shrinking 130-entry columns against the substitution
+    # reference takes minutes, so a failure reports the example as drawn
+    @settings(max_examples=20, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(dense_polys, _dense_shifts, st.one_of(st.just(Fraction(0)), _dense_shifts))
+    def test_translate_dense_matches_substitution(self, f, p, other):
+        assert 16 < _PREFIX_SUM_DEGREE <= 130
+        for point in ((other, p), (p, other)):
+            shifted = f.translate(point)
+            expected = _substituted(f, point)
+            assert (shifted._terms, shifted._den) == (expected._terms, expected._den)
+
+    def test_translate_near_cap_chain_and_back(self):
+        # the long y-columns of the moved germ are shifted back by running sums
+        f = P("x^2 + y^112 + 3/2*x*y^111 - x*y^93")
+        moved = f.translate((1, -1))
+        expected = _substituted(f, (1, -1))
+        assert (moved._terms, moved._den) == (expected._terms, expected._den)
+        back = moved.translate((-1, 1))
+        expected = _substituted(moved, (-1, 1))
+        assert (back._terms, back._den) == (expected._terms, expected._den)
+        assert (back._terms, back._den) == (f._terms, f._den)
 
     def test_translate_ak_chain(self):
         f = P("x^2 + y^121 + 3*x*y^40")

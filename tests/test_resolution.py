@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import lctplane
 from lctplane.errors import (
@@ -289,6 +289,52 @@ class TestLedgerReadout:
         for node in tree.nodes:
             g = node.center.local_equation
             assert g._den > 0 and math.gcd(g._den, *g._terms.values()) == 1
+
+
+# Germs whose blowup steps draw every kind of tangent cone: monomial cones
+# c x^(mu-j) y^j with j = 0 (x^a + c y^b), with j = 1 both at a root node
+# (x*y + ...) and with a divisor kept along y = 0 (the chains), and with
+# j >= 2; cones with a root t != 0 ((y - r x)^a + c x^b); and long chains.
+_ledger_germs = st.one_of(
+    _reduced_germs,
+    st.builds(
+        lambda a, b, c: X**a + c * Y**b, st.integers(2, 4), st.integers(2, 40), _small.filter(bool)
+    ),
+    st.builds(
+        lambda a, b, r, c: (Y - r * X) ** a + c * X**b,
+        st.integers(2, 3), st.integers(3, 30), _small.filter(bool), _small.filter(bool),
+    ),
+).filter(is_square_free)
+
+
+def _through_chart(parent, node):
+    """The parent's local equation pushed through the node's chart and
+    divided by the exceptional power, the parent's multiplicity: chart 1 at
+    t is x -> x, y -> x (y + t); chart 2 is x -> x y, y -> y."""
+    g = parent.center.local_equation
+    mu = g.multiplicity()
+    if node.center.chart[0].startswith("u"):
+        t = node.center.location[1]
+        return g.substitute(X, X * (Y + t)).divide_exact(BPoly.monomial(mu, 0))
+    return g.substitute(X * Y, Y).divide_exact(BPoly.monomial(0, mu))
+
+
+class TestLedgerInvariant:
+    @given(_ledger_germs)
+    @example(P("x*y + y^3 + x^5"))  # j = 1 at the root: no center on E1
+    @example(P("x^2 + y^3"))  # j = 0, then j = 1 with E1 kept along y = 0
+    @example(P("y^2 + x^5"))  # j = 2
+    @example(P("(y - 2*x)^2 + x^9"))  # a chain centered at t = 2
+    @example(P(_TWO_BRANCHES))
+    def test_local_equations_follow_the_charts(self, f):
+        try:
+            tree = resolve_over_origin(f)  # every germ drawn resolves within the cap
+        except IrrationalCenter:
+            assume(False)
+        assert not tree.nodes or tree.nodes[0].center.local_equation == f
+        for node in tree.nodes[1:]:
+            parent = tree.nodes[node.parent - 1]
+            assert node.center.local_equation == _through_chart(parent, node)
 
 
 class TestLogPullback:

@@ -2,6 +2,9 @@
 wherever it sits: in what ``table1_values`` returns, in a row of
 ``data/tables.json``, or in the shipped copy of the table."""
 
+import json
+import re
+
 import pytest
 
 import test_acceptance
@@ -33,8 +36,13 @@ def _drop_from_shipped_table1(monkeypatch):
 )
 def test_wrong_table1_value_fails_selftest_and_acceptance(monkeypatch, corrupt):
     corrupt(monkeypatch)
-    with pytest.raises(SelfTestFailure, match="^table1: instance d=[45]"):
-        selftest.run_selftest("full")
+    report = selftest.run_selftest("full")
+    assert not report.passed and len(report.results) == 8  # every criterion ran
+    table1 = report.results[0]
+    assert (table1.name, table1.passed, table1.checked) == ("table1-reproduction", False, 0)
+    assert re.match(r"table1: instance d=[45]\n  expected: .*\n  got: ", table1.failure)
+    assert report.lines()[0] == f"[FAIL] table1-reproduction: {table1.failure}"
+    assert report.lines()[-1].startswith("selftest FAIL: ")
     with pytest.raises(SelfTestFailure, match="^table1"):
         test_acceptance.test_criterion_1_table1_reproduction()
 
@@ -43,8 +51,20 @@ def test_cli_selftest_exits_1_and_prints_the_instance(monkeypatch, capsys):
     _drop_from_table1_values(monkeypatch)
     assert main(["selftest", "fast"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: table1: instance d=5\n  expected: ['2/5', ")
+    assert captured.err == ""
+    assert captured.out.startswith(
+        "[FAIL] table1-reproduction: table1: instance d=5\n  expected: ['2/5', "
+    )
+    assert "\n[PASS] resolution-ledger: " in captured.out
+    assert "\nselftest FAIL: " in captured.out
+
+    assert main(["selftest", "fast", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    table1, *rest = payload["criteria"]
+    assert table1["passed"] is False and table1["checked"] == 0
+    assert table1["failure"].startswith("table1: instance d=5\n  expected: ['2/5', ")
+    assert all(c["passed"] and "failure" not in c for c in rest)
 
 
 def test_acceptance_literal_catches_a_table_wrong_in_both_shipped_copies(monkeypatch):
