@@ -1,29 +1,30 @@
 """Degree <= 5 singularity classification and lct lookup.
 
-The classification tables ship as a versioned JSON data file embedded in
-the package (``data/tables.json``).  A singular germ is classified by its
-resolution ledger: the blowup tree over the origin, each divisor labelled
-by its (m, a) and by the divisors through its center.  That tree with its
-proximity data is the germ's Enriques diagram, which determines its
-topological type (Casas-Alvero, *Singularities of Plane Curves*, 2000), so
-a match proves the row at any degree.  Each row's ledger comes from one
-normal-form sample, built for a multiplicity's rows on its first
-classification; the test suite asserts that the rows' ledgers are
-distinct.  A ledger matching no row raises ``NotClassifiable`` rather than
-guessing.  A germ whose resolution needs an irrational center falls back
-to the triple (multiplicity, tangent-cone line pattern, Milnor number),
-which is injective on the table rows and proves a row on curves of degree
-at most 5.
+The classification tables ship as a versioned JSON data file in the
+package (``data/tables.json``), read by path beside this module, so the
+package runs from a directory, not from a zip archive.  A singular germ
+is classified by its resolution ledger: the blowup tree over the origin,
+each divisor labelled by its (m, a) and by the divisors through its
+center.  That tree with its proximity data is the germ's Enriques
+diagram, which determines its topological type (Casas-Alvero,
+*Singularities of Plane Curves*, 2000), so a match proves the row at any
+degree.  Each row's ledger comes from one normal-form sample, built for a
+multiplicity's rows on its first classification; the test suite asserts
+that the rows' ledgers are distinct.  A ledger matching no row raises
+``NotClassifiable`` rather than guessing.  A germ whose resolution needs
+an irrational center falls back to the triple (multiplicity, tangent-cone
+line pattern, Milnor number), which is injective on the table rows and
+proves a row at every degree (``_classify_by_triple``).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import random
 import re
 from fractions import Fraction
-from importlib import resources
 from typing import NamedTuple
 
 from .errors import (
@@ -35,12 +36,8 @@ from .errors import (
     ResolutionCap,
     ZeroPolynomial,
 )
-from .localinv import (
-    is_square_free,
-    milnor_number_origin,
-    tangent_cone_pattern,
-    weighted_lct_upper_bound,
-)
+from .factorize import form_coeffs, squarefree_parts
+from .localinv import is_square_free, milnor_number_origin, tangent_cone_pattern
 from .parse import parse_poly
 from .resolution import DEFAULT_CAP, _blowups
 
@@ -59,10 +56,9 @@ TABLES_RESOURCE = "tables.json"
 
 
 def _load_tables():
-    text = (
-        resources.files("lctplane.data").joinpath(TABLES_RESOURCE).read_text()
-    )
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "data", TABLES_RESOURCE)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 _TABLES = _load_tables()
@@ -117,10 +113,8 @@ def classify_singularity(f):
     forms themselves, at any degree).  A ledger larger than every row's, or
     matching none, raises ``NotClassifiable``.  A germ whose resolution
     needs an irrational center is classified by the triple (multiplicity,
-    tangent cone pattern, Milnor number) instead, which is injective only
-    on germs of curves of degree at most 5; past degree 5 a row whose lct
-    exceeds ``weighted_lct_upper_bound`` at a compact Newton edge's weights
-    is refused, which never refuses a correct row, nor proves a kept one.
+    tangent cone pattern, Milnor number) instead, which proves its row at
+    every degree (``_classify_by_triple``).
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot classify the zero polynomial")
@@ -186,8 +180,24 @@ def _ledger_rows(mult):
 
 def _classify_by_triple(f, mult):
     """The row of the triple (multiplicity, tangent cone pattern, Milnor
-    number), kept only if its lct passes the Newton-edge bounds of a germ
-    of degree above 5."""
+    number), for a germ whose resolution needs an irrational center.
+
+    A matched row is proven at every degree, by the germ's Enriques diagram
+    (Casas-Alvero 2000) and Milnor's mu = 2 delta - r + 1, with delta the
+    sum of m_p (m_p - 1) / 2 over the infinitely near points p and r <= mult
+    the number of branches.  ``_blowups`` raises ``IrrationalCenter`` only
+    at a repeated irreducible factor of degree >= 2 of a cone, so at a
+    point of multiplicity >= 4.  A 4-fold point infinitely near a 4- or
+    5-fold origin makes mu >= 21, above every row of multiplicity 4 or 5
+    (at most 13 and 16), and a 5-fold origin whose own cone has a square
+    factor matches no row's pattern.  So a matched germ has multiplicity 4
+    and cone c q^2, q an irreducible quadratic, whose two conjugate points
+    p on E1 are alike: mu = 13 + 2 (2 delta_p - r_p) = 11 + 2 mu_p, so
+    only mu_p = 0 or 1 stays within the rows.  The strict transform meets
+    E1 twice at p, so mu = 11 is a smooth branch of contact 2 with E1
+    (``T(2,5,5)``) and mu = 13 a node transverse to E1 (``T(2,6,6)``), each
+    one Enriques diagram, that of its row; mu = 12 (``T(2,5,6)``) cannot
+    occur."""
     pattern = tangent_cone_pattern(f)
     mu = milnor_number_origin(f)  # finite: f is reduced, so the point is isolated
     symbol = _BY_TRIPLE.get((mult, pattern, mu))
@@ -196,30 +206,7 @@ def _classify_by_triple(f, mult):
             f"no table row matches mult={mult}, tangent cone pattern="
             f"{list(pattern)}, Milnor number={mu}"
         )
-    cls = class_info(symbol)
-    for w in _newton_edge_weights(f) if f.degree > 5 else ():
-        bound = weighted_lct_upper_bound(f, w).bound
-        if cls.lct > bound:
-            raise NotClassifiable(
-                f"row {symbol} has lct {cls.lct}, above the bound {bound} at Newton "
-                f"edge weights {list(w)}: degree {f.degree} is outside the table"
-            )
-    return cls
-
-
-def _newton_edge_weights(f):
-    """Normal weights ``(w1, w2)`` of the compact edges of f's Newton polygon."""
-    hull = []  # the polygon's vertices so far, x-exponent ascending
-    for i, j in sorted(f._terms):
-        if hull and j >= hull[-1][1]:
-            continue  # on or above a point already seen, so not a vertex
-        while len(hull) > 1:
-            (i0, j0), (i1, j1) = hull[-2:]
-            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
-                break  # hull[-1] lies below the segment hull[-2] -> (i, j)
-            hull.pop()
-        hull.append((i, j))
-    return [(j1 - j2, i2 - i1) for (i1, j1), (i2, j2) in zip(hull, hull[1:])]
+    return class_info(symbol)
 
 
 def table1_values(d):
@@ -244,8 +231,11 @@ def _restriction_holds(row, params, poly):
     if restriction["kind"] == "nonzero_poly":
         return not _substitute(restriction["poly"], params).is_zero
     if restriction["kind"] == "squarefree_top_degree":
-        top = poly.homogeneous_part(restriction["degree"])
-        return not top.is_zero and is_square_free(top)
+        # a form of degree k >= 1 is squarefree iff its lines are distinct:
+        # x = 0 (t = infinity) at most once, and its polynomial in t squarefree
+        k = restriction["degree"]
+        top = form_coeffs(poly._terms, k)
+        return len(top) >= k and all(e == 1 for _, e in squarefree_parts(top))
     raise AssertionError(f"unknown restriction kind {restriction['kind']!r}")
 
 

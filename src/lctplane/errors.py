@@ -104,9 +104,8 @@ class NotSingular(PreconditionError):
 class NotClassifiable(LctError):
     """No classification table row has the germ's resolution ledger; or,
     for a germ with an irrational blowup center, none has its
-    (multiplicity, tangent-cone pattern, Milnor number) triple, or the
-    matching row's lct exceeds a Newton-edge bound.  Never silently
-    guessed."""
+    (multiplicity, tangent-cone pattern, Milnor number) triple.  Never
+    silently guessed."""
     exit_code = 3
 
 

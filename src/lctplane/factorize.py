@@ -3,10 +3,10 @@ irreducible univariate factors where irreducibility matters.
 
 Everything here runs on integer polynomials: a factorization over Q is
 one over Z up to a rational unit, so a ``BPoly``'s integer numerators are
-factored as they are.  ``squarefree_parts`` is Yun's algorithm on a
-univariate integer coefficient list; ``squarefree_binary_form`` runs it on
-``F(t, 1)`` and adds the root at infinity (the factor y).  Every lct route
-reads its repeated tangent directions from these.  Irreducible factors
+factored as they are.  ``form_coeffs`` reads a homogeneous part of the
+numerators, such as a tangent cone, as a coefficient list in t = y/x, and
+``squarefree_parts`` is Yun's algorithm on such a list.  Every lct route
+reads its repeated tangent directions from these two.  Irreducible factors
 (``factor_univariate``, sympy's exact Zassenhaus-based ``dup_factor_list``,
 imported on first use) are needed only by the resolution, for a repeated
 part of degree >= 2 on an exceptional divisor.
@@ -15,15 +15,14 @@ part of degree >= 2 on an exceptional divisor.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .poly import BPoly, _canonical, _derivative, coprime_univariate, restrict_coeffs
+from .poly import _derivative, coprime_univariate
 
 __all__ = [
     "factor_univariate",
+    "form_coeffs",
     "squarefree_parts",
-    "squarefree_binary_form",
 ]
 
 
@@ -43,6 +42,23 @@ def factor_univariate(coeffs):
     # over ZZ, sympy returns primitive factors with positive leading coefficients
     content, factor_list = dup_factor_list([ZZ(c) for c in reversed(coeffs)], ZZ)
     return int(content), [([int(c) for c in reversed(fac)], exp) for fac, exp in factor_list]
+
+
+def form_coeffs(terms, k):
+    """The degree-``k`` part of the integer term dict ``terms`` as a
+    coefficient list in t = y/x: entry j is the coefficient of
+    x^(k-j) y^j, the last entry is nonzero, and a zero part is ``[]``.
+
+    The form's lines are its roots in t, a linear part ``[q0, q1]`` being
+    the line q0 x + q1 y, and the line x = 0 at t = infinity, of
+    multiplicity ``k + 1 - len``."""
+    coeffs = [0] * (k + 1)
+    for (i, j), c in terms.items():
+        if i + j == k:
+            coeffs[j] = c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def _primitive(a):
@@ -123,30 +139,3 @@ def _yun(f):
         b, c = _quo(b, a), _quo(d, a)
         i += 1
     return parts
-
-
-def squarefree_binary_form(form):
-    """Squarefree decomposition ``(unit, [(part, exponent), ...])`` of a
-    nonzero binary form, without sympy: Yun's algorithm over Q on
-    ``F(t, 1)``, plus the part ``y`` with exponent ``n - deg F(t, 1)`` for
-    the root at infinity.  ``unit * prod(part ** exponent)`` is the form.
-
-    The parts are pairwise coprime and squarefree; a part of degree g
-    with exponent e stands for g distinct lines of multiplicity e.  They
-    are primitive with integer coefficients and a positive graded-lex
-    leading coefficient (the top coefficient in t of Yun's part).
-    """
-    if form.is_zero:
-        raise ZeroPolynomial("squarefree decomposition of the zero form")
-    coeffs = restrict_coeffs(form._terms, 0, 1)  # F(t, 1), times the denominator
-    unit = Fraction(coeffs[-1], form._den)
-    factors = []
-    for part, exp in squarefree_parts(coeffs):
-        n = len(part) - 1
-        factors.append((_canonical({(i, n - i): c for i, c in enumerate(part) if c}, 1), exp))
-        unit /= part[-1] ** exp
-    pad = form.degree + 1 - len(coeffs)
-    if pad:
-        factors.append((BPoly.monomial(0, 1), pad))
-    return unit, factors
-

@@ -1,10 +1,11 @@
 """lct at a point of multiplicity d-1 on a reduced degree-d plane curve.
 
 The closed-form fast path: take the squarefree decomposition of the
-degree-(d-1) part of f as a binary form (no irreducible factorization,
-no sympy) and look for the unique part whose exponent m satisfies
-2m > d-1.  Such a part is automatically linear (exponent times degree
-is at most d-1), so the distinguished direction is always rational.
+degree-(d-1) part of f, read as a polynomial in t = y/x with the line
+x = 0 at t = infinity (no irreducible factorization, no sympy), and look
+for the unique part whose exponent m satisfies 2m > d-1.  Such a part
+is automatically linear (exponent times degree is at most d-1), so the
+distinguished direction is always rational.
 If no such part exists, lct = 2/(d-1); otherwise the two case
 formulas apply according to whether the line is a component of the
 curve.
@@ -24,7 +25,7 @@ from .errors import (
     TargetNotRealizable,
     WrongMultiplicity,
 )
-from .factorize import squarefree_binary_form
+from .factorize import form_coeffs, squarefree_parts
 from .localinv import is_square_free
 from .parse import MAX_EXPONENT
 from .poly import BPoly, X, Y, divides
@@ -65,18 +66,19 @@ def analyze_high_mult(f):
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
 
-    cone = f.homogeneous_part(d - 1)
-    special = None
-    for factor, exp in squarefree_binary_form(cone)[1]:
-        if 2 * exp > d - 1:
-            # exponent * degree <= d-1 forces degree 1
-            assert factor.degree == 1, "special part must be linear"
-            special = (factor, exp)
-            break
+    cone = form_coeffs(f._terms, d - 1)
+    # each line q0 x + q1 y with its multiplicity m: x = 0 at t = infinity,
+    # then the squarefree parts [q0, q1, ...] in t = y/x, where m times the
+    # degree is at most d-1, so a part with 2m > d-1 is linear
+    lines = [([1, 0], d - len(cone)), *squarefree_parts(cone)]
+    special = next(((q, m) for q, m in lines if 2 * m > d - 1), None)
     if special is None:
         return HighMultAnalysis(d=d, has_special_q=False, lct=Fraction(2, d - 1))
 
-    line, m = special
+    (q0, q1), m = special
+    if q0 < 0:  # the line with its first nonzero coefficient positive
+        q0, q1 = -q0, -q1
+    line = BPoly({(1, 0): q0, (0, 1): q1})
     line_is_component = divides(line, f)
     if line_is_component:
         k_q = m - 1

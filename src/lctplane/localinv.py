@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import NotThroughOrigin, ZeroPolynomial
 from .extended import INF
-from .factorize import squarefree_binary_form
+from .factorize import form_coeffs, squarefree_parts
 from .poly import (
     BPoly,
     add_terms,
@@ -137,17 +137,20 @@ def milnor_number_origin(f):
 def tangent_cone_pattern(f):
     """Line multiplicities of the tangent cone of f at the origin, as a
     tuple sorted descending: over the algebraic closure, a squarefree part
-    of degree g with exponent e (``squarefree_binary_form``) is g distinct
-    lines and contributes g copies of e, so the entries sum to the
-    multiplicity at the origin.  No irreducible factorization is needed."""
+    of degree g with exponent e of the cone in t = y/x (``form_coeffs``)
+    is g distinct lines and contributes g copies of e, and the line x = 0
+    at t = infinity contributes its own multiplicity, so the entries sum to
+    the multiplicity at the origin.  No irreducible factorization is
+    needed."""
     if f.is_zero:
         raise ZeroPolynomial("tangent cone of the zero polynomial")
     if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
-    cone = f.homogeneous_part(f.multiplicity())
-    entries = []
-    for factor, exp in squarefree_binary_form(cone)[1]:
-        entries.extend([exp] * factor.degree)
+    mult = f.multiplicity()
+    cone = form_coeffs(f._terms, mult)
+    entries = [mult + 1 - len(cone)] if len(cone) <= mult else []
+    for part, exp in squarefree_parts(cone):
+        entries.extend([exp] * (len(part) - 1))
     return tuple(sorted(entries, reverse=True))
 
 

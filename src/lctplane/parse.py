@@ -348,8 +348,14 @@ def _check_terms(what, products, degrees, pos):
 
 
 def parse_terms(text, variables):
-    """Parse ``text`` over the given variable names into an n-var term dict."""
-    return _Parser(text, variables).parse()
+    """Parse ``text`` over the given variable names into an n-var term dict.
+    Nesting deeper than the interpreter's recursion limit allows is a
+    ``ParseError``."""
+    parser = _Parser(text, variables)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 def parse_poly(text):

@@ -24,11 +24,11 @@ sympy and leave every other case to the exact gcd.
 shorter ones, the binomial theorem on sparse ones); everything else is the
 term-dict kernel below.
 
-Homogeneous parts and tangent cones are plain ``BPoly`` values, whose
-squarefree parts come from ``factorize.squarefree_binary_form``; the lct
-routes need no squarefree decomposition of a whole bivariate polynomial
-(sympy's ``sqf_list`` gives one exactly), and a linear change of
-coordinates is a ``substitute``.
+A homogeneous part, such as a tangent cone, is read off the integer
+numerators as a coefficient list in t = y/x (``factorize.form_coeffs``),
+whose squarefree parts are Yun's; the lct routes need no squarefree
+decomposition of a whole bivariate polynomial (sympy's ``sqf_list`` gives
+one exactly), and a linear change of coordinates is a ``substitute``.
 """
 
 from __future__ import annotations
@@ -551,8 +551,7 @@ def restrict_coeffs(terms, v, a):
     """The polynomial with integer term dict ``terms`` at the integer
     ``w = a``, where ``w`` is the variable other than ``v`` (0 for x, 1 for
     y), as a coefficient list in ``v`` (index = degree) with no zero last
-    entry: ``(terms, 1, 0)`` sets x = 0, ``(terms, 0, 1)`` dehomogenizes a
-    binary form to ``F(t, 1)``.  ``[]`` when ``w - a`` divides the
+    entry: ``(terms, 1, 0)`` sets x = 0.  ``[]`` when ``w - a`` divides the
     polynomial."""
     coeffs = [0] * (max((exp[v] for exp in terms if a or not exp[1 - v]), default=-1) + 1)
     for exp, c in terms.items():

@@ -15,11 +15,11 @@ root of a nonlinear irreducible polynomial raises ``IrrationalCenter``
 only points that can violate snc lie on the newest exceptional divisor
 E_new: the repeated roots of the curve restricted to E_new, and the root
 t = 0 where a kept divisor meets E_new.  That restriction is the tangent
-cone, the terms of least degree mu, read as a polynomial in t.  A
-monomial cone ``c x^(mu-j) y^j`` decides from j alone: t = 0 is a center
-when j >= 2, or when j = 1 and a kept divisor runs along ``y = 0``.  Any
-other cone is read from its Yun parts, and only a repeated part of
-degree >= 2 is factored (``factor_univariate``).
+cone, the terms of least degree mu, read as a polynomial in t = y/x
+(``form_coeffs``).  A monomial cone ``c x^(mu-j) y^j`` decides from j
+alone: t = 0 is a center when j >= 2, or when j = 1 and a kept divisor
+runs along ``y = 0``.  Any other cone is read from its Yun parts, and
+only a repeated part of degree >= 2 is factored (``factor_univariate``).
 
 Every old divisor through a center is a coordinate axis of the center's
 chart, so a center carries at most two of them, one per axis.  Chart 1,
@@ -49,7 +49,7 @@ from .errors import (
     ResolutionCap,
     ZeroPolynomial,
 )
-from .factorize import factor_univariate, squarefree_parts
+from .factorize import factor_univariate, form_coeffs, squarefree_parts
 from .localinv import is_square_free
 from .poly import BPoly, _reduced
 
@@ -195,14 +195,8 @@ def _blowups(f, cap):
         center = ChartPoint(chart, location, frozenset(incident), curve)
         nodes.append(BlowupNode(divisor, parent, center))
 
-        # the curve on E_new, in the coordinate t of chart 1, is its tangent
-        # cone: ph[j] is the coefficient of x^(mu - j) y^j, the last one nonzero
-        ph = [0] * (mu + 1)
-        for (i, j), c in curve._terms.items():
-            if i + j == mu:
-                ph[j] = c
-        while not ph[-1]:
-            ph.pop()
+        # the curve on E_new, in the coordinate t of chart 1, is its tangent cone
+        ph = form_coeffs(curve._terms, mu)
         j = len(ph) - 1
         if ph.count(0) == j:  # a monomial cone c t^j: t = 0 is the only root
             centers = [_ZERO] if j >= 2 or (j == 1 and on_y is not None) else []

@@ -28,9 +28,8 @@ from .classify import (
     sample_normal_form,
     table1_values,
 )
-from .corpus import random_high_mult_instance, random_rational
 from .dispatch import lct
-from .errors import NotSquareFree, SelfTestFailure
+from .errors import IrrationalCenter, NotSquareFree, SelfTestFailure
 from .highmult import analyze_high_mult, construct_witness, lambda_set
 from .localinv import (
     intersection_multiplicity_origin,
@@ -38,7 +37,7 @@ from .localinv import (
     weighted_lct_upper_bound,
 )
 from .parse import parse_poly
-from .poly import BPoly
+from .poly import BPoly, X
 from .resolution import lct_from_tree, log_pullback_coefficients, resolve_over_origin
 
 __all__ = [
@@ -114,6 +113,40 @@ def _fail(name, instance, expected, got):
     )
 
 
+def _random_rational(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+def _random_high_mult_instance(d, rng):
+    """A square-free degree-d curve with multiplicity d-1 at the origin
+    whose resolution tower stays rational, from the two families that
+    realize every multiplicity-(d-1) germ: a degree-(d-2) plus a
+    degree-(d-1) part, times a line in the component case.  Draws with
+    small random rational coefficients are rejected until both hold, so
+    the resolution oracle can check each instance."""
+    while True:
+        component_case = rng.random() < 0.5
+        e = d - 1 if component_case else d  # f is x * (low + high), or low + high
+        k = rng.randint(1 if component_case else 2, e - 1)
+        low = BPoly.zero()
+        for i in range(k, e):
+            c = Fraction(1) if i == k else _random_rational(rng)
+            low = low + BPoly.monomial(i, e - 1 - i, c)
+        high = BPoly.monomial(0, e, rng.choice([1, -1, 2]))
+        for j in range(1, e + 1):
+            if rng.random() < 0.5:
+                high = high + BPoly.monomial(j, e - j, _random_rational(rng))
+        f = X * (low + high) if component_case else low + high
+        if f.degree != d or f.multiplicity() != d - 1:
+            continue
+        try:
+            resolve_over_origin(f)
+        except (NotSquareFree, IrrationalCenter):
+            # not reduced, or a center left the rationals; draw again
+            continue
+        return f
+
+
 def check_table1():
     """Criterion 1: ``table1_values(d)`` is Table 1 for d = 1..5, with 24
     values at d = 5."""
@@ -133,7 +166,7 @@ def check_theorem_vs_oracle(rng, per_degree):
     the resolution oracle's and lies in ``lambda_set(d)``."""
     for d in (3, 4, 5, 6):
         for _ in range(per_degree):
-            f = random_high_mult_instance(d, rng)
+            f = _random_high_mult_instance(d, rng)
             fast, method = lct(f)
             if method != "highmult":
                 _fail("theorem-vs-oracle", f.render(), "method highmult", method)
@@ -167,7 +200,7 @@ def check_lambda_realization(rng, max_degree, per_degree):
             n += 1
     for d in (3, 4, 5):
         for _ in range(per_degree):
-            f = random_high_mult_instance(d, rng)
+            f = _random_high_mult_instance(d, rng)
             got = analyze_high_mult(f).lct
             if got not in lambda_set(d):
                 _fail("lambda-membership", f.render(), f"in {lambda_set(d)}", got)
@@ -230,7 +263,7 @@ def check_bounds(rng, per_degree, weights_per_instance):
     corpus = []
     for d in (3, 4, 5):
         for _ in range(per_degree):
-            f = random_high_mult_instance(d, rng)
+            f = _random_high_mult_instance(d, rng)
             corpus.append((f, analyze_high_mult(f).lct, True))
     for symbol in all_symbols():
         corpus.append((sample_normal_form(symbol, 0), class_info(symbol).lct, False))
@@ -257,7 +290,7 @@ def _random_through_origin(rng):
                 if i == j == 0:
                     continue
                 if rng.random() < 0.5:
-                    f = f + BPoly.monomial(i, j, random_rational(rng))
+                    f = f + BPoly.monomial(i, j, _random_rational(rng))
         if not f.is_zero:
             return f
 

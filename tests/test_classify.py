@@ -147,6 +147,19 @@ class TestLedgerClassifier:
         cls = classify_singularity(P("(x^2 - 2*y^2)^2 + y^5"))
         assert (cls.symbol, cls.mu) == ("T(2,5,5)", 11)
 
+    @pytest.mark.parametrize(
+        "text, symbol",
+        [
+            ("(x^2 - 2*y^2)^2 + y^5 + x^7", "T(2,5,5)"),
+            ("(x^2 - 2*y^2)^2 + x^6", "T(2,6,6)"),
+            ("(x^2 + y^2)^2 + x^3*y^3", "T(2,6,6)"),
+        ],
+    )
+    def test_triple_above_degree_5(self, text, symbol):
+        # a cone c q^2 with q an irreducible quadratic: mu 11 or 13 proves
+        # the row at any degree, with no Newton-edge check
+        assert classify_singularity(P(text)).symbol == symbol
+
 
 class TestLctLowDegree:
     def test_smooth(self):

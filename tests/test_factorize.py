@@ -3,17 +3,14 @@
 import math
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.sqfreetools import dup_sqf_list
 
-from lctplane.errors import ZeroPolynomial
-from lctplane.factorize import factor_univariate, squarefree_binary_form, squarefree_parts
+from lctplane.factorize import factor_univariate, form_coeffs, squarefree_parts
 from lctplane.localinv import tangent_cone_pattern
-from lctplane.parse import parse_poly
-from lctplane.poly import BPoly, X, Y, gcd_bivariate, gcd_many, normalize_primitive
+from lctplane.poly import BPoly, X, Y
 
 _coeffs = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5
@@ -41,40 +38,51 @@ binary_forms = st.builds(
 ).filter(lambda f: f.degree >= 1)
 
 
-def form(text):
-    f = parse_poly(text)
-    return f.homogeneous_part(f.degree)
+def _integer_terms(f):
+    """The numerators of ``f`` over the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {e: int(c * den) for e, c in f.terms.items()}, den
 
 
-def _rebuilt(unit, parts):
-    """``unit * prod(part ** exp)``."""
-    return math.prod((part**exp for part, exp in parts), start=BPoly.constant(unit))
+def _homogenized(part):
+    """``x^n * part(y/x)`` for a coefficient list of length n + 1 in t = y/x."""
+    n = len(part) - 1
+    return BPoly({(n - j, j): c for j, c in enumerate(part)})
 
 
 class TestSquarefreeBinaryForm:
+    """A binary form's squarefree decomposition: ``form_coeffs`` reads it in
+    t = y/x, ``squarefree_parts`` splits that, and x = 0 sits at t = infinity."""
+
     def test_parts(self):
-        unit, parts = squarefree_binary_form(form("x^3*y + x^2*y^2"))
-        assert dict(parts) == {parse_poly("x + y"): 1, X: 2, Y: 1}
-        assert _rebuilt(unit, parts) == form("x^3*y + x^2*y^2")
+        # x^2 * y * (x + 2y): entry j is the coefficient of x^(4-j) y^j
+        coeffs = form_coeffs({(3, 1): 1, (2, 2): 2, (5, 0): 7, (0, 1): 3}, 4)
+        assert coeffs == [0, 1, 2]
+        assert squarefree_parts(coeffs) == [([0, 1, 2], 1)]
+        assert 4 + 1 - len(coeffs) == 2  # the line x = 0, twice
 
     def test_root_at_infinity_only(self):
-        unit, parts = squarefree_binary_form(Fraction(-2, 3) * form("y^4"))
-        assert parts == [(Y, 4)]
-        assert unit == Fraction(-2, 3)
+        # -2 x^4: the line x = 0 (t = infinity) four times, no root in t
+        coeffs = form_coeffs({(4, 0): -2, (0, 5): 1}, 4)
+        assert coeffs == [-2]
+        assert squarefree_parts(coeffs) == []
 
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            squarefree_binary_form(form("0"))
+    def test_zero_part(self):
+        assert form_coeffs({(3, 1): 1, (0, 2): 5}, 3) == []
+        assert form_coeffs({}, 0) == []
 
     @given(binary_forms)
     def test_rebuilds_input(self, f):
-        unit, factors = squarefree_binary_form(f)
-        assert _rebuilt(unit, factors) == f
-        parts = [part for part, _ in factors]
-        for i, part in enumerate(parts):
-            assert normalize_primitive(part) == (1, part)
-            assert gcd_many([part, part.derivative("x"), part.derivative("y")]).is_constant()
-            assert all(gcd_bivariate(part, q).is_constant() for q in parts[i + 1 :])
+        terms, den = _integer_terms(f)
+        k = f.degree
+        coeffs = form_coeffs(terms, k)
+        assert coeffs and coeffs[-1]
+        parts = squarefree_parts(coeffs)
+        unit = Fraction(coeffs[-1], den * math.prod(part[-1] ** e for part, e in parts))
+        rebuilt = BPoly.constant(unit) * X ** (k + 1 - len(coeffs))
+        for part, e in parts:
+            rebuilt = rebuilt * _homogenized(part) ** e
+        assert rebuilt == f
 
     @given(binary_forms)
     def test_tangent_cone_pattern_matches_factorization(self, f):

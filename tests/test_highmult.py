@@ -35,6 +35,20 @@ class TestAnalyzeHighMult:
         assert a.lct == Fraction(5, 9)
         assert a.line_is_component and a.k_q == 2 and a.m == 3
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("(x - 2*y)^3 + x^4 + y^4", X - 2 * Y),
+            ("(2*x + y)^3 + y^4", 2 * X + Y),
+            ("y^3 + x^4", Y),
+            ("x^3 + y^4", X),
+            ("x*(x - 3*y)^2 + y^4", X - 3 * Y),
+        ],
+    )
+    def test_special_line_sign(self, text, line):
+        # the primitive line, its first nonzero coefficient positive
+        assert analyze_high_mult(P(text)).line == line
+
     def test_d4_no_special(self):
         a = analyze_high_mult(P("x*y*(x - y) + x^4"))
         assert not a.has_special_q

@@ -72,6 +72,24 @@ def test_cheap_routes_do_not_import_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cold_import_without_site_loads_no_resource_machinery():
+    # under -S no site hook preloads anything, so this sees what the import
+    # itself pulls in: the tables are read by path, not by importlib.resources
+    path = (str(Path(lctplane.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import sys\n"
+        "from lctplane.cli import main\n"
+        "print(' '.join(m for m in ('importlib.resources', 'pathlib', 'zipfile', 'sympy')"
+        " if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_trace_targets_exist():
     """Every lctplane name the benchmark's tracer wraps still resolves."""
     path = Path(__file__).resolve().parents[1] / "lctbench" / "spans.py"

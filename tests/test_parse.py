@@ -235,6 +235,19 @@ def test_overlong_integer_literal_is_a_parse_error(capsys):
     assert "integer literal too long" in capsys.readouterr().err
 
 
+def test_deep_nesting_is_a_parse_error(capsys):
+    text = "(" * 5000 + "x" + ")" * 5000 + "+y^2"
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert type(exc.value) is ParseError
+    assert main(["lct", text]) == 2
+    assert "expression nested too deeply" in capsys.readouterr().err
+
+
+def test_moderate_nesting_parses():
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == parse_poly("x")
+
+
 def test_exponent_limit_inside_a_monomial(no_huge_powers):
     with pytest.raises(ExponentTooLarge) as exc:
         parse_poly("x*y^1001")
