@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import random
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -244,6 +243,8 @@ def sample_normal_form(symbol, seed=0):
     small rational parameters satisfying the row restriction.
 
     Deterministic for a given (symbol, seed)."""
+    import random  # only sampling needs it; the cold CLI import skips it
+
     if symbol not in _CLASSES:
         raise KeyError(f"unknown singularity symbol {symbol!r}")
     row = _CLASSES[symbol]

@@ -15,11 +15,11 @@ root of a nonlinear irreducible polynomial raises ``IrrationalCenter``
 only points that can violate snc lie on the newest exceptional divisor
 E_new: the repeated roots of the curve restricted to E_new, and the root
 t = 0 where a kept divisor meets E_new.  That restriction is the tangent
-cone, the terms of least degree mu, read as a polynomial in t = y/x
-(``form_coeffs``).  A monomial cone ``c x^(mu-j) y^j`` decides from j
-alone: t = 0 is a center when j >= 2, or when j = 1 and a kept divisor
-runs along ``y = 0``.  Any other cone is read from its Yun parts, and
-only a repeated part of degree >= 2 is factored (``factor_univariate``).
+cone, the terms of least degree mu, read as a polynomial in t = y/x.  A
+monomial cone ``c x^(mu-j) y^j`` decides from j alone: t = 0 is a center
+when j >= 2, or when j = 1 and a kept divisor runs along ``y = 0``.  Any
+other cone is read from its Yun parts, and only a repeated part of
+degree >= 2 is factored (``factor_univariate``).
 
 Every old divisor through a center is a coordinate axis of the center's
 chart, so a center carries at most two of them, one per axis.  Chart 1,
@@ -27,11 +27,24 @@ chart, so a center carries at most two of them, one per axis.  Chart 1,
 meeting E_new = {u = 0} at t = 0, and loses the one along ``x = 0``;
 chart 2, ``(u, v) -> (u v, v)``, keeps the divisor along ``x = 0``,
 meeting E_new = {v = 0} at t = infinity, and loses the one along
-``y = 0``.  Chart 1, which holds every finite point of E_new, is built
-only when E_new has a finite center; chart 2 only when t = infinity is a
-center.  Centers are visited depth first, the points of each E_new in
+``y = 0``.  Centers are visited depth first, the points of each E_new in
 the order rational t ascending, then infinity, so the divisor numbering
 is the same in every process.
+
+Both charts at a center on an axis only relabel exponents: chart 1 sends
+``x^i y^j`` to ``x^(i+j-mu) y^j`` and chart 2 to ``x^i y^(i+j-mu)``.  So
+a center's local equation is kept as a base polynomial, the last one the
+loop built, and an affine exponent map ``(i, j) -> (p i + q j + b0,
+r i + s j + b1)`` with ``[[p, q], [r, s]]`` in SL2(N) (``_relabel``);
+both charts compose into the map, and only a center at t != 0, reached
+by a Taylor shift, builds a new base.  Under the map the total degree of
+a base term is ``(p + r) i + (q + s) j + b0 + b1``, with both weights
+positive, so mu and the tangent cone lie on the Newton boundary of the
+base, read once per base, when a second center reads it
+(``_newton_boundary``): mu is least over its vertices, and the cone is
+one vertex's term, or, when two vertices tie, every base term on their
+edge (``_face``).  A local equation is built only when
+``ChartPoint.local_equation`` is read.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from .errors import (
     ResolutionCap,
     ZeroPolynomial,
 )
-from .factorize import factor_univariate, form_coeffs, squarefree_parts
+from .factorize import factor_univariate, squarefree_parts
 from .localinv import is_square_free
 from .poly import BPoly, _reduced
 
@@ -66,6 +79,7 @@ __all__ = [
 
 DEFAULT_CAP = 64
 _ZERO = Fraction(0)  # shared by every center location
+_IDENTITY = (1, 0, 0, 1, 0, 0)  # the exponent map of a base just built
 
 
 class ExcDivisor(NamedTuple):
@@ -86,12 +100,24 @@ class ChartPoint(NamedTuple):
 
     A center on E_k lies in chart ``("u<k>", "v<k>")`` at ``(0, t)`` for
     a finite t, or in chart ``("s<k>", "w<k>")`` at ``(0, 0)`` for
-    t = infinity, so ``(chart, location)`` names one point of E_k."""
+    t = infinity, so ``(chart, location)`` names one point of E_k.
+
+    The local equation is stored as ``base``, the polynomial last built on
+    the way to this center (the input, or the strict transform shifted to
+    the latest center at t != 0), and ``emap``, the exponent map
+    ``(p, q, r, s, b0, b1)``, ``(i, j) -> (p i + q j + b0, r i + s j + b1)``,
+    of the blowups at t = 0 and t = infinity since; reading
+    ``local_equation`` builds it, each time it is read."""
 
     chart: tuple
     location: tuple
     incident: frozenset
-    local_equation: BPoly
+    base: BPoly
+    emap: tuple
+
+    @property
+    def local_equation(self):
+        return _relabel(self.base, self.emap)
 
 
 class BlowupNode(NamedTuple):
@@ -112,20 +138,55 @@ class ResolutionTree(NamedTuple):
         return [node.divisor for node in self.nodes]
 
 
-def _strict(f, m, chart):
-    """Strict transform of ``f``, of multiplicity ``m`` at the origin, in
-    chart 1 or 2 of the point blowup.
+def _relabel(base, emap):
+    """``base`` with each exponent ``(i, j)`` sent to ``emap``'s image
+    ``(p i + q j + b0, r i + s j + b1)``.
 
-    Each chart is an exponent relabelling that divides out the exceptional
-    power ``m``: chart 1, ``(x, y) -> (x, x*y)`` with exceptional divisor
-    ``x = 0``, sends ``x^i y^j`` to ``x^(i+j-m) y^j``; chart 2,
-    ``(x, y) -> (x*y, y)`` with exceptional divisor ``y = 0``, sends it to
-    ``x^i y^(i+j-m)``.  Both maps are injective on exponents, so the
-    numerators over ``f._den`` stay in lowest terms with no gcd pass, and
-    ``i + j >= m`` keeps exponents non-negative."""
-    if chart == 1:
-        return _reduced({(i + j - m, j): c for (i, j), c in f._terms.items()}, f._den)
-    return _reduced({(i, i + j - m): c for (i, j), c in f._terms.items()}, f._den)
+    The map is injective on exponents (its matrix has determinant 1), so
+    the numerators over ``base._den`` stay in lowest terms with no gcd
+    pass; the charts keep every image exponent non-negative."""
+    if emap == _IDENTITY:
+        return base
+    p, q, r, s, b0, b1 = emap
+    return _reduced(
+        {(p * i + q * j + b0, r * i + s * j + b1): c for (i, j), c in base._terms.items()},
+        base._den,
+    )
+
+
+def _newton_boundary(terms):
+    """The vertices of the Newton boundary of a nonempty term dict's
+    support, x-exponent ascending: the corners of the lower-left convex
+    hull of its exponents, from the one of least i (then least j) to the
+    one of least j (then least i).  Points inside an edge are no vertices."""
+    hull = []
+    for i, j in sorted(terms):
+        if hull and j >= hull[-1][1]:
+            continue  # above and right of the last corner: inside the polygon
+        while len(hull) >= 2:
+            (i0, j0), (i1, j1) = hull[-2], hull[-1]
+            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
+                break  # the last corner lies strictly below the new segment
+            hull.pop()
+        hull.append((i, j))
+    return hull
+
+
+def _face(terms, hull, w1, w2):
+    """``(low, face)``: the least ``w1 i + w2 j``, for positive weights,
+    over the exponents of ``terms``, and the exponents attaining it.
+
+    ``hull`` is the Newton boundary of ``terms``, or None to scan the whole
+    support, as a base's first center does.  On the boundary the least value
+    is taken at a vertex; when two vertices take it the face is their edge,
+    and every exponent on it, inside points too, comes from one scan of
+    ``terms``."""
+    points = terms if hull is None else hull
+    low = min(w1 * i + w2 * j for i, j in points)
+    face = [(i, j) for i, j in points if w1 * i + w2 * j == low]
+    if len(face) > 1 and hull is not None:
+        face = [(i, j) for i, j in terms if w1 * i + w2 * j == low]
+    return low, face
 
 
 def _poly_text(coeffs):
@@ -174,17 +235,24 @@ def _blowups(f, cap):
     if f.multiplicity() <= 1:
         return nodes  # smooth germ, nothing to do
 
-    # each pending center is (curve, on_x, on_y, parent, chart, location):
-    # the local strict transform with the center at the origin, the old
-    # divisors through it along x = 0 and along y = 0 (or None), the id of
-    # the divisor it lies on, and its place on that divisor
-    stack = [(f, None, None, None, ("x", "y"), (0, 0))]
+    # each pending center is (base, hull, emap, on_x, on_y, parent, chart,
+    # location): the local strict transform with the center at the origin,
+    # as a base polynomial, its Newton boundary (None until a second center
+    # reads the base) and an exponent map; the old divisors through it along
+    # x = 0 and along y = 0 (or None), the id of the divisor it lies on, and
+    # its place on that divisor
+    stack = [(f, None, _IDENTITY, None, None, None, ("x", "y"), (0, 0))]
 
     while stack:
         if len(nodes) >= cap:
             raise ResolutionCap(f"more than {cap} blowups; cap exceeded")
-        curve, on_x, on_y, parent, chart, location = stack.pop()
-        mu = curve.multiplicity()
+        base, hull, emap, on_x, on_y, parent, chart, location = stack.pop()
+        p, q, r, s, b0, b1 = emap
+        # a base term (i, j) has total degree w1 i + w2 j + b0 + b1 in the
+        # local equation, so the tangent cone is the base's face of least w
+        w1, w2 = p + r, q + s
+        low, face = _face(base._terms, hull, w1, w2)
+        mu = low + b0 + b1
         m, a, incident = mu, 1, ()
         if on_x is not None:
             m, a, incident = m + on_x.m, a + on_x.a, (on_x.id,)
@@ -192,32 +260,46 @@ def _blowups(f, cap):
             m, a, incident = m + on_y.m, a + on_y.a, (*incident, on_y.id)
         k = len(nodes) + 1
         divisor = ExcDivisor(k, m, a)
-        center = ChartPoint(chart, location, frozenset(incident), curve)
+        center = ChartPoint(chart, location, frozenset(incident), base, emap)
         nodes.append(BlowupNode(divisor, parent, center))
 
-        # the curve on E_new, in the coordinate t of chart 1, is its tangent cone
-        ph = form_coeffs(curve._terms, mu)
-        j = len(ph) - 1
-        if ph.count(0) == j:  # a monomial cone c t^j: t = 0 is the only root
-            centers = [_ZERO] if j >= 2 or (j == 1 and on_y is not None) else []
+        # the curve on E_new, in the coordinate t of chart 1, is the cone:
+        # base term (i, j) lands at x^(mu - e) y^e, e = r i + s j + b1
+        if len(face) == 1:  # a monomial cone c t^e: t = 0 is the only root
+            (i, j), = face
+            e = r * i + s * j + b1
+            centers = [_ZERO] if e >= 2 or (e == 1 and on_y is not None) else []
         else:
+            terms, ph = base._terms, [0] * (mu + 1)
+            for i, j in face:
+                ph[r * i + s * j + b1] = terms[i, j]
+            while not ph[-1]:
+                ph.pop()
+            e = len(ph) - 1
             centers = _centers_on(ph, on_y is not None)
         # chart 1: (u, v) -> (u, u v), E_new = {u = 0}, on which v is the
-        # coordinate t, built only for a finite center; chart 2:
-        # (u, v) -> (u v, v), E_new = {v = 0}, whose origin is t = infinity
-        strict1 = _strict(curve, mu, 1) if centers else None
-        pending = [
-            (
-                strict1.translate((0, t0)) if t0 else strict1, divisor, None if t0 else on_y,
-                k, (f"u{k}", f"v{k}"), (_ZERO, t0),
-            )
-            for t0 in centers
-        ]
-        inf_exp = mu - j  # curve multiplicity at t = infinity
+        # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
+        # origin is t = infinity.  Both compose with emap; only a center at
+        # t != 0 builds its strict transform, shifted there, as a new base
+        chart1 = (w1, w2, r, s, -low, b1)
+        strict1 = None
+        pending = []
+        for t0 in centers:
+            if t0:
+                if strict1 is None:
+                    strict1 = _relabel(base, chart1)
+                entry = (strict1.translate((0, t0)), None, _IDENTITY, divisor, None)
+            else:
+                hull = hull or _newton_boundary(base._terms)
+                entry = (base, hull, chart1, divisor, on_y)
+            pending.append((*entry, k, (f"u{k}", f"v{k}"), (_ZERO, t0)))
+        inf_exp = mu - e  # curve multiplicity at t = infinity
         if inf_exp >= 2 or (inf_exp == 1 and on_x is not None):
-            pending.append(
-                (_strict(curve, mu, 2), on_x, divisor, k, (f"s{k}", f"w{k}"), (_ZERO, _ZERO))
-            )
+            hull = hull or _newton_boundary(base._terms)
+            pending.append((
+                base, hull, (p, q, w1, w2, b0, -low), on_x, divisor,
+                k, (f"s{k}", f"w{k}"), (_ZERO, _ZERO),
+            ))
         stack.extend(reversed(pending))  # visit t ascending, infinity last
 
     return nodes

@@ -80,7 +80,7 @@ def test_cold_import_without_site_loads_no_resource_machinery():
     code = (
         "import sys\n"
         "from lctplane.cli import main\n"
-        "print(' '.join(m for m in ('importlib.resources', 'pathlib', 'zipfile', 'sympy')"
+        "print(' '.join(m for m in ('importlib.resources', 'pathlib', 'zipfile', 'sympy', 'random')"
         " if m in sys.modules))"
     )
     proc = subprocess.run(

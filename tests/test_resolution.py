@@ -14,6 +14,7 @@ import sympy
 from hypothesis import assume, example, given, strategies as st
 
 import lctplane
+from lctplane import resolution
 from lctplane.errors import (
     IncompleteTree,
     IrrationalCenter,
@@ -27,8 +28,10 @@ from lctplane.poly import BPoly, X, Y
 from lctplane.resolution import (
     ResolutionTree,
     _centers_on,
+    _face,
+    _newton_boundary,
     _poly_text,
-    _strict,
+    _relabel,
     export_tree,
     lct_from_tree,
     log_pullback_coefficients,
@@ -42,9 +45,11 @@ _TWO_BRANCHES = "x^2*(y-3*x)^3 + x^7 + y^7"
 
 
 def charts(f):
-    """Strict transforms of ``f`` in both charts of the blowup of the origin."""
+    """Strict transforms of ``f`` in both charts of the blowup of the origin,
+    as the loop's exponent maps relabel them: chart 1 sends ``(i, j)`` to
+    ``(i + j - mu, j)``, chart 2 to ``(i, i + j - mu)``."""
     mu = f.multiplicity()
-    return _strict(f, mu, 1), _strict(f, mu, 2)
+    return _relabel(f, (1, 1, 0, 1, -mu, 0)), _relabel(f, (1, 0, 1, 1, 0, -mu))
 
 
 class TestBlowupTransform:
@@ -78,6 +83,39 @@ class TestBlowupTransform:
             mu = f.multiplicity()
             assert s1 == f.substitute(X, X * Y).divide_exact(BPoly.monomial(mu, 0))
             assert s2 == f.substitute(X * Y, Y).divide_exact(BPoly.monomial(0, mu))
+
+
+_supports = st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=15)
+
+
+class TestNewtonBoundary:
+    def test_one_term(self):
+        assert _newton_boundary({(2, 3): 5}) == [(2, 3)]
+
+    def test_points_on_the_axes(self):
+        assert _newton_boundary({(0, 3): 1, (2, 0): 1}) == [(0, 3), (2, 0)]
+        assert _newton_boundary({(0, 3): 1, (1, 1): 1, (2, 0): 1}) == [(0, 3), (1, 1), (2, 0)]
+
+    def test_interior_points_ignored(self):
+        # (2, 2) lies inside the edge, (1, 3), (3, 3) and (5, 1) above it
+        terms = {(0, 4): 1, (2, 2): 1, (4, 0): 1, (1, 3): 1, (3, 3): 1, (5, 1): 1}
+        assert _newton_boundary(terms) == [(0, 4), (4, 0)]
+
+    def test_collinear_support(self):
+        assert _newton_boundary({(0, 4): 1, (3, 2): 1, (6, 0): 1}) == [(0, 4), (6, 0)]
+        assert _newton_boundary({(1, 1): 1, (3, 1): 1, (5, 1): 1}) == [(1, 1)]
+
+    @given(_supports, st.integers(1, 20), st.integers(1, 20))
+    def test_face_is_the_set_of_minimizers(self, support, w1, w2):
+        terms = dict.fromkeys(support, 1)
+        hull = _newton_boundary(terms)
+        assert set(hull) <= support
+        low, face = _face(terms, hull, w1, w2)
+        assert low == min(w1 * i + w2 * j for i, j in support)
+        assert sorted(face) == sorted(e for e in support if w1 * e[0] + w2 * e[1] == low)
+        # with no boundary given, the whole support is scanned
+        scanned_low, scanned = _face(terms, None, w1, w2)
+        assert (scanned_low, sorted(scanned)) == (low, sorted(face))
 
 
 class TestResolveOverOrigin:
@@ -302,7 +340,7 @@ _ledger_germs = st.one_of(
     ),
     st.builds(
         lambda a, b, r, c: (Y - r * X) ** a + c * X**b,
-        st.integers(2, 3), st.integers(3, 30), _small.filter(bool), _small.filter(bool),
+        st.integers(2, 3), st.integers(3, 60), _small.filter(bool), _small.filter(bool),
     ),
 ).filter(is_square_free)
 
@@ -319,6 +357,13 @@ def _through_chart(parent, node):
     return g.substitute(X * Y, Y).divide_exact(BPoly.monomial(0, mu))
 
 
+# An A_k germ whose first center is at t = 1, where the shift turns 7 terms
+# into 104, and two cusps whose third node's face is the edge through (0, 4),
+# (3, 2) and (6, 0) of the input.
+_AK = "2*x*y^55-y^56-x*y^46+y^47-x^2+2*x*y-y^2"
+_TWO_CUSPS = "(y^2-x^3)*(y^2-2*x^3)"
+
+
 class TestLedgerInvariant:
     @given(_ledger_germs)
     @example(P("x*y + y^3 + x^5"))  # j = 1 at the root: no center on E1
@@ -326,6 +371,9 @@ class TestLedgerInvariant:
     @example(P("y^2 + x^5"))  # j = 2
     @example(P("(y - 2*x)^2 + x^9"))  # a chain centered at t = 2
     @example(P(_TWO_BRANCHES))
+    @example(P(_AK))  # one base after the shift to t = 1, then 26 composed steps
+    @example(P("x^5 + y^37"))  # a Euclid chain: the charts alternate
+    @example(P(_TWO_CUSPS))  # an edge face with a point inside it
     def test_local_equations_follow_the_charts(self, f):
         try:
             tree = resolve_over_origin(f)  # every germ drawn resolves within the cap
@@ -335,6 +383,36 @@ class TestLedgerInvariant:
         for node in tree.nodes[1:]:
             parent = tree.nodes[node.parent - 1]
             assert node.center.local_equation == _through_chart(parent, node)
+
+    def test_only_a_shifted_center_builds_a_base(self):
+        centers = [node.center for node in resolve_over_origin(P(_AK)).nodes]
+        assert len(centers) == 28 and centers[1].location == (0, 1)
+        assert centers[0].base == P(_AK) and len(centers[1].base._terms) == 104
+        assert all(c.base is centers[1].base for c in centers[1:])
+        assert [c.emap for c in centers[:2]] == [(1, 0, 0, 1, 0, 0)] * 2
+
+    def test_edge_face_holds_its_inside_point(self):
+        tree = resolve_over_origin(P(_TWO_CUSPS))
+        third = tree.nodes[2].center
+        assert third.base == P(_TWO_CUSPS)
+        p, q, r, s, _, _ = third.emap
+        _, face = _face(third.base._terms, _newton_boundary(third.base._terms), p + r, q + s)
+        assert sorted(face) == [(0, 4), (3, 2), (6, 0)]
+        assert third.local_equation == P("2*x^2 - 3*x*y + y^2")
+
+    def test_one_divisor_call_per_node(self, monkeypatch):
+        # the benchmark counts blowups by rebinding this module global
+        calls, divisor = [], resolution.ExcDivisor
+
+        def counted(*args):
+            calls.append(args)
+            return divisor(*args)
+
+        monkeypatch.setattr(resolution, "ExcDivisor", counted)
+        for text in (_AK, _TWO_CUSPS, _TWO_BRANCHES, "x^5 + y^37"):
+            del calls[:]
+            tree = resolve_over_origin(P(text))
+            assert calls == [tuple(node.divisor) for node in tree.nodes]
 
 
 class TestLogPullback:
