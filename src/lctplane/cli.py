@@ -201,8 +201,6 @@ def _cmd_resolve(args):
 def _cmd_wbound(args):
     f = _input_poly(args)
     weights = _pair(args.weights, "weights must be 'W1,W2'")
-    if any(w <= 0 for w in weights):
-        raise PreconditionError("weights must be positive")
     result = weighted_lct_upper_bound(f, weights)
     payload = {
         "weights": [_render(w) for w in weights],
@@ -263,7 +261,7 @@ def _add_common(parser, point=True, cap=False):
             type=_cap,
             default=DEFAULT_CAP,
             metavar="N",
-            help="maximum number of blowups",
+            help="blowup cap of the resolution route (ignored by the other routes)",
         )
 
 

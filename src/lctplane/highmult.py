@@ -9,10 +9,14 @@ distinguished direction is always rational.
 If no such part exists, lct = 2/(d-1); otherwise the two case
 formulas apply according to whether the line is a component of the
 curve.
+
+``construct_witness`` realizes each value of ``lambda_set`` by one curve
+of the paper's families, proven reduced in its docstring: no search.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -28,7 +32,7 @@ from .errors import (
 from .factorize import form_coeffs, squarefree_parts
 from .localinv import is_square_free
 from .parse import MAX_EXPONENT
-from .poly import BPoly, X, Y, divides
+from .poly import ONE, BPoly, X, Y, divides
 
 __all__ = [
     "HighMultAnalysis",
@@ -132,50 +136,34 @@ def reducibility_hint(lct, d):
     return values[lct][1]
 
 
-def _tail_form(low_exp, high_exp, var_mix_degree):
-    """Binary form sum_{i=low..high} x^i y^(deg - i); its cofactor after
-    pulling x^low has only simple roots, all nonzero."""
-    terms = {}
-    for i in range(low_exp, high_exp + 1):
-        terms[(i, var_mix_degree - i)] = 1
-    return BPoly(terms)
-
-
 def construct_witness(d, target):
-    """A square-free degree-d witness with mult d-1 and the target lct."""
+    """The paper's reduced degree-d curve with mult d-1 and lct ``target``.
+
+    2/(d-1): ``prod_{i=0}^{d-2} (x - i y) + y^d``.  A special value, with
+    ``(k, component) = _special_values(d)[target]`` and e = d-1 if the line
+    is a component, else d: ``x g`` or ``g`` for ``g = y^e + sum_{i=k}^{e-1}
+    x^i y^(e-1-i)``, whose cone is x^k times a form prime to x.
+
+    Reduced: an irreducible h with h^2 | f passes through the origin, or
+    f / h^2 would have multiplicity d-1 above its degree.  The 2/(d-1) cone
+    is d-1 distinct lines.  g touches both axes, and up to monomials its
+    edges carry ``y^(k+1) + x^k`` (coprime exponents) and ``1 + t + ... +
+    t^(e-1-k)``, t = y/x (simple roots), so g is Newton non-degenerate and
+    its singularity isolated (Kouchnirenko, "Polyedres de Newton et nombres
+    de Milnor", Invent. Math. 32, 1976); and x does not divide g, as
+    g(0, y) = y^e.  The check below still keeps a wrong witness from
+    leaving."""
     values = _special_values(d)
     target = Fraction(target)
     if target == Fraction(2, d - 1):
-        # squarefree tangent cone: product of d-1 distinct rational lines
-        cone = BPoly.constant(1)
-        for i in range(d - 1):
-            cone = cone * (X - i * Y)
-        candidates = [cone + Y**d, cone + X**d, cone + X**d + Y**d]
+        f = math.prod((X - i * Y for i in range(d - 1)), start=ONE) + Y**d
     elif target not in values:
         raise TargetNotRealizable(f"{target} is not in the lct value set of degree {d}")
-    elif values[target][1]:  # the special line is a component
-        k = values[target][0]
-        base = X * _tail_form(k, d - 2, d - 2)
-        candidates = [
-            base + X * Y ** (d - 1),
-            base + X * (Y ** (d - 1) + X ** (d - 1)),
-            base + X * (Y ** (d - 1) + X ** (d - 2) * Y),
-        ]
     else:
-        k = values[target][0]
-        base = _tail_form(k, d - 1, d - 1)
-        candidates = [
-            base + Y**d,
-            base + Y**d + X**d,
-            base + Y**d + X ** (d - 1) * Y,
-        ]
-
-    for f in candidates:
-        try:
-            if analyze_high_mult(f).lct == target:
-                return f
-        except NotSquareFree:
-            continue
-    raise TargetNotRealizable(
-        f"no square-free witness found for lct {target} at degree {d}"
-    )
+        k, component = values[target]
+        e = d - 1 if component else d
+        g = BPoly({**{(i, e - 1 - i): 1 for i in range(k, e)}, (0, e): 1})
+        f = X * g if component else g
+    if analyze_high_mult(f).lct != target:
+        raise TargetNotRealizable(f"the witness {f} misses lct {target} at degree {d}")
+    return f

@@ -15,11 +15,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotThroughOrigin, ZeroPolynomial
+from .errors import NotThroughOrigin, PreconditionError, ZeroPolynomial
 from .extended import INF
 from .factorize import form_coeffs, squarefree_parts
 from .poly import (
     BPoly,
+    _canonical,
+    _face,
     add_terms,
     certify_coprime,
     certify_squarefree,
@@ -171,13 +173,17 @@ def is_square_free(f):
 
 
 def weighted_lct_upper_bound(f, w):
-    """The Lemma-style weighted upper bound: lct_0(f) <= (w1+w2)/wt(f)."""
+    """The Lemma-style weighted upper bound: lct_0(f) <= (w1+w2)/wt(f), for
+    positive rational weights ``w``, read off the face of least weight."""
+    w1, w2 = Fraction(w[0]), Fraction(w[1])
+    if w1 <= 0 or w2 <= 0:
+        raise PreconditionError("weights must be positive")
     if f.is_zero:
         raise ZeroPolynomial("weighted bound of the zero polynomial")
     if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
-    w1, w2 = Fraction(w[0]), Fraction(w[1])
-    wt, leading = f.weighted_order((w1, w2))
-    return WeightedBound(
-        weights=(w1, w2), wt=wt, bound=(w1 + w2) / wt, leading_part=leading
-    )
+    scale = math.lcm(w1.denominator, w2.denominator)
+    low, face = _face(f._terms, None, int(w1 * scale), int(w2 * scale))
+    wt = Fraction(low, scale)
+    leading = _canonical({exp: f._terms[exp] for exp in face}, f._den)
+    return WeightedBound((w1, w2), wt, (w1 + w2) / wt, leading)

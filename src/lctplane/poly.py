@@ -24,11 +24,14 @@ sympy and leave every other case to the exact gcd.
 shorter ones, the binomial theorem on sparse ones); everything else is the
 term-dict kernel below.
 
-A homogeneous part, such as a tangent cone, is read off the integer
-numerators as a coefficient list in t = y/x (``factorize.form_coeffs``),
-whose squarefree parts are Yun's; the lct routes need no squarefree
-decomposition of a whole bivariate polynomial (sympy's ``sqf_list`` gives
-one exactly), and a linear change of coordinates is a ``substitute``.
+The part of least weight for positive integer weights (the blowup loop's
+tangent cones, the weighted lct bound's leading part) is a face of the
+Newton boundary (``_newton_boundary``, ``_face``).  A homogeneous part,
+such as a tangent cone, is read off the integer numerators as a
+coefficient list in t = y/x (``factorize.form_coeffs``), whose squarefree
+parts are Yun's; the lct routes need no squarefree decomposition of a
+whole bivariate polynomial (sympy's ``sqf_list`` gives one exactly), and a
+linear change of coordinates is a ``substitute``.
 """
 
 from __future__ import annotations
@@ -185,6 +188,41 @@ def shift_terms(a, var, s):
             if v:
                 out[(k, other) if var == 0 else (other, k)] = v * qpow[k]
     return out, qpow[n]
+
+
+def _newton_boundary(terms):
+    """The vertices of the Newton boundary of a nonempty term dict's
+    support, x-exponent ascending: the corners of the lower-left convex
+    hull of its exponents, from the one of least i (then least j) to the
+    one of least j (then least i).  Points inside an edge are no vertices."""
+    hull = []
+    for i, j in sorted(terms):
+        if hull and j >= hull[-1][1]:
+            continue  # above and right of the last corner: inside the polygon
+        while len(hull) >= 2:
+            (i0, j0), (i1, j1) = hull[-2], hull[-1]
+            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
+                break  # the last corner lies strictly below the new segment
+            hull.pop()
+        hull.append((i, j))
+    return hull
+
+
+def _face(terms, hull, w1, w2):
+    """``(low, face)``: the least ``w1 i + w2 j``, for positive weights,
+    over the exponents of ``terms``, and the exponents attaining it.
+
+    ``hull`` is the Newton boundary of ``terms``, or None to scan the whole
+    support, as a one-off reader does.  On the boundary the least value
+    is taken at a vertex; when two vertices take it the face is their edge,
+    and every exponent on it, inside points too, comes from one scan of
+    ``terms``."""
+    points = terms if hull is None else hull
+    low = min(w1 * i + w2 * j for i, j in points)
+    face = [(i, j) for i, j in points if w1 * i + w2 * j == low]
+    if len(face) > 1 and hull is not None:
+        face = [(i, j) for i, j in terms if w1 * i + w2 * j == low]
+    return low, face
 
 
 class BPoly:
@@ -367,37 +405,13 @@ class BPoly:
     def __bool__(self):
         return bool(self._terms)
 
-    # -- orders and parts ------------------------------------------------
+    # -- order and derivatives -------------------------------------------
 
     def multiplicity(self):
         """Order of vanishing at the origin; ``INF`` for zero."""
         if not self._terms:
             return INF
         return min(i + j for i, j in self._terms)
-
-    def homogeneous_part(self, k):
-        """Sum of the terms of total degree ``k`` (possibly zero)."""
-        picked = {exp: c for exp, c in self._terms.items() if exp[0] + exp[1] == k}
-        return _canonical(picked, self._den)
-
-    def weighted_order(self, w):
-        """Minimal weighted degree and the weighted leading part.
-
-        ``w`` is a pair of positive rationals.  Raises ``ZeroPolynomial``
-        for the zero polynomial.
-        """
-        w1, w2 = Fraction(w[0]), Fraction(w[1])
-        if w1 <= 0 or w2 <= 0:
-            raise ValueError("weights must be positive")
-        if not self._terms:
-            raise ZeroPolynomial("weighted order of the zero polynomial")
-        wt = min(i * w1 + j * w2 for i, j in self._terms)
-        lead = {
-            exp: c
-            for exp, c in self._terms.items()
-            if exp[0] * w1 + exp[1] * w2 == wt
-        }
-        return wt, _canonical(lead, self._den)
 
     def derivative(self, var):
         """Partial derivative with respect to ``"x"`` or ``"y"``."""

@@ -41,9 +41,9 @@ by a Taylor shift, builds a new base.  Under the map the total degree of
 a base term is ``(p + r) i + (q + s) j + b0 + b1``, with both weights
 positive, so mu and the tangent cone lie on the Newton boundary of the
 base, read once per base, when a second center reads it
-(``_newton_boundary``): mu is least over its vertices, and the cone is
+(``poly._newton_boundary``): mu is least over its vertices, and the cone is
 one vertex's term, or, when two vertices tie, every base term on their
-edge (``_face``).  A local equation is built only when
+edge (``poly._face``).  A local equation is built only when
 ``ChartPoint.local_equation`` is read.
 """
 
@@ -64,7 +64,7 @@ from .errors import (
 )
 from .factorize import factor_univariate, squarefree_parts
 from .localinv import is_square_free
-from .poly import BPoly, _reduced
+from .poly import BPoly, _face, _newton_boundary, _reduced
 
 __all__ = [
     "ExcDivisor",
@@ -152,41 +152,6 @@ def _relabel(base, emap):
         {(p * i + q * j + b0, r * i + s * j + b1): c for (i, j), c in base._terms.items()},
         base._den,
     )
-
-
-def _newton_boundary(terms):
-    """The vertices of the Newton boundary of a nonempty term dict's
-    support, x-exponent ascending: the corners of the lower-left convex
-    hull of its exponents, from the one of least i (then least j) to the
-    one of least j (then least i).  Points inside an edge are no vertices."""
-    hull = []
-    for i, j in sorted(terms):
-        if hull and j >= hull[-1][1]:
-            continue  # above and right of the last corner: inside the polygon
-        while len(hull) >= 2:
-            (i0, j0), (i1, j1) = hull[-2], hull[-1]
-            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
-                break  # the last corner lies strictly below the new segment
-            hull.pop()
-        hull.append((i, j))
-    return hull
-
-
-def _face(terms, hull, w1, w2):
-    """``(low, face)``: the least ``w1 i + w2 j``, for positive weights,
-    over the exponents of ``terms``, and the exponents attaining it.
-
-    ``hull`` is the Newton boundary of ``terms``, or None to scan the whole
-    support, as a base's first center does.  On the boundary the least value
-    is taken at a vertex; when two vertices take it the face is their edge,
-    and every exponent on it, inside points too, comes from one scan of
-    ``terms``."""
-    points = terms if hull is None else hull
-    low = min(w1 * i + w2 * j for i, j in points)
-    face = [(i, j) for i, j in points if w1 * i + w2 * j == low]
-    if len(face) > 1 and hull is not None:
-        face = [(i, j) for i, j in terms if w1 * i + w2 * j == low]
-    return low, face
 
 
 def _poly_text(coeffs):

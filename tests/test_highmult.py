@@ -21,6 +21,7 @@ from lctplane.highmult import (
 from lctplane.localinv import is_square_free
 from lctplane.parse import MAX_EXPONENT, parse_poly as P
 from lctplane.poly import X, Y
+from lctplane.resolution import lct_from_tree, resolve_over_origin
 
 
 class TestAnalyzeHighMult:
@@ -168,6 +169,21 @@ class TestConstructWitness:
                 assert f.multiplicity() == d - 1
                 assert is_square_free(f)
                 assert analyze_high_mult(f).lct == target
+                assert lct_from_tree(resolve_over_origin(f)) == target
+
+    def test_degree_6_family_rendered(self):
+        # one curve per value: x*g or g with g = y^e + sum x^i y^(e-1-i),
+        # and the product of five distinct lines plus y^6 for 2/5
+        rendered = {str(t): construct_witness(6, t).render() for t in lambda_set(6)}
+        assert rendered == {
+            "9/25": "x*y^5 + x^5",
+            "11/30": "y^6 + x^5",
+            "7/19": "x*y^5 + x^5 + x^4*y",
+            "3/8": "y^6 + x^5 + x^4*y",
+            "5/13": "x*y^5 + x^5 + x^4*y + x^3*y^2",
+            "7/18": "y^6 + x^5 + x^4*y + x^3*y^2",
+            "2/5": "y^6 + x^5 - 10*x^4*y + 35*x^3*y^2 - 50*x^2*y^3 + 24*x*y^4",
+        }
 
     def test_unrealizable(self):
         with pytest.raises(TargetNotRealizable):

@@ -1,6 +1,7 @@
 """Unit tests for local invariants (intersection multiplicity, Milnor
 number, tangent cone pattern, square-freeness, weighted bound)."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import lctplane
 
-from lctplane.errors import NotThroughOrigin, ZeroPolynomial
+from lctplane.errors import NotThroughOrigin, PreconditionError, ZeroPolynomial
 from lctplane.extended import INF
 from lctplane.localinv import (
     intersection_multiplicity_origin as imult,
@@ -21,7 +23,7 @@ from lctplane.localinv import (
     weighted_lct_upper_bound,
 )
 from lctplane.parse import parse_poly as P
-from lctplane.poly import ZERO
+from lctplane.poly import ZERO, BPoly
 
 
 class TestIntersectionMultiplicity:
@@ -136,9 +138,10 @@ class TestSquareFree:
 
 class TestWeightedBound:
     def test_e6(self):
-        assert weighted_lct_upper_bound(P("x^3 + y^4"), (4, 3)).bound == Fraction(
-            7, 12
-        )
+        f = P("x^3 + y^4")
+        result = weighted_lct_upper_bound(f, (4, 3))
+        assert result.bound == Fraction(7, 12)
+        assert result.wt == 12 and result.leading_part == f
 
     def test_a4(self):
         assert weighted_lct_upper_bound(P("x^2 + y^5"), (5, 2)).bound == Fraction(
@@ -156,3 +159,41 @@ class TestWeightedBound:
         f = P("x^2 + y^3")
         r = weighted_lct_upper_bound(f, (Fraction(3, 2), 1))
         assert r.bound == (r.weights[0] + r.weights[1]) / r.wt
+
+    def test_weight_11_is_multiplicity(self):
+        for text in ("x", "x^2 + y^3", "x^3*y + y^5"):
+            f = P(text)
+            assert weighted_lct_upper_bound(f, (1, 1)).wt == f.multiplicity()
+
+    def test_zero_rejected(self):
+        with pytest.raises(ZeroPolynomial):
+            weighted_lct_upper_bound(ZERO, (1, 1))
+
+    def test_nonpositive_weights_rejected_first(self):
+        # an LctError, and before the curve itself is looked at
+        for w in ((0, 1), (1, -2), (Fraction(-1, 2), 3)):
+            for f in (P("x^2 + y^3"), P("x + 1"), ZERO):
+                with pytest.raises(PreconditionError, match="weights must be positive"):
+                    weighted_lct_upper_bound(f, w)
+
+    _weight = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(any),
+            st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+            min_size=1,
+            max_size=10,
+        ),
+        st.tuples(_weight, _weight),
+    )
+    def test_leading_part_is_the_face_of_least_weight(self, terms, w):
+        f = BPoly(terms)
+        result = weighted_lct_upper_bound(f, w)
+        assert result.wt == min(i * w[0] + j * w[1] for i, j in f.terms)
+        lead = result.leading_part
+        assert dict(lead.terms) == {
+            (i, j): c for (i, j), c in f.terms.items() if i * w[0] + j * w[1] == result.wt
+        }
+        # the integer numerators over the denominator are in lowest terms
+        assert math.gcd(lead._den, *lead._terms.values()) == 1

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import Phase, given, settings, strategies as st
 
-from lctplane.errors import BothZero, DivisorZero, NotDivisible, ZeroPolynomial
+from lctplane.errors import BothZero, DivisorZero, NotDivisible
 from lctplane.extended import INF, NEG_INF
 from lctplane.parse import parse_poly
 from lctplane.poly import (
@@ -163,7 +163,6 @@ def _plain(pairs):
 
 
 _scalars = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
-_weights = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
 
 
 class TestCanonicalForm:
@@ -183,10 +182,8 @@ class TestCanonicalForm:
         st.one_of(sparse_polys, wide_polys),
         _scalars,
         shifts,
-        st.integers(0, 18),
-        st.tuples(_weights, _weights),
     )
-    def test_operations(self, f, g, c, p, k, w):
+    def test_operations(self, f, g, c, p):
         ft, gt = f.terms, g.terms
         self.check(f + g, _plain([*ft.items(), *gt.items()]))
         self.check(f - g, _plain([*ft.items(), *((e, -v) for e, v in gt.items())]))
@@ -206,11 +203,6 @@ class TestCanonicalForm:
         )
         self.check(f.derivative("x"), _plain(((i - 1, j), v * i) for (i, j), v in ft.items() if i))
         self.check(f.derivative("y"), _plain(((i, j - 1), v * j) for (i, j), v in ft.items() if j))
-        self.check(f.homogeneous_part(k), {e: v for e, v in ft.items() if sum(e) == k})
-        if f:
-            wt, lead = f.weighted_order(w)
-            assert wt == min(i * w[0] + j * w[1] for i, j in ft)
-            self.check(lead, {(i, j): v for (i, j), v in ft.items() if i * w[0] + j * w[1] == wt})
 
     @given(st.one_of(sparse_polys, wide_polys), _scalars)
     def test_equal_values_have_equal_forms(self, f, c):
@@ -225,7 +217,6 @@ class TestCanonicalForm:
             (P("1/3*x") + P("2/3*x"), X),
             (P("2/3*x + 2/3*y") * Fraction(3, 2), X + Y),
             (P("4*x^2 - 2*y").derivative("y"), BPoly.constant(-2)),
-            (P("1/2*x^2 + 3*y").homogeneous_part(2) * 2, X**2),
             (BPoly({(0, 0): Fraction(6, 4)}), BPoly.constant(Fraction(3, 2))),
             (P("x + 1/2") - P("x"), BPoly.constant(Fraction(1, 2))),
         ]
@@ -263,42 +254,6 @@ class TestDegreesAndParts:
     def test_multiplicity_additive(self):
         f, g = P("x^2 + y^3"), P("x*y + y^3")
         assert (f * g).multiplicity() == f.multiplicity() + g.multiplicity()
-
-    def test_homogeneous_part(self):
-        f = P("x^2 + y^3")
-        assert f.homogeneous_part(2) == P("x^2")
-        assert f.homogeneous_part(5).is_zero
-        g = P("x^3 + x^3*y + y^4")
-        assert g.homogeneous_part(4) == P("x^3*y + y^4")
-        assert type(f.homogeneous_part(2)) is BPoly
-
-    def test_parts_sum_to_whole(self):
-        f = P("x^2 + 3*x*y^4 - 7 + y")
-        total = ZERO
-        for k in range(f.degree + 1):
-            total = total + f.homogeneous_part(k)
-        assert total == f
-
-
-class TestWeightedOrder:
-    def test_e6_weights(self):
-        wt, lead = P("x^3 + y^4").weighted_order((4, 3))
-        assert wt == 12 and lead == P("x^3 + y^4")
-
-    def test_t236_weights(self):
-        f = P("x^2*y^2 + x^3 + y^6")
-        wt, lead = f.weighted_order((2, 1))
-        assert wt == 6 and lead == f
-
-    def test_weight_11_is_multiplicity(self):
-        for text in ("x", "x^2 + y^3", "x^3*y + y^5"):
-            f = P(text)
-            wt, _ = f.weighted_order((1, 1))
-            assert wt == f.multiplicity()
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            ZERO.weighted_order((1, 1))
 
 
 class TestCoordinateChanges:

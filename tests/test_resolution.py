@@ -24,12 +24,10 @@ from lctplane.errors import (
 )
 from lctplane.localinv import is_square_free
 from lctplane.parse import parse_poly as P
-from lctplane.poly import BPoly, X, Y
+from lctplane.poly import BPoly, X, Y, _face, _newton_boundary
 from lctplane.resolution import (
     ResolutionTree,
     _centers_on,
-    _face,
-    _newton_boundary,
     _poly_text,
     _relabel,
     export_tree,
