@@ -17,6 +17,8 @@ from lctplane.poly import (
     Y,
     ZERO,
     _PREFIX_SUM_DEGREE,
+    _face,
+    _newton_boundary,
     certify_coprime,
     certify_squarefree,
     coprime_univariate,
@@ -254,6 +256,29 @@ class TestDegreesAndParts:
     def test_multiplicity_additive(self):
         f, g = P("x^2 + y^3"), P("x*y + y^3")
         assert (f * g).multiplicity() == f.multiplicity() + g.multiplicity()
+
+
+class TestWeightedOrder:
+    """The least-weight face reader behind the blowup loop's tangent cones
+    and the weighted lct bound's leading part."""
+
+    @staticmethod
+    def faces(f, w):
+        terms = f._terms
+        return [_face(terms, hull, *w) for hull in (None, _newton_boundary(terms))]
+
+    def test_e6_weights(self):
+        f = P("x^3 + y^4")
+        assert _newton_boundary(f._terms) == [(0, 4), (3, 0)]
+        for wt, face in self.faces(f, (4, 3)):
+            assert wt == 12 and sorted(face) == [(0, 4), (3, 0)]
+
+    def test_t236_weights(self):
+        # x^2*y^2 lies inside the edge from y^6 to x^3: no vertex, but on the face
+        f = P("x^2*y^2 + x^3 + y^6")
+        assert _newton_boundary(f._terms) == [(0, 6), (3, 0)]
+        for wt, face in self.faces(f, (2, 1)):
+            assert wt == 6 and sorted(face) == sorted(f._terms)
 
 
 class TestCoordinateChanges:
