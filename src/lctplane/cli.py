@@ -339,13 +339,31 @@ def build_parser():
     return parser, sub.choices
 
 
+# Options whose value may begin with a minus sign.  argparse takes a token
+# such as "-1,0" for an option (only a lone number like "-1" passes as a
+# value), so "--point -1,0" is handed on as "--point=-1,0".
+_SIGNED_OPTIONS = ("--point", "--weights")
+
+
+def _join_signed(argv):
+    """argv with each signed value of a ``_SIGNED_OPTIONS`` option joined to
+    it by ``=``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 # Built on the first ``main`` call, not at import, and shared by later calls:
 # parsing only reads the parsers and returns a fresh namespace.
 _shared_parsers = functools.cache(build_parser)
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_signed(sys.argv[1:] if argv is None else list(argv))
     parser, subparsers = _shared_parsers()
     if argv and argv[0] in subparsers:
         # parse_args in one pass: the subcommand reads the rest, the top level refuses leftovers

@@ -45,6 +45,27 @@ base, read once per base, when a second center reads it
 one vertex's term, or, when two vertices tie, every base term on their
 edge (``poly._face``).  A local equation is built only when
 ``ChartPoint.local_equation`` is read.
+
+A center whose cone is one vertex V = (i0, j0) of the base's boundary and
+which has exactly one center after it, at t = 0 by chart 1 or at
+t = infinity by chart 2, starts a run, a chain of satellite points
+(Casas-Alvero, *Singularities of Plane Curves*, 2000).  Each further step
+of that chart adds the same vector to the weights, ``(r, s)`` in chart 1
+and ``(p, q)`` in chart 2, so with A = w.(N - V) and B = step.(N - V) for
+each boundary neighbour N of V, V stays the whole cone of the next n
+centers, n the least ``(A - 1) // -B`` over the neighbours with B < 0 (no
+such neighbour: the cap ends the run).  That is Euclid's quotient: the
+run and the center ending it are the ``b // a`` chart-2 centers after the
+root of ``x^a + y^b``, the first partial quotient of the edge slope's
+continued fraction, as in a toric modification (Oka, *Non-degenerate
+complete intersection singularity*, 1997).  Along the run mu is constant,
+``r i0 + s j0 + b1`` in chart 1 and ``p i0 + q j0 + b0`` in chart 2, and
+one old divisor stays kept, so m and a are arithmetic progressions, each
+step adding mu plus that divisor's m to m, and 1 plus its a to a; each
+emap is the chart map of the one before it.  The loop writes the run's
+nodes in one step, without reading a face or pushing a center, and the
+center after the run goes back through the general step.  The cap still
+counts nodes, one per blowup.
 """
 
 from __future__ import annotations
@@ -79,7 +100,9 @@ __all__ = [
 
 DEFAULT_CAP = 64
 _ZERO = Fraction(0)  # shared by every center location
+_ORIGIN = (_ZERO, _ZERO)  # a center at t = 0, or at t = infinity
 _IDENTITY = (1, 0, 0, 1, 0, 0)  # the exponent map of a base just built
+_new = tuple.__new__
 
 
 class ExcDivisor(NamedTuple):
@@ -231,9 +254,10 @@ def _blowups(f, cap):
         # the curve on E_new, in the coordinate t of chart 1, is the cone:
         # base term (i, j) lands at x^(mu - e) y^e, e = r i + s j + b1
         if len(face) == 1:  # a monomial cone c t^e: t = 0 is the only root
-            (i, j), = face
-            e = r * i + s * j + b1
-            centers = [_ZERO] if e >= 2 or (e == 1 and on_y is not None) else []
+            (i0, j0), = face
+            e = r * i0 + s * j0 + b1
+            at_zero = e >= 2 or (e == 1 and on_y is not None)
+            centers = [_ZERO] if at_zero else []
         else:
             terms, ph = base._terms, [0] * (mu + 1)
             for i, j in face:
@@ -242,6 +266,49 @@ def _blowups(f, cap):
                 ph.pop()
             e = len(ph) - 1
             centers = _centers_on(ph, on_y is not None)
+        # the curve's multiplicity at t = infinity is mu - e
+        at_inf = mu - e >= 2 or (mu - e == 1 and on_x is not None)
+        if len(face) == 1 and at_zero is not at_inf:
+            # a run (module docstring): V = (i0, j0) stays the whole cone at
+            # the next n centers of this chart, each on the last one's
+            # divisor; their nodes are written here in one step
+            hull = hull or _newton_boundary(base._terms)
+            dw1, dw2 = (r, s) if at_zero else (p, q)
+            n = cap  # no neighbour overtakes V: the cap ends the run
+            vi = hull.index((i0, j0))
+            for i, j in hull[max(vi - 1, 0):vi + 2]:
+                di, dj = i - i0, j - j0
+                step = dw1 * di + dw2 * dj
+                if step < 0:
+                    n = min(n, (w1 * di + w2 * dj - 1) // -step)
+            fixed = on_y if at_zero else on_x
+            # each step adds the run's mu plus the kept divisor's m to m
+            dm, da, ids = (e if at_zero else mu - e), 1, ()
+            if fixed is not None:
+                dm, da, ids = dm + fixed.m, da + fixed.a, (fixed.id,)
+            c1, c2 = ("u", "v") if at_zero else ("s", "w")
+            stop = k + min(n, cap - k)  # cut by the cap: the next check raises
+            while True:  # each center's emap is the chart map of the last
+                if at_zero:
+                    p, q = p + r, q + s
+                    emap = (p, q, r, s, -p * i0 - q * j0, b1)
+                else:
+                    r, s = r + p, s + q
+                    emap = (p, q, r, s, b0, -r * i0 - s * j0)
+                if k == stop:
+                    break
+                t = str(k)
+                chart = (c1 + t, c2 + t)
+                k, m, a = k + 1, m + dm, a + da
+                divisor = ExcDivisor(k, m, a)
+                # the node and its center as the tuples their classes build,
+                # without a Python-level __new__ call each
+                center = _new(ChartPoint, (chart, _ORIGIN, frozenset((k - 1,) + ids), base, emap))
+                nodes.append(_new(BlowupNode, (divisor, k - 1, center)))
+            # the center after the run goes through the general step
+            entry = (divisor, on_y) if at_zero else (on_x, divisor)
+            stack.append((base, hull, emap, *entry, k, (f"{c1}{k}", f"{c2}{k}"), _ORIGIN))
+            continue
         # chart 1: (u, v) -> (u, u v), E_new = {u = 0}, on which v is the
         # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
         # origin is t = infinity.  Both compose with emap; only a center at
@@ -258,12 +325,11 @@ def _blowups(f, cap):
                 hull = hull or _newton_boundary(base._terms)
                 entry = (base, hull, chart1, divisor, on_y)
             pending.append((*entry, k, (f"u{k}", f"v{k}"), (_ZERO, t0)))
-        inf_exp = mu - e  # curve multiplicity at t = infinity
-        if inf_exp >= 2 or (inf_exp == 1 and on_x is not None):
+        if at_inf:
             hull = hull or _newton_boundary(base._terms)
             pending.append((
                 base, hull, (p, q, w1, w2, b0, -low), on_x, divisor,
-                k, (f"s{k}", f"w{k}"), (_ZERO, _ZERO),
+                k, (f"s{k}", f"w{k}"), _ORIGIN,
             ))
         stack.extend(reversed(pending))  # visit t ascending, infinity last
 
@@ -302,21 +368,18 @@ def log_pullback_coefficients(tree, lam):
 def export_tree(tree, fmt="json"):
     """Serialize the tree as DOT or JSON (rationals rendered 'p/q')."""
     if fmt == "json":
-        payload = {
-            "input": tree.input.render(),
-            "divisors": [
-                {
-                    "id": node.divisor.id,
-                    "parent": node.parent,
-                    "m": node.divisor.m,
-                    "a": node.divisor.a,
-                    "candidate": _candidate_text(node.divisor),
-                }
-                for node in tree.nodes
-            ],
-            "lct": str(lct_from_tree(tree)),
-        }
-        return json.dumps(payload)
+        # what json.dumps writes for the payload {"input", "divisors", "lct"},
+        # one template per divisor: every value but the input is an int, null
+        # or a "p/q" string, none of which JSON escapes
+        divisors = ", ".join(
+            f'{{"id": {div.id}, "parent": {"null" if parent is None else parent}, '
+            f'"m": {div.m}, "a": {div.a}, "candidate": "{_candidate_text(div)}"}}'
+            for div, parent, _ in tree.nodes
+        )
+        return (
+            f'{{"input": {json.dumps(tree.input.render())}, "divisors": [{divisors}], '
+            f'"lct": "{lct_from_tree(tree)}"}}'
+        )
     if fmt == "dot":
         lines = ["digraph resolution {"]
         for node in tree.nodes:

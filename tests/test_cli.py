@@ -208,6 +208,28 @@ class TestExitCodes:
         assert payload["status"] == "error" and payload["error"] == "ParseError"
 
 
+class TestSignedValues:
+    """A ``--point`` or ``--weights`` value may begin with a minus sign."""
+
+    def test_point_as_separate_token(self, capsys):
+        joined = outcome(capsys, ["lct", "(x+1)^2+y^3", "--point=-1,0", "--format", "json"])
+        assert joined == (0, '{"lct": "5/6", "method": "highmult"}\n', "")
+        assert outcome(capsys, ["lct", "(x+1)^2+y^3", "--point", "-1,0", "--format", "json"]) == joined
+
+    def test_negative_weight_is_a_precondition(self, capsys):
+        code, out, err = run(capsys, "wbound", "x^3+y^4", "--weights", "-1,2")
+        assert code == 3 and out == "" and "weights must be positive" in err
+
+    def test_negative_cap_is_still_refused(self, capsys):
+        code, _, err = outcome(capsys, ["lct", "x^2+y^3", "--cap", "-1"])
+        assert code == "SystemExit(2)" and "must be at least 0, got -1" in err
+
+    def test_missing_point_value_is_a_usage_error(self, capsys):
+        code, _, err = outcome(capsys, ["lct", "x^2+y^3", "--point", "--format", "json"])
+        assert code == "SystemExit(2)"
+        assert "argument --point: expected one argument" in err
+
+
 class TestRepeatedCalls:
     """``main`` shares one parser between calls; no option may carry over."""
 

@@ -90,12 +90,18 @@ def test_cold_import_without_site_loads_no_resource_machinery():
     assert proc.stdout.split() == []
 
 
-def test_trace_targets_exist():
-    """Every lctplane name the benchmark's tracer wraps still resolves."""
+def _spans():
+    """The benchmark's span recorder, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "lctbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("lctbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_trace_targets_exist():
+    """Every lctplane name the benchmark's tracer wraps still resolves."""
+    spans = _spans()
     missing = []
     for module_name, attr in [target[:2] for target in spans.TARGETS] + [spans.BLOWUP_TARGET]:
         owner = importlib.import_module(module_name)
@@ -104,3 +110,20 @@ def test_trace_targets_exist():
         if owner is None:
             missing.append(f"{module_name}.{attr}")
     assert not missing
+
+
+def test_traced_resolution_counts_every_node():
+    """The tracer counts one blowup per ledger node, the nodes of a run that
+    the blowup loop writes in one step among them."""
+    from lctplane import resolution
+    from lctplane.parse import parse_poly
+
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        tree = resolution.resolve_over_origin(parse_poly("x^2+y^63"))
+    finally:
+        tracer.uninstall()
+    assert len(tree.nodes) == 33
+    assert tracer.blowups == len(tree.nodes)
+    assert tracer.layer_metrics()["resolution.calls"] == 1

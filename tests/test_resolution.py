@@ -270,6 +270,43 @@ _restrictions = st.builds(
 )
 
 
+def _chain(tree):
+    return [(node.divisor.m, node.divisor.a, node.parent) for node in tree.nodes]
+
+
+class TestRuns:
+    """Euclid runs: chains of chart-1 or chart-2 centers whose cone stays one
+    vertex, written by the blowup loop in one step."""
+
+    def test_chart_two_run(self):
+        tree = resolve_over_origin(P("x^2 + y^201"), cap=102)
+        assert [(d.m, d.a) for d in tree.divisors()] == (
+            [(2 * k, k) for k in range(1, 101)] + [(201, 101), (402, 202)]
+        )
+        assert [node.parent for node in tree.nodes] == [None, *range(1, 102)]
+        assert {node.center.chart[0][0] for node in tree.nodes[1:101]} == {"s"}
+        assert lct_from_tree(tree) == Fraction(203, 402)
+        with pytest.raises(ResolutionCap, match="^more than 101 blowups; cap exceeded$"):
+            resolve_over_origin(P("x^2 + y^201"), cap=101)
+
+    def test_chart_one_run(self):
+        tree = resolve_over_origin(P("y^2 + x^201"), cap=102)
+        assert {node.center.chart[0][0] for node in tree.nodes[1:101]} == {"u"}
+        assert _chain(tree) == _chain(resolve_over_origin(P("x^2 + y^201"), cap=102))
+        with pytest.raises(ResolutionCap):
+            resolve_over_origin(P("y^2 + x^201"), cap=101)
+
+    @given(
+        st.tuples(st.integers(2, 9), st.integers(10, 60)).filter(lambda ab: math.gcd(*ab) == 1)
+    )
+    def test_binomials_and_their_mirrors(self, ab):
+        a, b = ab
+        tree = resolve_over_origin(X**a + Y**b)
+        assert _chain(tree) == _chain(resolve_over_origin(Y**a + X**b))
+        # Varchenko's value on the Newton boundary, read without a blowup
+        assert lct_from_tree(tree) == min(Fraction(1), Fraction(1, a) + Fraction(1, b))
+
+
 class TestCentersOn:
     @given(_restrictions, st.booleans())
     def test_matches_irreducible_factors(self, ph, t0_kept):
@@ -371,6 +408,7 @@ class TestLedgerInvariant:
     @example(P(_TWO_BRANCHES))
     @example(P(_AK))  # one base after the shift to t = 1, then 26 composed steps
     @example(P("x^5 + y^37"))  # a Euclid chain: the charts alternate
+    @example(P("y^2 + x^61"))  # one chart-1 run of 29 centers
     @example(P(_TWO_CUSPS))  # an edge face with a point inside it
     def test_local_equations_follow_the_charts(self, f):
         try:
@@ -476,6 +514,20 @@ class TestExport:
         payload = json.loads(export_tree(resolve_over_origin(P("x*y")), "json"))
         assert len(payload["divisors"]) == 1
         assert payload["divisors"][0]["m"] == 2 and payload["divisors"][0]["a"] == 1
+
+    @pytest.mark.parametrize(
+        "f, cap",
+        [
+            (P("y - x^2"), 64),  # no divisors
+            (P("x^2 + y^3"), 64),  # a null parent, the integer candidate "1"
+            (P("x^2 + y^201"), 102),
+            # a rational, signed input, shifted to the origin
+            (P("1/2*(x-1/3)^2 + 3/7*(y+2)^3 - 5/3*(x-1/3)*(y+2)^2").translate((Fraction(1, 3), -2)), 64),
+        ],
+    )
+    def test_json_is_what_json_dumps_writes(self, f, cap):
+        text = export_tree(resolve_over_origin(f, cap), "json")
+        assert text == json.dumps(json.loads(text))
 
     def test_dot_cusp(self):
         dot = export_tree(resolve_over_origin(P("x^2 + y^3")), "dot")
