@@ -68,12 +68,8 @@ class BothZero(PreconditionError):
     pass
 
 
-class NotDivisible(PreconditionError):
-    pass
-
-
 class DivisorZero(PreconditionError):
-    pass
+    """``poly.divides`` was asked whether the zero polynomial divides."""
 
 
 class NotSquareFree(PreconditionError):

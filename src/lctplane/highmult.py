@@ -52,7 +52,6 @@ class HighMultAnalysis(NamedTuple):
     m: Optional[int] = None
     line_is_component: Optional[bool] = None
     k_q: Optional[int] = None
-    l_q: Optional[Fraction] = None
     line: Optional[BPoly] = None
 
 
@@ -97,7 +96,6 @@ def analyze_high_mult(f):
         m=m,
         line_is_component=line_is_component,
         k_q=k_q,
-        l_q=lct,
         line=line,
     )
 

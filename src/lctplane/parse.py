@@ -23,9 +23,10 @@ is the number of monomial products, ``C(n + t - 1, t - 1)`` for the
 n-th power of t terms, or the box of the result's per-variable degrees,
 whichever is smaller.  A power is charged ``n * (b + bits(t))``
 coefficient bits, where b is the largest bit length of a numerator or
-denominator of the base (for a base with integer coefficients this bounds
-the result's), and one charged more than ``MAX_COEFF_BITS`` is rejected
-with :class:`~lctplane.errors.CoefficientTooLarge` before it is expanded.
+denominator of the base's coefficients in lowest terms (for a base with
+integer coefficients this bounds the result's), and one charged more than
+``MAX_COEFF_BITS`` is rejected with
+:class:`~lctplane.errors.CoefficientTooLarge` before it is expanded.
 
 ``parse_poly`` first tries the flat-sum reader: one pattern pass that
 checks the whole text is a sum of signed monomials ``c[/q][*x[^i]][*y[^j]]``
@@ -38,15 +39,14 @@ over-long literal, goes to the grammar, so every error and its position
 are the grammar's.  The grammar's tokens are one operator or one literal
 each, and digits are ASCII only.
 
-Each sum is added once by the term kernel's ``add_terms``, and a power
-of a two-term base is written out by the binomial theorem.  The module is
-variable-set generic, because the CLI parses projective input in x, y, z,
-so the product and power (the only arithmetic left here) work on
-exponent tuples of any length.  Integer literals and variables have
-``int`` coefficients, so only a ``p/q`` literal makes a ``Fraction``;
-``parse_poly``, the bivariate entry point, builds its
-:class:`~lctplane.poly.BPoly` from the grammar's result when the reader
-hands the text on.
+The grammar's values are integer term dicts over one positive ``int``
+denominator, and its arithmetic is the term kernel's: each sum is added
+once by ``add_terms`` over the lcm of its denominators, and a product or
+power (``mul_terms``, ``pow_terms``, shared with
+:class:`~lctplane.poly.BPoly`) multiplies them.  The kernel's keys may be
+of any length, because the CLI parses projective input in x, y, z.
+``parse_poly`` divides the grammar's result by its common factor, as
+every ``BPoly`` is stored, and ``parse_terms`` gives it as rationals.
 """
 
 from __future__ import annotations
@@ -55,11 +55,10 @@ import functools
 import math
 import re
 from fractions import Fraction
-from operator import add
 
 from .errors import CoefficientTooLarge, ExponentTooLarge, NonPolynomial, ParseError
 from .errors import TooManyTerms
-from .poly import BPoly, _canonical, add_terms, scale_terms
+from .poly import _canonical, add_terms, mul_terms, pow_terms, scale_terms
 
 __all__ = ["MAX_COEFF_BITS", "MAX_EXPONENT", "MAX_TERMS", "coeff_bits", "parse_poly",
            "parse_terms", "parse_rational"]
@@ -139,15 +138,15 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Parses into n-variable term dicts: {(e_1, ..., e_n): int or Fraction}.
+    """Parses into ``(terms, den)`` pairs: an integer term dict
+    ``{(e_1, ..., e_n): numerator}`` over a positive ``int`` denominator.
 
-    Sums and negations go through the term kernel (``add_terms``,
-    ``scale_terms``), which does not care how long an exponent key is.
-    The product and power stay here because they need n-variable keys:
+    The arithmetic is the term kernel's (``add_terms``, ``scale_terms``,
+    ``mul_terms``, ``pow_terms``), whose keys may be of any length:
     ``--projective`` reads x, y and z, and must see every term of the
     homogeneous form, since terms of different degrees can cancel once the
-    chart variable is set to 1.  The kernel's ``mul_terms`` keeps its
-    bivariate key, which the resolution's inner loops run on.
+    chart variable is set to 1.  A sum is taken over the lcm of its
+    summands' denominators, and a product or power multiplies them.
     """
 
     def __init__(self, text, variables):
@@ -175,51 +174,8 @@ class _Parser:
         if not self.take(op):
             raise ParseError(f"expected {op!r}", self.peek()[2])
 
-    # n-variable product and power (see the class docstring)
-
-    def _const(self, c):
-        return {(0,) * len(self.variables): c} if c else {}
-
-    def _mul(self, a, b):
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = tuple(map(add, ea, eb))
-                acc = out.get(exp)
-                if acc is None:
-                    out[exp] = ca * cb
-                else:
-                    acc = acc + ca * cb
-                    if acc:
-                        out[exp] = acc
-                    else:
-                        del out[exp]
-        return out
-
-    def _pow(self, a, n):
-        if len(a) == 1:  # a monomial: scale its exponents, no products
-            ((exp, c),) = a.items()
-            return {tuple(e * n for e in exp): c**n}
-        if len(a) == 2:
-            # the binomial theorem: each k gives its own exponent, so no
-            # two terms collide and none is zero
-            (e1, c1), (e2, c2) = a.items()
-            c1pow = [1]
-            for _ in range(n):
-                c1pow.append(c1pow[-1] * c1)
-            out, binom, c2pow = {}, 1, 1
-            for k in range(n + 1):
-                exp = tuple(i * (n - k) + j * k for i, j in zip(e1, e2))
-                out[exp] = binom * c1pow[n - k] * c2pow
-                binom = binom * (n - k) // (k + 1)
-                c2pow *= c2
-            return out
-        # Repeated multiplication by the short base: squaring a dense
-        # bivariate power costs more than the n - 1 products it saves.
-        out = self._const(1)
-        for _ in range(n):
-            out = self._mul(out, a)
-        return out
+    def _const(self, c, den=1):
+        return ({(0,) * len(self.variables): c} if c else {}), den
 
     # grammar rules
 
@@ -231,34 +187,37 @@ class _Parser:
         return result
 
     def expr(self):
+        # a summand is (terms, den), with the sign of a subtracted one on den
         summands = []
         sign = self.take("+-")
         while True:
-            summand = self.term()
-            summands.append(scale_terms(summand, -1) if sign == "-" else summand)
+            terms, den = self.term()
+            summands.append((terms, -den if sign == "-" else den))
             sign = self.take("+-")
             if sign is None:
-                return add_terms(*summands)
+                den = math.lcm(*(d for _, d in summands))
+                terms = (t if d == den else scale_terms(t, den // d) for t, d in summands)
+                return add_terms(*terms), den
 
     def term(self):
-        total = self.factor()
+        total, den = self.factor()
         while True:
             kind, value, pos = self.tokens[self.idx]
             if kind == "op" and value == "*":
                 self.idx += 1
-                rhs = self.factor()
+                rhs, rhs_den = self.factor()
                 degrees = map(sum, zip(_max_exponents(total), _max_exponents(rhs)))
                 _check_terms("product", len(total) * len(rhs), degrees, pos)
-                total = self._mul(total, rhs)
+                total, den = mul_terms(total, rhs), den * rhs_den
             elif kind == "op" and value == "/":
                 raise NonPolynomial("division is only allowed inside rational literals", pos)
             elif kind in ("int", "name") or (kind == "op" and value == "("):
                 raise ParseError("implicit multiplication by juxtaposition is not allowed", pos)
             else:
-                return total
+                return total, den
 
     def factor(self):
-        base = self.base()
+        base, den = self.base()
         kind, value, pos = self.tokens[self.idx]
         if kind == "op" and value == "^":
             self.idx += 1
@@ -271,13 +230,17 @@ class _Parser:
             if len(base) > 1:
                 products = math.comb(n + len(base) - 1, n)
                 _check_terms("power", products, (n * d for d in _max_exponents(base)), pos)
-            if n * (coeff_bits(base.values()) + len(base).bit_length()) > MAX_COEFF_BITS:
+            if n * (coeff_bits(base.values(), den) + len(base).bit_length()) > MAX_COEFF_BITS:
                 raise CoefficientTooLarge(
                     f"power exceeds the coefficient limit of {MAX_COEFF_BITS} bits "
                     f"(at position {pos})"
                 )
-            base = self._pow(base, n)
-        return base
+            # in lowest terms, so the power is as long as the charge says
+            g = math.gcd(den, *base.values())
+            if g != 1:
+                base, den = {exp: c // g for exp, c in base.items()}, den // g
+            base, den = pow_terms(base, n, {(0,) * len(self.variables): 1}), den**n
+        return base, den
 
     def exponent(self):
         kind, value, pos = self.peek()
@@ -306,7 +269,7 @@ class _Parser:
                     f"unknown variable {value!r}, expected one of {'/'.join(self.variables)}", pos
                 )
             self.advance()
-            return {tuple(int(v == value) for v in self.variables): 1}
+            return {tuple(int(v == value) for v in self.variables): 1}, 1
         if kind == "int":
             self.advance()
             if not self.take("/"):
@@ -319,7 +282,7 @@ class _Parser:
             if denominator == 0:
                 raise ParseError("zero denominator", pos)
             self.advance()
-            return self._const(Fraction(value, denominator))
+            return self._const(value, denominator)
         if self.take("("):
             inner = self.expr()
             self.expect_op(")")
@@ -332,12 +295,14 @@ def _max_exponents(terms):
     return map(max, zip(*terms))
 
 
-def coeff_bits(coeffs):
-    """The largest bit length of a numerator or denominator among ``coeffs``."""
-    return max(
-        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs),
-        default=0,
-    )
+def coeff_bits(coeffs, den=1):
+    """The largest bit length of a numerator or denominator among the
+    reduced fractions ``c / den``, ``c`` in ``coeffs`` (ints or rationals)."""
+    bits = 0
+    for c in coeffs:
+        g = math.gcd(c.numerator, den)
+        bits = max(bits, (c.numerator // g).bit_length(), (c.denominator * den // g).bit_length())
+    return bits
 
 
 def _check_terms(what, products, degrees, pos):
@@ -347,10 +312,10 @@ def _check_terms(what, products, degrees, pos):
         raise TooManyTerms(f"{what} exceeds the term limit {MAX_TERMS} (at position {pos})")
 
 
-def parse_terms(text, variables):
-    """Parse ``text`` over the given variable names into an n-var term dict.
-    Nesting deeper than the interpreter's recursion limit allows is a
-    ``ParseError``."""
+def _grammar(text, variables):
+    """The grammar's ``(terms, den)`` for ``text`` over the given variable
+    names.  Nesting deeper than the interpreter's recursion limit allows
+    is a ``ParseError``."""
     parser = _Parser(text, variables)
     try:
         return parser.parse()
@@ -358,11 +323,18 @@ def parse_terms(text, variables):
         raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
+def parse_terms(text, variables):
+    """Parse ``text`` over the given variable names into an n-variable
+    term dict with rational coefficients."""
+    terms, den = _grammar(text, variables)
+    return terms if den == 1 else {exp: Fraction(c, den) for exp, c in terms.items()}
+
+
 def parse_poly(text):
     """Parse a bivariate polynomial in x and y: a flat sum of monomials
     by ``_read_flat``, anything else by the grammar."""
     f = _read_flat(text)
-    return f if f is not None else BPoly(parse_terms(text, ("x", "y")))
+    return f if f is not None else _canonical(*_grammar(text, ("x", "y")))
 
 
 def parse_rational(text):

@@ -22,7 +22,8 @@ sympy and leave every other case to the exact gcd.
 ``translate`` is an exact integer Taylor shift done one variable at a time
 (``shift_terms``: running sums on long dense columns, Horner's rule on
 shorter ones, the binomial theorem on sparse ones); everything else is the
-term-dict kernel below.
+term-dict kernel below, whose product and power (``mul_terms``,
+``pow_terms``) the parser's grammar runs on too.
 
 The part of least weight for positive integer weights (the blowup loop's
 tangent cones, the weighted lct bound's leading part) is a face of the
@@ -39,9 +40,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 from types import MappingProxyType
 
-from .errors import BothZero, DivisorZero, NotDivisible, ZeroPolynomial
+from .errors import BothZero, DivisorZero, ZeroPolynomial
 from .extended import INF, NEG_INF
 
 __all__ = [
@@ -67,17 +69,17 @@ def _grlex_key(exp):
 
 # ---------------------------------------------------------------------------
 # Term-dict kernels: the inner loops of all polynomial arithmetic.  Terms
-# are plain dicts mapping ``(i, j)`` to nonzero coefficients: the ``int``
-# numerators of a ``BPoly``, or rationals in the parser.
+# are plain dicts mapping exponent tuples to nonzero ``int`` coefficients:
+# the numerators of a ``BPoly``, keyed ``(i, j)``, or of a parser value,
+# keyed by one exponent per variable.  The sum, product, scaling and power
+# take keys of any length.
 # ---------------------------------------------------------------------------
 
 
 def add_terms(first, *rest):
     """Sum of any number of term dicts, zero coefficients dropped.
 
-    Only ``first`` is copied; the others are read once, in order.  Keys
-    may be exponent tuples of any length (the parser sums n-variable
-    terms here too).
+    Only ``first`` is copied; the others are read once, in order.
     """
     out = dict(first)
     for b in rest:
@@ -99,9 +101,9 @@ def mul_terms(a, b):
     if len(a) > len(b):
         a, b = b, a
     out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
             acc = out.get(key)
             if acc is None:
                 out[key] = c1 * c2
@@ -111,6 +113,39 @@ def mul_terms(a, b):
                     out[key] = acc
                 else:
                     del out[key]
+    return out
+
+
+def pow_terms(a, n, one):
+    """The ``n``-th power of a term dict, ``n >= 0``.  ``one`` is the term
+    dict of 1 with keys as long as ``a``'s, where the repeated product
+    starts: the zero base has no key to take the length from.
+
+    A monomial has its exponents scaled, with no products.  A binomial is
+    written out by the binomial theorem: each k gives its own exponent, so
+    no two terms collide and none is zero.  Any other base is multiplied in
+    ``n`` times: squaring a dense bivariate power costs more than the
+    ``n - 1`` products it saves (Gentleman, "Optimal multiplication chains
+    for computing a power of a symbolic polynomial", Math. Comp. 26, 1972).
+    """
+    if len(a) == 1:
+        ((exp, c),) = a.items()
+        return {tuple(e * n for e in exp): c**n}
+    if len(a) == 2:
+        (e1, c1), (e2, c2) = a.items()
+        c1pow = [1]
+        for _ in range(n):
+            c1pow.append(c1pow[-1] * c1)
+        out, binom, c2pow = {}, 1, 1
+        for k in range(n + 1):
+            exp = tuple(i * (n - k) + j * k for i, j in zip(e1, e2))
+            out[exp] = binom * c1pow[n - k] * c2pow
+            binom = binom * (n - k) // (k + 1)
+            c2pow *= c2
+        return out
+    out = one
+    for _ in range(n):
+        out = mul_terms(out, a)
     return out
 
 
@@ -392,15 +427,7 @@ class BPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base2 = base * base if n > 1 else base
-            base = base2
-            n >>= 1
-        return result
+        return _canonical(pow_terms(self._terms, n, ONE._terms), self._den**n)
 
     def __bool__(self):
         return bool(self._terms)
@@ -463,17 +490,6 @@ class BPoly:
             den *= q
         return self if terms is self._terms else _canonical(terms, den)
 
-    # -- exact division --------------------------------------------------
-
-    def divide_exact(self, g):
-        """Quotient ``q`` with ``q * g == self``; ``NotDivisible`` otherwise."""
-        if not isinstance(g, BPoly):
-            g = BPoly.constant(g)
-        q = _quotient(self, g)
-        if q is None:
-            raise NotDivisible(f"{g} does not divide {self}")
-        return q
-
 
 def _quotient(f, g):
     """``f / g`` for ``BPoly`` operands, or None when ``g`` does not divide
@@ -501,7 +517,7 @@ def _quotient(f, g):
         if di < 0 or dj < 0 or r:
             return None
         quot[(di, dj)] = c * g._den
-        rem = add_terms(rem, mul_terms({(di, dj): -c}, g_terms))
+        rem = add_terms(rem, {(i + di, j + dj): -c * cg for (i, j), cg in g_terms.items()})
     return _canonical(quot, f._den * content)
 
 

@@ -35,6 +35,7 @@ _LAZY_SYMPY = textwrap.dedent(
         ["lct", "x^2+y^5"],
         ["classify", "y^3-x^2*y+x^4"],
         ["milnor", "x^3+y^7+x*y^5"],
+        ["lct", "(x-y^2)^2+y^7"],
     ):
         assert main(argv) == 0, argv
         assert "sympy" not in sys.modules, argv

@@ -20,14 +20,14 @@ from lctplane.parse import (
     MAX_COEFF_BITS,
     MAX_EXPONENT,
     MAX_TERMS,
-    _Parser,
+    _grammar,
     _read_flat,
     coeff_bits,
     parse_poly,
     parse_rational,
     parse_terms,
 )
-from lctplane.poly import BPoly
+from lctplane.poly import BPoly, mul_terms, pow_terms
 
 HOSTILE = ("x^2+y^999999999", f"y^{MAX_EXPONENT + 1}", "(x^40)^40", "(x - x)^5000")
 # Each expands to more than MAX_TERMS terms (the last to 101^2).
@@ -41,40 +41,39 @@ HUGE = ("((10^1000)^1000)^20*x+y^2", "(2^64)^993", "(2^70*x+y)^1000")
 def no_huge_powers(monkeypatch):
     """Fail at once, instead of expanding, if a power above the limit gets
     past the parser's check."""
-    expand = _Parser._pow
 
-    def guarded(self, base, n):
+    def guarded(base, n, one):
         assert n <= MAX_EXPONENT, f"power ^{n} reached expansion"
-        return expand(self, base, n)
+        return pow_terms(base, n, one)
 
-    monkeypatch.setattr(_Parser, "_pow", guarded)
+    monkeypatch.setattr("lctplane.parse.pow_terms", guarded)
 
 
 @pytest.fixture
 def no_huge_products(monkeypatch):
     """Fail at once, instead of expanding, if one product of more than
     MAX_TERMS coefficient pairs gets past the parser's check."""
-    multiply = _Parser._mul
 
-    def guarded(self, a, b):
+    def guarded(a, b):
         assert len(a) * len(b) <= MAX_TERMS, f"{len(a)} x {len(b)} terms reached expansion"
-        return multiply(self, a, b)
+        return mul_terms(a, b)
 
-    monkeypatch.setattr(_Parser, "_mul", guarded)
+    monkeypatch.setattr("lctplane.parse.mul_terms", guarded)
 
 
 @pytest.fixture
 def no_huge_coefficients(monkeypatch):
     """Fail at once, instead of expanding, if a power charged more than
-    MAX_COEFF_BITS coefficient bits gets past the parser's check."""
-    expand = _Parser._pow
+    MAX_COEFF_BITS coefficient bits gets past the parser's check (the
+    texts it guards have integer coefficients, so the numerators are the
+    coefficients)."""
 
-    def guarded(self, base, n):
+    def guarded(base, n, one):
         bits = n * (coeff_bits(base.values()) + len(base).bit_length())
         assert bits <= MAX_COEFF_BITS, f"power of {bits} bits reached expansion"
-        return expand(self, base, n)
+        return pow_terms(base, n, one)
 
-    monkeypatch.setattr(_Parser, "_pow", guarded)
+    monkeypatch.setattr("lctplane.parse.pow_terms", guarded)
 
 
 class TestGrammar:
@@ -257,17 +256,24 @@ def test_exponent_limit_inside_a_monomial(no_huge_powers):
 class TestBinomialPower:
     @pytest.mark.parametrize("base", ["x + y", "2*x - 3/4*y^2", "x^3*y - 5", "1/2 + y", "-x*y + 7/3*x^2"])
     def test_matches_repeated_multiplication(self, base):
-        parser = _Parser("0", ("x", "y"))
-        a = parse_terms(base, ("x", "y"))
+        a, _ = _grammar(base, ("x", "y"))
         expected = {(0, 0): 1}
         for n in range(13):
-            assert list(parser._pow(a, n).items()) == list(expected.items())
-            expected = parser._mul(expected, a)
+            assert list(pow_terms(a, n, {(0, 0): 1}).items()) == list(expected.items())
+            expected = mul_terms(expected, a)
 
     def test_thousandth_power(self):
         terms = parse_terms("(x+y)^1000", ("x", "y"))
         assert len(terms) == 1001
         assert terms[(500, 500)] == math.comb(1000, 500)
+
+    def test_base_in_lowest_terms(self):
+        """A power's base is divided by its common factor first, so the
+        power's numerators are as long as its charge says, not taken over
+        n^2000."""
+        n = 2**61 - 1
+        terms, den = _grammar(f"({n}/{n}*x*{n}/{n} + y)^1000", ("x", "y"))
+        assert den == 1 and terms[(500, 500)] == math.comb(1000, 500)
 
 
 def expressions(names):
@@ -462,7 +468,7 @@ class TestFlatReader:
         def refuse(text, variables):
             raise AssertionError(f"the grammar read {text!r}")
 
-        monkeypatch.setattr("lctplane.parse.parse_terms", refuse)
+        monkeypatch.setattr("lctplane.parse._grammar", refuse)
         assert parse_poly("3/2*x*y^14-2*y^15+3*x^2") == BPoly(
             {(1, 14): Fraction(3, 2), (0, 15): -2, (2, 0): 3})
         assert parse_poly("x^2 + y^3") == BPoly({(2, 0): 1, (0, 3): 1})
