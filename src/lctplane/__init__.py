@@ -1,10 +1,12 @@
 """Exact log canonical thresholds of reduced plane curves.
 
-Three routes to the lct of a curve germ, all in exact rational
+Four routes to the lct of a curve germ, all in exact rational
 arithmetic:
 
 * a closed-form fast path at points of multiplicity d-1 on degree-d
   curves (``analyze_high_mult``),
+* the Newton boundary of a Newton non-degenerate germ, with no blowup
+  (``newton_lct``),
 * an embedded-resolution oracle via iterated point blowups
   (``resolve_over_origin`` / ``lct_from_tree``),
 * a complete classifier and table lookup for curves of degree at most 5
@@ -39,6 +41,7 @@ from .localinv import (
     intersection_multiplicity_origin,
     is_square_free,
     milnor_number_origin,
+    newton_lct,
     tangent_cone_pattern,
     weighted_lct_upper_bound,
 )
@@ -79,6 +82,7 @@ __all__ = [
     "lct_low_degree",
     "log_pullback_coefficients",
     "milnor_number_origin",
+    "newton_lct",
     "parse_poly",
     "reducibility_hint",
     "resolve_over_origin",

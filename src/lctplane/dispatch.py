@@ -1,6 +1,7 @@
 """The lct dispatcher: off the curve, smooth, the closed form at
-multiplicity-(d-1) points, the degree <= 5 classifier, and the resolution
-oracle for every other germ, tried in that order."""
+multiplicity-(d-1) points, the Newton boundary of a non-degenerate germ,
+the degree <= 5 classifier, and the resolution oracle for every other
+germ, tried in that order."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from .classify import classify_singularity
 from .errors import DegreeOutOfRange, NotSquareFree, ZeroPolynomial
 from .extended import INF
 from .highmult import analyze_high_mult
-from .localinv import is_square_free
+from .localinv import is_square_free, newton_lct
 from .resolution import DEFAULT_CAP, lct_from_tree, resolve_over_origin
 
 __all__ = ["LctResult", "lct", "lct_low_degree"]
@@ -19,7 +20,8 @@ __all__ = ["LctResult", "lct", "lct_low_degree"]
 
 class LctResult(NamedTuple):
     """An lct and the route that gave it: ``"trivial"`` (off the curve or
-    smooth), ``"highmult"``, ``"classifier"`` or ``"resolution"``."""
+    smooth), ``"highmult"``, ``"newton"``, ``"classifier"`` or
+    ``"resolution"``."""
 
     value: Fraction
     method: str
@@ -30,10 +32,11 @@ def lct(f, cap=DEFAULT_CAP):
 
     The off-curve answer ``INF`` and the smooth answer 1 hold for any
     curve, so they do not check that f is reduced.  A singular germ goes
-    to the closed form when its multiplicity is deg(f) - 1, else to the
-    classifier when deg(f) <= 5, else to the resolution oracle with at
-    most ``cap`` blowups; each of these refuses a non-reduced curve with
-    ``NotSquareFree``.
+    to the closed form when its multiplicity is deg(f) - 1, else to
+    ``newton_lct`` when its Newton boundary is certified non-degenerate,
+    else to the classifier when deg(f) <= 5, else to the resolution oracle
+    with at most ``cap`` blowups; each of these refuses a non-reduced curve
+    with ``NotSquareFree``, and only the last reads ``cap``.
     """
     if f.is_zero:
         raise ZeroPolynomial("curve is the zero polynomial")
@@ -45,6 +48,11 @@ def lct(f, cap=DEFAULT_CAP):
     # mult >= 2 here, so the closed form gets the degree >= 3 it needs
     if mult == f.degree - 1:
         return LctResult(analyze_high_mult(f).lct, "highmult")
+    value = newton_lct(f)
+    if value is not None:
+        if not is_square_free(f):
+            raise NotSquareFree("curve must be reduced")
+        return LctResult(value, "newton")
     if f.degree <= 5:
         return LctResult(classify_singularity(f).lct, "classifier")
     return LctResult(lct_from_tree(resolve_over_origin(f, cap=cap)), "resolution")

@@ -32,7 +32,7 @@ from .errors import (
 from .factorize import form_coeffs, squarefree_parts
 from .localinv import is_square_free
 from .parse import MAX_EXPONENT
-from .poly import ONE, BPoly, X, Y, divides
+from .poly import ONE, BPoly, X, Y
 
 __all__ = [
     "HighMultAnalysis",
@@ -82,7 +82,7 @@ def analyze_high_mult(f):
     if q0 < 0:  # the line with its first nonzero coefficient positive
         q0, q1 = -q0, -q1
     line = BPoly({(1, 0): q0, (0, 1): q1})
-    line_is_component = divides(line, f)
+    line_is_component = _line_divides(q0, q1, f._terms)
     if line_is_component:
         k_q = m - 1
         lct = Fraction(2 * m - 1, d * (m - 1) + 1)
@@ -98,6 +98,20 @@ def analyze_high_mult(f):
         k_q=k_q,
         line=line,
     )
+
+
+def _line_divides(q0, q1, terms):
+    """True iff the line q0 x + q1 y divides the polynomial with integer
+    term dict ``terms``: iff every homogeneous part vanishes at (q1, -q0).
+
+    The ideal (L) of the line is homogeneous, so f lies in it iff each
+    homogeneous part of f does; and a binary form that vanishes at the
+    point (q1 : -q0) of P^1 is divisible by the linear form vanishing
+    there, which is L up to a unit."""
+    parts = {}
+    for (i, j), c in terms.items():
+        parts[i + j] = parts.get(i + j, 0) + c * q1**i * (-q0) ** j
+    return not any(parts.values())
 
 
 def _special_values(d):

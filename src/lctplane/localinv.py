@@ -1,5 +1,13 @@
 """Local invariants of a plane curve germ at the origin.
 
+``newton_lct`` reads the lct of a Newton non-degenerate germ off its
+Newton boundary: when every compact edge's polynomial has only simple
+roots, lct_0(f) = min(1, 1/t) for the point (t, t) at which the diagonal
+meets the boundary (Varchenko, "Zeta-function of monodromy and Newton's
+diagram", Invent. Math. 37, 1976, and "Complex exponents of a singularity
+do not change along the stratum mu = const", 1982; Howald, "Multiplier
+ideals of sufficiently general polynomials", 2003).
+
 Intersection multiplicity is computed by the classical exact recursion
 (restrict to y = 0, cancel the lowest x-power, extract y factors), with
 the terms above what the Bezout bound leaves dropped at each step, on
@@ -21,10 +29,13 @@ from .factorize import form_coeffs, squarefree_parts
 from .poly import (
     BPoly,
     _canonical,
+    _derivative,
     _face,
+    _newton_boundary,
     add_terms,
     certify_coprime,
     certify_squarefree,
+    coprime_univariate,
     gcd_bivariate,
     gcd_many,
     mul_terms,
@@ -37,6 +48,7 @@ __all__ = [
     "milnor_number_origin",
     "tangent_cone_pattern",
     "is_square_free",
+    "newton_lct",
     "weighted_lct_upper_bound",
     "WeightedBound",
 ]
@@ -187,3 +199,37 @@ def weighted_lct_upper_bound(f, w):
     wt = Fraction(low, scale)
     leading = _canonical({exp: f._terms[exp] for exp in face}, f._den)
     return WeightedBound((w1, w2), wt, (w1 + w2) / wt, leading)
+
+
+def newton_lct(f):
+    """lct_0(f) off the Newton boundary of f, or None when f is not
+    certified Newton non-degenerate.  It does not check that f is reduced;
+    ``dispatch.lct`` does, as for every route.
+
+    Non-degenerate: the polynomial of each compact edge, read along the
+    edge's lattice points, has only simple roots; both its ends are
+    vertices, so none is 0.  An edge with no term inside is a binomial and
+    passes; any other is certified by ``coprime_univariate(e, e')``, and an
+    undecided certificate gives None, with no Yun step.  The Newton polygon
+    is the intersection of the half-planes i >= i_min, j >= j_min and
+    w1 i + w2 j >= N over the edges, with (w1, w2) normal to the edge, so
+    the diagonal meets its boundary at t = max(i_min, j_min, N / (w1 + w2)):
+    on an edge, at a vertex, or, when f is not convenient, on a ray."""
+    if f.is_zero:
+        raise ZeroPolynomial("Newton boundary of the zero polynomial")
+    terms = f._terms
+    if (0, 0) in terms:
+        raise NotThroughOrigin("curve does not pass through the origin")
+    hull = _newton_boundary(terms)
+    num, den = max(hull[0][0], hull[-1][1]), 1  # t = num / den
+    for (i0, j0), (i1, j1) in zip(hull, hull[1:]):
+        w1, w2 = j0 - j1, i1 - i0
+        g = math.gcd(w1, w2)
+        di, dj = w2 // g, w1 // g
+        edge = [terms.get((i0 + k * di, j0 - k * dj), 0) for k in range(g + 1)]
+        if any(edge[1:-1]) and not coprime_univariate(edge, _derivative(edge)):
+            return None
+        n = w1 * i0 + w2 * j0
+        if n * den > num * (w1 + w2):
+            num, den = n, w1 + w2
+    return Fraction(den, num) if num > den else Fraction(1)

@@ -45,8 +45,8 @@ class TestLct:
         assert payload == {"lct": "9/20", "method": "highmult"}
 
     def test_classifier_dispatch(self, capsys):
-        # degree 5, multiplicity 2: not the fast path, table lookup instead
-        code, payload, _ = run_json(capsys, "lct", "x^2 + y^5")
+        # degree 5, multiplicity 2, a square on the Newton edge: table lookup
+        code, payload, _ = run_json(capsys, "lct", "(x-y)^2 + y^5")
         assert code == 0
         assert payload == {"lct": "7/10", "method": "classifier"}
 
@@ -66,10 +66,17 @@ class TestLct:
         assert code == 0 and out.count("\n") == 1 and out.endswith("}\n")
 
     def test_resolution_dispatch(self, capsys):
-        # degree 6, multiplicity 2: only the resolution engine applies
-        code, payload, _ = run_json(capsys, "lct", "x^2 + y^6 + x*y^4")
+        # degree 7, multiplicity 2, a square on the Newton edge: only the
+        # resolution engine applies
+        code, payload, _ = run_json(capsys, "lct", "(x-y)^2 + y^7")
         assert code == 0
-        assert payload["method"] == "resolution"
+        assert payload == {"lct": "9/14", "method": "resolution"}
+
+    def test_newton_dispatch(self, capsys):
+        # 102 blowups past the default cap, but one Newton edge
+        code, payload, _ = run_json(capsys, "lct", "x^2+y^201")
+        assert code == 0
+        assert payload == {"lct": "203/402", "method": "newton"}
 
     def test_translated_point(self, capsys):
         code, payload, _ = run_json(
@@ -123,6 +130,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "resolve", "(x^2 - 2*y^2)^2 + y^5")
         assert code == 4 and "irreducible" in err
 
+    def test_square_on_a_newton_edge_keeps_its_route(self, capsys):
+        # (1 - 2 t^2)^2 on the edge: not the Newton route, and the resolution
+        # meets the irrational center
+        code, _, err = run(capsys, "lct", "(x^2-2*y^2)^2+y^7")
+        assert code == 4 and "irreducible" in err
+
     def test_irrational_center_names_least_degree(self, capsys):
         # E1 carries t^3 - 3 twice and t^2 - 2 three times; the message
         # names the factor of least degree, then least multiplicity
@@ -161,8 +174,8 @@ class TestExitCodes:
         assert code == 3 and "resolution ledger" in err
 
     def test_classify_chain_refused_within_cap(self, capsys):
-        # the blowup cap of lct would exit 5; the classifier stops at the
-        # largest multiplicity-2 row ledger
+        # lct reads 203/402 off the Newton boundary; the classifier stops at
+        # the largest multiplicity-2 row ledger
         code, _, err = run(capsys, "classify", "x^2+y^201")
         assert code == 3 and "more than 8 blowups" in err
 

@@ -36,8 +36,14 @@ class TestRoutes:
             ("x^2+y^3", (0, 0), LctResult(Fraction(5, 6), "highmult")),
             ("y^4+x^5", (0, 0), LctResult(Fraction(9, 20), "highmult")),
             ("(x-1)^2 + (y-2)^3", (1, 2), LctResult(Fraction(5, 6), "highmult")),
-            ("x^2 + y^5", (0, 0), LctResult(Fraction(7, 10), "classifier")),
-            ("x^2 + y^6 + x*y^4", (0, 0), LctResult(Fraction(2, 3), "resolution")),
+            # Newton non-degenerate: read off the boundary, at any degree
+            ("x^2 + y^5", (0, 0), LctResult(Fraction(7, 10), "newton")),
+            ("x^2 + y^6 + x*y^4", (0, 0), LctResult(Fraction(2, 3), "newton")),
+            ("x*(y^2 - x^5)", (0, 0), LctResult(Fraction(7, 12), "newton")),
+            ("x^2 + y^201", (0, 0), LctResult(Fraction(203, 402), "newton")),
+            # a square on the edge (x - y)^2: the classifier, then the oracle
+            ("(x-y)^2 + y^5", (0, 0), LctResult(Fraction(7, 10), "classifier")),
+            ("(x-y)^2 + y^7", (0, 0), LctResult(Fraction(9, 14), "resolution")),
         ],
     )
     def test_method_table(self, text, point, expected):
@@ -61,7 +67,9 @@ class TestRoutes:
 
     def test_cap(self):
         with pytest.raises(ResolutionCap):
-            lct(P("x^2 + y^6 + x*y^4"), cap=1)
+            lct(P("(x-y)^2 + y^7"), cap=1)
+        # only the resolution reads the cap
+        assert lct(P("x^2 + y^6 + x*y^4"), cap=1) == (Fraction(2, 3), "newton")
 
     @settings(max_examples=300)
     @given(singular_germs)

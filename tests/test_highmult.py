@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lctplane.errors import (
     DegreeOutOfRange,
@@ -13,6 +14,7 @@ from lctplane.errors import (
     WrongMultiplicity,
 )
 from lctplane.highmult import (
+    _line_divides,
     analyze_high_mult,
     construct_witness,
     lambda_set,
@@ -20,7 +22,7 @@ from lctplane.highmult import (
 )
 from lctplane.localinv import is_square_free
 from lctplane.parse import MAX_EXPONENT, parse_poly as P
-from lctplane.poly import X, Y
+from lctplane.poly import BPoly, X, Y, divides
 from lctplane.resolution import lct_from_tree, resolve_over_origin
 
 
@@ -49,6 +51,23 @@ class TestAnalyzeHighMult:
     def test_special_line_sign(self, text, line):
         # the primitive line, its first nonzero coefficient positive
         assert analyze_high_mult(P(text)).line == line
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            st.integers(-5, 5).filter(bool),
+            min_size=1,
+            max_size=8,
+        ),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+        st.booleans(),
+    )
+    def test_line_component_by_restriction(self, terms, q, times_line):
+        # the restriction test agrees with long division, on multiples of
+        # the line and on polynomials that are mostly not
+        line = BPoly({(1, 0): q[0], (0, 1): q[1]})
+        f = BPoly(terms) * line if times_line else BPoly(terms)
+        assert _line_divides(*q, f._terms) == divides(line, f)
 
     def test_d4_no_special(self):
         a = analyze_high_mult(P("x*y*(x - y) + x^4"))

@@ -1,5 +1,6 @@
 """Unit tests for local invariants (intersection multiplicity, Milnor
-number, tangent cone pattern, square-freeness, weighted bound)."""
+number, tangent cone pattern, square-freeness, weighted bound, the lct of
+a Newton non-degenerate germ)."""
 
 import math
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import lctplane
 
@@ -19,11 +20,13 @@ from lctplane.localinv import (
     intersection_multiplicity_origin as imult,
     is_square_free,
     milnor_number_origin as milnor,
+    newton_lct,
     tangent_cone_pattern,
     weighted_lct_upper_bound,
 )
 from lctplane.parse import parse_poly as P
-from lctplane.poly import ZERO, BPoly
+from lctplane.poly import ONE, ZERO, BPoly, X, Y
+from lctplane.resolution import lct_from_tree, resolve_over_origin
 
 
 class TestIntersectionMultiplicity:
@@ -197,3 +200,99 @@ class TestWeightedBound:
         }
         # the integer numerators over the denominator are in lowest terms
         assert math.gcd(lead._den, *lead._terms.values()) == 1
+
+
+_small = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _binomial_above_edge(draw):
+    """``c1 x^i0 y^j0 + c2 x^i1 y^j1`` plus terms strictly above that edge;
+    i0 or j1 may be 1, a germ x g or y g that is not convenient."""
+    i0, j1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    i1, j0 = draw(st.integers(i0 + 1, 7)), draw(st.integers(j1 + 1, 7))
+    w1, w2 = j0 - j1, i1 - i0
+    n = w1 * i0 + w2 * j0
+    above = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
+        lambda e: w1 * e[0] + w2 * e[1] > n
+    )
+    terms = draw(st.dictionaries(above, _small, max_size=3))
+    terms.update({(i0, j0): draw(_small), (i1, j1): draw(_small)})
+    return BPoly(terms)
+
+
+@st.composite
+def _ordinary_point(draw):
+    """m >= 2 distinct lines through the origin, plus a term of degree m + 1."""
+    lines = draw(
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+                 min_size=2, max_size=4, unique_by=lambda q: Fraction(q[1], q[0]) if q[0] else None)
+    )
+    f = math.prod((a * X + b * Y for a, b in lines), start=ONE)
+    i = draw(st.integers(0, len(lines) + 1))
+    return f + draw(_small) * X**i * Y ** (len(lines) + 1 - i)
+
+
+_a_k = st.builds(lambda k, c: Y**2 + c * X ** (k + 1), st.integers(1, 12), _small)
+
+
+@st.composite
+def _moved(draw, germs):
+    """A germ, times x or y or not, under a unimodular linear map: a
+    product of up to two elementary matrices, then perhaps the swap."""
+    f = draw(germs) * draw(st.sampled_from([ONE, X, Y]))
+    sx, sy = X, Y
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(-2, 2))
+        sx, sy = (sx + k * sy, sy) if draw(st.booleans()) else (sx, sy + k * sx)
+    if draw(st.booleans()):
+        sx, sy = sy, sx
+    return f.substitute(sx, sy)
+
+
+class TestNewtonLct:
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("x^2 + y^5", Fraction(7, 10)),
+            ("x^2 + y^6 + x*y^4", Fraction(2, 3)),  # (1, 4) lies above the edge
+            ("x*(y^2 - x^3)", Fraction(5, 8)),  # not convenient: a vertical ray
+            ("x^2 + y^201", Fraction(203, 402)),  # 102 blowups, one edge
+            ("x^2*y^2 + x^3 + y^6", Fraction(1, 2)),  # the diagonal meets a vertex
+            ("x*y", Fraction(1)),
+            ("x + y^2", Fraction(1)),
+            ("x^3 + y^3 + x*y^2", Fraction(2, 3)),  # 1 + t^2 + t^3 on the edge
+        ],
+    )
+    def test_values(self, text, value):
+        assert newton_lct(P(text)) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(x^2 - 2*y^2)^2 + y^7",  # (1 - 2 t^2)^2 on the edge
+            "(x - y)^2 + y^7",
+            "(x - y^2)^2 + y^7",
+            "x^4 + 2*x^2*y^2 + y^4",
+        ],
+    )
+    def test_square_on_an_edge(self, text):
+        assert newton_lct(P(text)) is None
+
+    def test_refusals(self):
+        with pytest.raises(ZeroPolynomial):
+            newton_lct(ZERO)
+        with pytest.raises(NotThroughOrigin):
+            newton_lct(P("1 + x^2 + y^3"))
+
+    @settings(max_examples=200)
+    @given(_moved(st.one_of(_binomial_above_edge(), _ordinary_point(), _a_k)))
+    @example(P("(x^2 - 2*y^2)^2 + y^7"))
+    @example(P("(x^2 - 2*y^2)^2 + y^5"))
+    @example(P("x*(y^2 - x^3)"))
+    def test_agrees_with_the_oracle(self, f):
+        value = newton_lct(f)
+        if value is None:
+            return
+        assume(is_square_free(f))
+        assert value == lct_from_tree(resolve_over_origin(f))

@@ -14,7 +14,7 @@ import pytest
 import lctplane
 
 # Off-curve, smooth, lambda-set and wbound queries need no algebra, and the
-# closed form, the classifier, the Milnor number and the resolution of a
+# closed form, the Newton boundary, the classifier, the Milnor number and the resolution of a
 # reduced germ are decided by integer coprimality certificates and Yun's
 # squarefree parts, so none of them may load sympy; only a repeated tangent
 # part of degree >= 2 on an exceptional divisor is factored, which does.
@@ -40,9 +40,10 @@ _LAZY_SYMPY = textwrap.dedent(
         assert main(argv) == 0, argv
         assert "sympy" not in sys.modules, argv
     assert lct(parse_poly("x^2+y^3")).method == "highmult"
-    assert lct(parse_poly("x^2+y^5")).method == "classifier"
+    assert lct(parse_poly("x^2+y^5")).method == "newton"
+    assert lct(parse_poly("(x-y)^2+y^5")).method == "classifier"
     assert "sympy" not in sys.modules, "lct"
-    assert lct(parse_poly("x^2+y^7")).method == "resolution"
+    assert lct(parse_poly("(x-y)^2+y^7")).method == "resolution"
     assert "sympy" not in sys.modules, "resolution lct"
     assert main(["resolve", "(x^2-2*y^2)^2+y^5"]) == 4
     assert "sympy" in sys.modules, "repeated irrational tangent"
