@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from .errors import BothZero, DivisorZero, ZeroPolynomial
@@ -702,7 +702,7 @@ def _certify(f, g):
     """Shared body of the two certificates; ``g is None`` asks whether
     ``f`` is squarefree, otherwise whether ``f`` and ``g`` are coprime."""
     ft = f._terms
-    degs = max(i for i, _ in ft), max(j for _, j in ft)
+    degs = max(ft)[0], max(map(itemgetter(1), ft))
     if not any(degs):
         return True
     # v: the variable of smaller positive degree, so restrictions are short
@@ -718,9 +718,12 @@ def _certify(f, g):
                 break
     else:
         return False
-    # (ii) a factor in w alone divides every v-coefficient of f and of g;
-    # for squarefreeness its square divides those of f, so it divides the
+    # (ii) a factor in w alone divides every v-coefficient of f and of g,
+    # so there is none when f's leading one is a constant; otherwise, for
+    # squarefreeness its square divides those of f, so it divides the
     # shortest one's derivative too
+    if all(not exp[1 - v] for exp in ft if exp[v] == degs[v]):
+        return True
     cols = sorted(_split(ft, v) + ([] if gt is None else _split(gt, v)), key=len)
     first = cols[0]
     others = cols[1:] if gt is not None else [_derivative(first)] + cols[1:]
