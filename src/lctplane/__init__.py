@@ -13,9 +13,11 @@ arithmetic:
   (``classify_singularity``), which matches the oracle's blowup ledger
   against each table row's.
 
-``lct`` picks the first route that applies to the germ at the origin (the
-``lctplane lct`` command calls it); ``lct_low_degree`` uses it at any
-rational point of a curve of degree at most 5.
+``lct`` picks the first of the closed form, the Newton boundary and the
+oracle that applies to the germ at the origin (the ``lctplane lct``
+command calls it); ``lct_low_degree`` uses it at any rational point of a
+curve of degree at most 5.  The classifier names a germ's type (the
+``classify`` command) and is an independent reference for Table 1.
 """
 
 from .classify import (

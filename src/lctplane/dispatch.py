@@ -1,14 +1,12 @@
 """The lct dispatcher: off the curve, smooth, the closed form at
 multiplicity-(d-1) points, the Newton boundary of a non-degenerate germ,
-the degree <= 5 classifier, and the resolution oracle for every other
-germ, tried in that order."""
+and the resolution oracle for every other germ, tried in that order."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classify import classify_singularity
 from .errors import DegreeOutOfRange, NotSquareFree, ZeroPolynomial
 from .extended import INF
 from .highmult import analyze_high_mult
@@ -20,8 +18,7 @@ __all__ = ["LctResult", "lct", "lct_low_degree"]
 
 class LctResult(NamedTuple):
     """An lct and the route that gave it: ``"trivial"`` (off the curve or
-    smooth), ``"highmult"``, ``"newton"``, ``"classifier"`` or
-    ``"resolution"``."""
+    smooth), ``"highmult"``, ``"newton"`` or ``"resolution"``."""
 
     value: Fraction
     method: str
@@ -34,9 +31,9 @@ def lct(f, cap=DEFAULT_CAP):
     curve, so they do not check that f is reduced.  A singular germ goes
     to the closed form when its multiplicity is deg(f) - 1, else to
     ``newton_lct`` when its Newton boundary is certified non-degenerate,
-    else to the classifier when deg(f) <= 5, else to the resolution oracle
-    with at most ``cap`` blowups; each of these refuses a non-reduced curve
-    with ``NotSquareFree``, and only the last reads ``cap``.
+    else to the resolution oracle with at most ``cap`` blowups, whatever
+    its degree; each of these refuses a non-reduced curve with
+    ``NotSquareFree``, and only the last reads ``cap``.
     """
     if f.is_zero:
         raise ZeroPolynomial("curve is the zero polynomial")
@@ -53,8 +50,6 @@ def lct(f, cap=DEFAULT_CAP):
         if not is_square_free(f):
             raise NotSquareFree("curve must be reduced")
         return LctResult(value, "newton")
-    if f.degree <= 5:
-        return LctResult(classify_singularity(f).lct, "classifier")
     return LctResult(lct_from_tree(resolve_over_origin(f, cap=cap)), "resolution")
 
 
@@ -67,7 +62,7 @@ def lct_low_degree(f, p=(0, 0)):
     if f.is_zero:
         raise ZeroPolynomial("cannot analyze the zero polynomial")
     if not 1 <= f.degree <= 5:
-        raise DegreeOutOfRange(f"lookup covers degrees 1..5, got {f.degree}")
+        raise DegreeOutOfRange(f"reduced curves of degree 1..5 only, got {f.degree}")
     result = lct(f.translate(p))
     # the singular routes have already refused a non-reduced curve
     if result.method == "trivial" and not is_square_free(f):

@@ -6,6 +6,8 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings
+from test_dispatch import singular_germs
 
 from lctplane import lct_low_degree
 from lctplane.classify import (
@@ -19,14 +21,15 @@ from lctplane.classify import (
 )
 from lctplane.errors import (
     DegreeOutOfRange,
+    IrrationalCenter,
     NotClassifiable,
     NotSingular,
     NotSquareFree,
 )
 from lctplane.extended import INF
-from lctplane.localinv import milnor_number_origin
+from lctplane.localinv import is_square_free, milnor_number_origin
 from lctplane.parse import parse_poly as P
-from lctplane.resolution import resolve_over_origin
+from lctplane.resolution import lct_from_tree, resolve_over_origin
 
 TABLES_SHA256 = "e94a12e9fd237a46c0cbc1f4b2f5c4aaebe4c890239b9a10c8cbf3e0b26f4d53"
 
@@ -142,6 +145,18 @@ class TestLedgerClassifier:
     @pytest.mark.parametrize("text", ["x^2 + y^5 + y^7", "x^2 + y^5 + x^3*y^4"])
     def test_degree_above_5_matches_a4(self, text):
         assert classify_singularity(P(text)).symbol == "A4"
+
+    @settings(max_examples=300)
+    @given(singular_germs)
+    def test_agrees_with_oracle(self, f):
+        # lct never runs the classifier, so its rows are checked here against
+        # the oracle's lct on reduced germs of degree <= 5
+        assume(is_square_free(f))
+        try:
+            tree = resolve_over_origin(f)
+        except IrrationalCenter:
+            assume(False)
+        assert classify_singularity(f).lct == lct_from_tree(tree)
 
     def test_irrational_center_falls_back_to_triple(self):
         cls = classify_singularity(P("(x^2 - 2*y^2)^2 + y^5"))

@@ -44,11 +44,12 @@ class TestLct:
         assert code == 0
         assert payload == {"lct": "9/20", "method": "highmult"}
 
-    def test_classifier_dispatch(self, capsys):
-        # degree 5, multiplicity 2, a square on the Newton edge: table lookup
+    def test_low_degree_degenerate_dispatch(self, capsys):
+        # degree 5, multiplicity 2, a square on the Newton edge: the
+        # resolution engine, as at any degree
         code, payload, _ = run_json(capsys, "lct", "(x-y)^2 + y^5")
         assert code == 0
-        assert payload == {"lct": "7/10", "method": "classifier"}
+        assert payload == {"lct": "7/10", "method": "resolution"}
 
     def test_off_curve(self, capsys):
         code, payload, _ = run_json(capsys, "lct", "x^2+y^3", "--point", "7,5")

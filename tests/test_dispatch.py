@@ -41,8 +41,8 @@ class TestRoutes:
             ("x^2 + y^6 + x*y^4", (0, 0), LctResult(Fraction(2, 3), "newton")),
             ("x*(y^2 - x^5)", (0, 0), LctResult(Fraction(7, 12), "newton")),
             ("x^2 + y^201", (0, 0), LctResult(Fraction(203, 402), "newton")),
-            # a square on the edge (x - y)^2: the classifier, then the oracle
-            ("(x-y)^2 + y^5", (0, 0), LctResult(Fraction(7, 10), "classifier")),
+            # a square on the edge (x - y)^2: the oracle, at any degree
+            ("(x-y)^2 + y^5", (0, 0), LctResult(Fraction(7, 10), "resolution")),
             ("(x-y)^2 + y^7", (0, 0), LctResult(Fraction(9, 14), "resolution")),
         ],
     )
@@ -57,7 +57,7 @@ class TestRoutes:
         "text",
         [
             "x^2 + x^2*y",  # degree 3, multiplicity 2: the closed form
-            "x^4 + 2*x^2*y^2 + y^4",  # degree 4, multiplicity 4: the classifier
+            "x^4 + 2*x^2*y^2 + y^4",  # degree 4, multiplicity 4: the resolution oracle
             "x^2 + x^2*y^5",  # degree 7, multiplicity 2: the resolution oracle
         ],
     )
@@ -68,6 +68,9 @@ class TestRoutes:
     def test_cap(self):
         with pytest.raises(ResolutionCap):
             lct(P("(x-y)^2 + y^7"), cap=1)
+        # a degenerate germ of degree <= 5 takes the resolution too
+        with pytest.raises(ResolutionCap):
+            lct(P("(x-y)^2 + y^5"), cap=0)
         # only the resolution reads the cap
         assert lct(P("x^2 + y^6 + x*y^4"), cap=1) == (Fraction(2, 3), "newton")
 

@@ -14,10 +14,11 @@ import pytest
 import lctplane
 
 # Off-curve, smooth, lambda-set and wbound queries need no algebra, and the
-# closed form, the Newton boundary, the classifier, the Milnor number and the resolution of a
-# reduced germ are decided by integer coprimality certificates and Yun's
-# squarefree parts, so none of them may load sympy; only a repeated tangent
-# part of degree >= 2 on an exceptional divisor is factored, which does.
+# closed form, the Newton boundary, the resolution, the classifier and the
+# Milnor number of a reduced germ are decided by integer coprimality
+# certificates and Yun's squarefree parts, so none of them may load sympy;
+# only a repeated tangent part of degree >= 2 on an exceptional divisor is
+# factored, which does.
 _LAZY_SYMPY = textwrap.dedent(
     """
     import sys
@@ -41,7 +42,7 @@ _LAZY_SYMPY = textwrap.dedent(
         assert "sympy" not in sys.modules, argv
     assert lct(parse_poly("x^2+y^3")).method == "highmult"
     assert lct(parse_poly("x^2+y^5")).method == "newton"
-    assert lct(parse_poly("(x-y)^2+y^5")).method == "classifier"
+    assert lct(parse_poly("(x-y)^2+y^5")).method == "resolution"
     assert "sympy" not in sys.modules, "lct"
     assert lct(parse_poly("(x-y)^2+y^7")).method == "resolution"
     assert "sympy" not in sys.modules, "resolution lct"
