@@ -18,15 +18,27 @@ coefficient bits (``CoefficientTooLarge``), as ``(10^1000)^1000``; and a
 ``lambda-set`` or ``witness`` degree above 1000.  ``classify`` exits 3 on
 a germ whose resolution ledger matches no table row, as ``x^3+y^7``, or
 needs more blowups than every row of its multiplicity, as ``x^2+y^201``.
+
+Each subcommand's arguments are declared once, in ``_COMMANDS``.  ``main``
+reads argv straight off that table when every token after the subcommand
+is a plain positional (not beginning with ``-``), an exact long option
+followed by a value that does not begin with ``-``, or ``--option=value``,
+each option at most once, the positionals all there, and every value
+passing its type and choices.  Any other argv (``-h``, ``--``, an
+abbreviated, unknown or repeated option, a missing or extra positional, a
+bad value, and every ``wbound`` and ``selftest`` argv, whose specs use
+``required`` or ``nargs``) goes unchanged to argparse, which is imported
+only then.  So argparse alone writes help, usage and error text, and
+every outcome is what one ``parse_args`` on ``build_parser()`` gives.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .classify import classify_singularity
 from .dispatch import lct
@@ -241,101 +253,84 @@ def _cap(text):
     try:
         cap = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
-    return cap
+        message = f"invalid int value: {text!r}"
+    else:
+        if cap >= 0:
+            return cap
+        message = f"must be at least 0, got {cap}"
+    import argparse  # only a usage error needs it
+
+    raise argparse.ArgumentTypeError(message)
 
 
-def _add_common(parser, point=True, cap=False):
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    if point:
-        parser.add_argument(
-            "--point", metavar="X,Y", help="rational point to analyze (default origin)"
-        )
-    if cap:
-        parser.add_argument(
-            "--cap",
-            type=_cap,
-            default=DEFAULT_CAP,
-            metavar="N",
-            help="blowup cap of the resolution route (ignored by the other routes)",
-        )
+# Each subcommand's handler, help line and arguments, declared once.  An
+# argument is (flag, add_argument keyword arguments), in the order the help
+# lists them: ``build_parser`` adds them to argparse, and ``_read`` reads a
+# well-formed argv straight off them.
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text", help="output format"))
+_POINT = ("--point", dict(metavar="X,Y", help="rational point to analyze (default origin)"))
+_CAP = ("--cap", dict(
+    type=_cap, default=DEFAULT_CAP, metavar="N",
+    help="blowup cap of the resolution route (ignored by the other routes)",
+))
+_POLYNOMIAL = ("polynomial", {})
+_PROJECTIVE = ("--projective", dict(metavar="CHART"))
+
+_COMMANDS = {
+    "lct": (_cmd_lct, "lct of a curve at a point", (
+        _POLYNOMIAL,
+        ("--projective", dict(
+            metavar="CHART", help="treat input as a form in x, y, z; dehomogenize at this chart"
+        )),
+        _FORMAT, _POINT, _CAP,
+    )),
+    "classify": (_cmd_classify, "singularity type at a point (degree <= 5)", (
+        _POLYNOMIAL, _PROJECTIVE, _FORMAT, _POINT,
+    )),
+    "milnor": (_cmd_milnor, "Milnor number at a point", (
+        _POLYNOMIAL, _PROJECTIVE, _FORMAT, _POINT,
+    )),
+    "imult": (_cmd_imult, "intersection multiplicity of two curves", (
+        ("f", {}), ("g", {}), _FORMAT, _POINT,
+    )),
+    "lambda-set": (_cmd_lambda_set, "all lcts at multiplicity-(d-1) points, degree d", (
+        ("d", dict(type=int)), _FORMAT,
+    )),
+    "witness": (_cmd_witness, "curve realizing a given lct value", (
+        ("d", dict(type=int)), ("target", dict(help="rational lct value, e.g. 5/9")), _FORMAT,
+    )),
+    "resolve": (_cmd_resolve, "embedded resolution tree over a point", (
+        _POLYNOMIAL, _PROJECTIVE,
+        ("--dot", dict(metavar="FILE", help="also write the tree as DOT")),
+        _FORMAT, _POINT, _CAP,
+    )),
+    "wbound": (_cmd_wbound, "weighted-order upper bound for the lct", (
+        _POLYNOMIAL, _PROJECTIVE,
+        ("--weights", dict(metavar="W1,W2", required=True, help="positive rational weights")),
+        _FORMAT, _POINT,
+    )),
+    "selftest": (_cmd_selftest, "run the self-verification suite", (
+        ("scope", dict(nargs="?", choices=("fast", "full"), default="fast")),
+        ("--seed", dict(type=int, default=1)),
+        _FORMAT,
+    )),
+}
 
 
 def build_parser():
     """The top-level parser and the map from subcommand name to its parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lctplane",
         description="Exact log canonical thresholds of reduced plane curves.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("lct", help="lct of a curve at a point")
-    p.add_argument("polynomial")
-    p.add_argument(
-        "--projective",
-        metavar="CHART",
-        help="treat input as a form in x, y, z; dehomogenize at this chart",
-    )
-    _add_common(p, cap=True)
-    p.set_defaults(func=_cmd_lct)
-
-    p = sub.add_parser("classify", help="singularity type at a point (degree <= 5)")
-    p.add_argument("polynomial")
-    p.add_argument("--projective", metavar="CHART")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("milnor", help="Milnor number at a point")
-    p.add_argument("polynomial")
-    p.add_argument("--projective", metavar="CHART")
-    _add_common(p)
-    p.set_defaults(func=_cmd_milnor)
-
-    p = sub.add_parser("imult", help="intersection multiplicity of two curves")
-    p.add_argument("f")
-    p.add_argument("g")
-    _add_common(p)
-    p.set_defaults(func=_cmd_imult)
-
-    p = sub.add_parser(
-        "lambda-set", help="all lcts at multiplicity-(d-1) points, degree d"
-    )
-    p.add_argument("d", type=int)
-    _add_common(p, point=False)
-    p.set_defaults(func=_cmd_lambda_set)
-
-    p = sub.add_parser("witness", help="curve realizing a given lct value")
-    p.add_argument("d", type=int)
-    p.add_argument("target", help="rational lct value, e.g. 5/9")
-    _add_common(p, point=False)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("resolve", help="embedded resolution tree over a point")
-    p.add_argument("polynomial")
-    p.add_argument("--projective", metavar="CHART")
-    p.add_argument("--dot", metavar="FILE", help="also write the tree as DOT")
-    _add_common(p, cap=True)
-    p.set_defaults(func=_cmd_resolve)
-
-    p = sub.add_parser("wbound", help="weighted-order upper bound for the lct")
-    p.add_argument("polynomial")
-    p.add_argument("--projective", metavar="CHART")
-    p.add_argument(
-        "--weights", metavar="W1,W2", required=True, help="positive rational weights"
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_wbound)
-
-    p = sub.add_parser("selftest", help="run the self-verification suite")
-    p.add_argument("scope", nargs="?", choices=("fast", "full"), default="fast")
-    p.add_argument("--seed", type=int, default=1)
-    _add_common(p, point=False)
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, (func, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -357,13 +352,74 @@ def _join_signed(argv):
     return out
 
 
-# Built on the first ``main`` call, not at import, and shared by later calls:
-# parsing only reads the parsers and returns a fresh namespace.
-_shared_parsers = functools.cache(build_parser)
+def _dest(flag):
+    """The namespace attribute argparse gives ``flag``."""
+    return flag[2:].replace("-", "_") if flag[:1] == "-" else flag
 
 
-def main(argv=None):
-    argv = _join_signed(sys.argv[1:] if argv is None else list(argv))
+# What ``_read`` needs of each subcommand: its handler, its positionals'
+# names, its options' names by flag, and every (name, spec).  A subcommand
+# with an ``nargs`` or ``required`` spec has none: argparse reads its argv.
+_READERS = {
+    name: (
+        func,
+        [flag for flag, _ in arguments if flag[0] != "-"],
+        {flag: _dest(flag) for flag, _ in arguments if flag[0] == "-"},
+        [(_dest(flag), spec) for flag, spec in arguments],
+    )
+    for name, (func, _, arguments) in _COMMANDS.items()
+    if not any("nargs" in spec or "required" in spec for _, spec in arguments)
+}
+
+
+def _read(argv):
+    """The namespace one ``parse_args`` gives for ``argv``, read off the
+    table, or None when some token after the subcommand is not a plain
+    positional, an exact option and a value that does not begin with ``-``,
+    or ``--option=value``; when an option repeats or a positional is missing
+    or extra; or when a value fails its type or choices."""
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    func, positionals, options, specs = reader
+    texts, found = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            found.append(token)
+            continue
+        flag, joined, text = token.partition("=")
+        if not joined:
+            text = next(tokens, "-")
+            if text[:1] == "-":
+                return None
+        dest = options.get(flag)
+        if dest is None or dest in texts:
+            return None
+        texts[dest] = text
+    if len(found) != len(positionals):
+        return None
+    texts.update(zip(positionals, found))
+    values = {"subcommand": argv[0], "func": func}
+    try:
+        for dest, spec in specs:
+            if dest in texts:
+                value = spec["type"](texts[dest]) if "type" in spec else texts[dest]
+                if "choices" in spec and value not in spec["choices"]:
+                    return None
+            else:  # argparse passes a string default through the type
+                value = spec.get("default")
+                if isinstance(value, str) and "type" in spec:
+                    value = spec["type"](value)
+            values[dest] = value
+    except Exception:  # argparse calls the type again and reports or raises it
+        return None
+    return SimpleNamespace(**values)
+
+
+def _parse(argv):
+    """The namespace of argparse's ``parse_args`` on ``argv``; a usage
+    error, or help, exits."""
     parser, subparsers = _shared_parsers()
     if argv and argv[0] in subparsers:
         # parse_args in one pass: the subcommand reads the rest, the top level refuses leftovers
@@ -371,8 +427,18 @@ def main(argv=None):
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.subcommand = argv[0]
-    else:  # no subcommand, help or an unknown name
-        args = parser.parse_args(argv)
+        return args
+    return parser.parse_args(argv)  # no subcommand, help or an unknown name
+
+
+# Built on the first argv that ``_read`` declines, not at import, and shared
+# by later calls: parsing only reads the parsers and returns a fresh namespace.
+_shared_parsers = functools.cache(build_parser)
+
+
+def main(argv=None):
+    argv = _join_signed(sys.argv[1:] if argv is None else list(argv))
+    args = _read(argv) or _parse(argv)
     try:
         code = args.func(args)
     except LctError as exc:

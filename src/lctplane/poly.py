@@ -700,8 +700,21 @@ def _split(terms, v):
 
 def _certify(f, g):
     """Shared body of the two certificates; ``g is None`` asks whether
-    ``f`` is squarefree, otherwise whether ``f`` and ``g`` are coprime."""
+    ``f`` is squarefree, otherwise whether ``f`` and ``g`` are coprime.
+
+    For squarefreeness, f is first divided by ``x^a y^b``, a and b its
+    least exponents, and the cofactor h is certified instead: h has a term
+    free of x and one free of y, so the irreducibles x and y do not divide
+    it, and f = x^a y^b h is squarefree iff a, b <= 1 and h is.  With a or
+    b at least 2, f is left undecided.
+    """
     ft = f._terms
+    if g is None:
+        a, b = min(ft)[0], min(map(itemgetter(1), ft))
+        if a > 1 or b > 1:
+            return False
+        if a or b:
+            ft = {(i - a, j - b): c for (i, j), c in ft.items()}
     degs = max(ft)[0], max(map(itemgetter(1), ft))
     if not any(degs):
         return True

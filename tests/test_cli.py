@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lctplane import cli
+from lctplane import cli, selftest
 from lctplane.cli import build_parser, main
 from lctplane.errors import (
     CoefficientTooLarge,
@@ -20,6 +21,7 @@ from lctplane.errors import (
 )
 from lctplane.parse import MAX_COEFF_BITS
 from lctplane.poly import BPoly
+from lctplane.selftest import SelfTestReport
 
 
 def run(capsys, *argv):
@@ -286,10 +288,66 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+def argparse_outcome(capsys, monkeypatch, argv):
+    """``outcome`` with argparse alone: ``main`` reads nothing off the
+    argument table and, with no subcommand map, routes every argv through a
+    fresh parser's ``parse_args``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read", lambda argv: None)
+        patch.setattr(cli, "_shared_parsers", lambda: (build_parser()[0], {}))
+        return outcome(capsys, argv)
+
+
+# Drawn argvs.  Most tokens are well formed: a subcommand's positionals and
+# its own options, each with a value that passes the option's type and
+# choices, in the separate or the ``=`` form; an option repeats when it is
+# drawn twice.  The rest are a missing or extra positional, help, ``--``,
+# values beginning with ``-`` or empty, values of the wrong type or choice,
+# and abbreviated (``--p`` is ambiguous) and unknown options, in both forms.
+_PLAIN = ("x^2+y^3", "y-x^2", "x*y", "3", "0,0", "1,2", "4,3", "5/9", "json", "z")
+_OTHER = ("-x^2+y^3", "-1", "-1,0", "")
+_INEXACT = ("--form", "--poi", "--ca", "--p", "--bogus", "-x")
+_ACTIONS = {name: parser._actions[1:] for name, parser in build_parser()[1].items()}
+
+
+def _values(action):
+    """Values that pass ``action``'s type and choices."""
+    return action.choices or (("0", "3") if action.type else _PLAIN)
+
+
+def _option(flags, values):
+    """An option and its value, as two tokens or joined by ``=``."""
+    pairs = st.tuples(st.sampled_from(flags), st.sampled_from(values))
+    return st.one_of(pairs.map(list), pairs.map("=".join).map(lambda token: [token]))
+
+
+def _argv(name):
+    """Drawn argvs of subcommand ``name``."""
+    actions = _ACTIONS.get(name, [])
+    flags = [a.option_strings[0] for a in actions if a.option_strings]
+    noise = [
+        st.sampled_from(("-h", "--", *_PLAIN, *_OTHER)).map(lambda token: [token]),
+        _option(flags or ["--format"], _OTHER),
+        _option(_INEXACT, _PLAIN + _OTHER),
+    ]
+    options = [_option(a.option_strings, _values(a)) for a in actions if a.option_strings]
+    positionals = st.tuples(*(st.sampled_from(_values(a)) for a in actions if not a.option_strings))
+    return st.builds(
+        lambda values, groups, at: [name, *sum(groups[:at], []), *values, *sum(groups[at:], [])],
+        positionals.flatmap(lambda p: st.sampled_from([p, p, p, p[:-1]])),  # one in four misses one
+        st.lists(st.one_of(*options, *noise), max_size=3),
+        st.integers(0, 3),  # how many option groups come before the positionals
+    )
+
+
+argvs = st.sampled_from(sorted(_ACTIONS) + ["lcx"]).flatmap(_argv)
+
+
 class TestRouting:
-    """``main`` hands a named subcommand's arguments straight to its parser;
-    every answer, usage error and help text must be what one ``parse_args``
-    on a fresh top-level parser, then the same dispatch, gives."""
+    """``main`` reads a well-formed argv straight off the argument table and
+    hands a named subcommand's other arguments straight to its parser; every
+    answer, usage error and help text must be what one ``parse_args`` on a
+    fresh top-level parser, then the same dispatch, gives."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -320,11 +378,55 @@ class TestRouting:
         ids=lambda argv: " ".join(argv) or "(empty)",
     )
     def test_same_as_one_parse_args(self, capsys, monkeypatch, argv):
-        got = outcome(capsys, argv)
-        # with no subcommand map, ``main`` routes every argv through a fresh
-        # parser's ``parse_args``
-        monkeypatch.setattr(cli, "_shared_parsers", lambda: (build_parser()[0], {}))
-        assert got == outcome(capsys, argv)
+        assert outcome(capsys, argv) == argparse_outcome(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lct", "x^2+y^3", "--format", "json", "--point=1,2", "--cap", "3"],
+            ["lct", "--cap=0", "x^2+y^3", "--projective", "z"],
+            ["resolve", "x^2+y^3", "--point", "-1,0", "--format=text"],
+            ["imult", "x", "--point", "0,0", "y"],
+            ["lambda-set", "4", "--format", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_well_formed_argv_is_read_off_the_table(self, argv):
+        parser = build_parser()[0]
+        argv = cli._join_signed(argv)
+        assert vars(cli._read(argv)) == vars(parser.parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lct", "x^2+y^3", "--form", "json"],
+            ["lct", "x^2+y^3", "--format", "json", "--format", "text"],
+            ["lct", "x^2+y^3", "--format", "xml"],
+            ["lct", "x^2+y^3", "--cap", "x"],
+            ["lct", "--", "x^2+y^3"],
+            ["lct", "x^2+y^3", "-h"],
+            ["lct", "x^2+y^3", "--point"],
+            ["lct", "x^2+y^3", "--point", "-x"],
+            ["imult", "x"],
+            ["wbound", "x^3+y^4", "--weights", "4,3"],
+            ["selftest", "fast"],
+            ["lcx", "x^2+y^3"],
+            [],
+        ],
+        ids=lambda argv: " ".join(argv) or "(empty)",
+    )
+    def test_everything_else_goes_to_argparse(self, argv):
+        assert cli._read(argv) is None
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argvs)
+    def test_drawn_argv_same_as_argparse(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # where a drawn ``--dot`` writes
+        # a well-formed selftest argv would run the whole suite, twice
+        monkeypatch.setattr(
+            selftest, "run_selftest", lambda scope, seed: SelfTestReport(scope, seed, ())
+        )
+        assert outcome(capsys, argv) == argparse_outcome(capsys, monkeypatch, argv)
 
 
 class TestSubcommands:

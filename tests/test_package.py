@@ -37,6 +37,8 @@ _LAZY_SYMPY = textwrap.dedent(
         ["classify", "y^3-x^2*y+x^4"],
         ["milnor", "x^3+y^7+x*y^5"],
         ["lct", "(x-y^2)^2+y^7"],
+        # x times a germ: the squarefree certificate reads the cofactor
+        ["lct", "x^3*y^3 - 1/2*x^2*y^4 + 3*x^5 + x^4 - 8/3*x^3*y - 11/9*x^2*y^2 + 2/3*x*y^3"],
     ):
         assert main(argv) == 0, argv
         assert "sympy" not in sys.modules, argv
@@ -66,31 +68,59 @@ def test_submodule_all_names_exist(name):
     assert not missing
 
 
-def test_cheap_routes_do_not_import_sympy():
+def _run(*args):
+    """A fresh interpreter with ``args``, importing this lctplane."""
     path = (str(Path(lctplane.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_SYMPY], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_cheap_routes_do_not_import_sympy():
+    proc = _run("-c", _LAZY_SYMPY)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cold_import_without_site_loads_no_resource_machinery():
     # under -S no site hook preloads anything, so this sees what the import
     # itself pulls in: the tables are read by path, not by importlib.resources
-    path = (str(Path(lctplane.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = (
         "import sys\n"
         "from lctplane.cli import main\n"
         "print(' '.join(m for m in ('importlib.resources', 'pathlib', 'zipfile', 'sympy', 'random')"
         " if m in sys.modules))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _run("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_cold_well_formed_argv_loads_no_argparse():
+    # a well-formed argv is read off the argument table; argparse is loaded
+    # only to report a usage error, in its own words
+    code = (
+        "import sys\n"
+        "from lctplane.cli import main\n"
+        "assert main(['lct', '(x-y^2)^2+y^7', '--format', 'json']) == 0\n"
+        "assert main(['resolve', 'x^2+y^3', '--point=0,0']) == 0\n"
+        "print(' '.join(m for m in ('argparse', 'importlib.resources', 'sympy', 'random')"
+        " if m in sys.modules))\n"
+        "for argv in (['lct', 'x^2+y^3', '--bogus'], ['lct', 'x^2+y^3', '--format', 'xml']):\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code)\n"
+    )
+    proc = _run("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == '{"lct": "9/14", "method": "resolution"}' and lines[-4] == "lct = 5/6"
+    assert lines[-3:] == ["", "2", "2"]  # no module of the list loaded; two usage errors
+    # an unknown option is the top-level parser's error, a bad choice the subcommand's
+    bogus, xml = proc.stderr.split("usage: ")[1:]
+    assert bogus.startswith("lctplane [-h]") and "unrecognized arguments: --bogus" in bogus
+    assert xml.startswith("lctplane lct [-h]") and "invalid choice: 'xml'" in xml
 
 
 def _spans():

@@ -487,6 +487,22 @@ class TestCertificates:
         assert not certify_coprime(h * P("y + 5"), h * P("y + 7"))
         assert not certify_squarefree(h**2 * P("y + 5"))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^2 + y^3",
+            "x^3 + y^7 + x*y^5",
+            "(y + 1)*(x^2 + y)",
+            # x times this germ is undecided unless x is divided out first
+            "x^2*y^3 - 1/2*x*y^4 + 3*x^4 + x^3 - 8/3*x^2*y - 11/9*x*y^2 + 2/3*y^3",
+        ],
+    )
+    def test_monomial_factor_is_divided_out(self, text):
+        g = P(text)
+        assert certify_squarefree(P("x") * g) and certify_squarefree(P("y") * g)
+        assert certify_squarefree(P("x*y") * g)
+        assert not certify_squarefree(P("x^2") * g) and not certify_squarefree(P("y^2") * g)
+
     def test_univariate_point_is_large_enough(self):
         # x - m divides both; its value at a point much below 4m is small
         for m in range(-40, 41):
