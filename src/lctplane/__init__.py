@@ -5,19 +5,20 @@ arithmetic:
 
 * a closed-form fast path at points of multiplicity d-1 on degree-d
   curves (``analyze_high_mult``),
-* the Newton boundary of a Newton non-degenerate germ, with no blowup
-  (``newton_lct``),
+* the Newton polygon in adapted coordinates, reached by a few changes
+  y -> y + c x^m with rational c, with no blowup (``newton_lct``),
 * an embedded-resolution oracle via iterated point blowups
   (``resolve_over_origin`` / ``lct_from_tree``),
 * a complete classifier and table lookup for curves of degree at most 5
   (``classify_singularity``), which matches the oracle's blowup ledger
   against each table row's.
 
-``lct`` picks the first of the closed form, the Newton boundary and the
-oracle that applies to the germ at the origin (the ``lctplane lct``
-command calls it); ``lct_low_degree`` uses it at any rational point of a
-curve of degree at most 5.  The classifier names a germ's type (the
-``classify`` command) and is an independent reference for Table 1.
+``lct`` has three routes: off the curve or smooth, then the closed form,
+then the Newton polygon for every other germ at the origin (the
+``lctplane lct`` command calls it); ``lct_low_degree`` uses it at any
+rational point of a curve of degree at most 5.  The oracle answers
+``resolve`` and the classifier names a germ's type (the ``classify``
+command); both stay independent references for ``lct``.
 """
 
 from .classify import (

@@ -9,13 +9,14 @@ rendered ``p/q`` in lowest terms and infinity as ``inf``.
 Exit codes, each error class's ``exit_code``: 0 success, 2 parse error,
 3 precondition violation or unclassifiable germ, 4 irrational blowup
 center, 5 blowup cap exceeded, 1 anything else, and a ``selftest``
-whose report says FAIL.  These exit 3 before any computation: an
-exponent above ``parse.MAX_EXPONENT`` (1000), as in
-``x^2+y^999999999``; a power or product that could expand to more than
-``parse.MAX_TERMS`` (10000) terms, as ``(1+x+y)^1000``; a power or a
-``--point`` shift charged more than ``parse.MAX_COEFF_BITS`` (65536)
-coefficient bits (``CoefficientTooLarge``), as ``(10^1000)^1000``; and a
-``lambda-set`` or ``witness`` degree above 1000.  ``classify`` exits 3 on
+whose report says FAIL.  ``lct`` blows nothing up, so it never exits 4
+or 5.  These exit 3 before any computation: an exponent above
+``parse.MAX_EXPONENT`` (1000), as in ``x^2+y^999999999``; a power or
+product that could expand to more than ``parse.MAX_TERMS`` (10000)
+terms, as ``(1+x+y)^1000``; a power or a ``--point`` shift charged more
+than ``parse.MAX_COEFF_BITS`` (65536) coefficient bits
+(``CoefficientTooLarge``), as ``(10^1000)^1000``; and a ``lambda-set`` or
+``witness`` degree above 1000.  ``classify`` exits 3 on
 a germ whose resolution ledger matches no table row, as ``x^3+y^7``, or
 needs more blowups than every row of its multiplicity, as ``x^2+y^201``.
 
@@ -133,7 +134,7 @@ def _emit(args, payload, text_lines):
 
 
 def _cmd_lct(args):
-    result = lct(_input_poly(args), cap=args.cap)
+    result = lct(_input_poly(args))
     payload = {"lct": _render(result.value), "method": result.method}
     _emit(args, payload, [f"lct = {payload['lct']} (method: {result.method})"])
 
@@ -269,10 +270,6 @@ def _cap(text):
 # well-formed argv straight off them.
 _FORMAT = ("--format", dict(choices=("text", "json"), default="text", help="output format"))
 _POINT = ("--point", dict(metavar="X,Y", help="rational point to analyze (default origin)"))
-_CAP = ("--cap", dict(
-    type=_cap, default=DEFAULT_CAP, metavar="N",
-    help="blowup cap of the resolution route (ignored by the other routes)",
-))
 _POLYNOMIAL = ("polynomial", {})
 _PROJECTIVE = ("--projective", dict(metavar="CHART"))
 
@@ -282,7 +279,7 @@ _COMMANDS = {
         ("--projective", dict(
             metavar="CHART", help="treat input as a form in x, y, z; dehomogenize at this chart"
         )),
-        _FORMAT, _POINT, _CAP,
+        _FORMAT, _POINT,
     )),
     "classify": (_cmd_classify, "singularity type at a point (degree <= 5)", (
         _POLYNOMIAL, _PROJECTIVE, _FORMAT, _POINT,
@@ -302,7 +299,10 @@ _COMMANDS = {
     "resolve": (_cmd_resolve, "embedded resolution tree over a point", (
         _POLYNOMIAL, _PROJECTIVE,
         ("--dot", dict(metavar="FILE", help="also write the tree as DOT")),
-        _FORMAT, _POINT, _CAP,
+        _FORMAT, _POINT,
+        ("--cap", dict(
+            type=_cap, default=DEFAULT_CAP, metavar="N", help="blowup cap of the resolution"
+        )),
     )),
     "wbound": (_cmd_wbound, "weighted-order upper bound for the lct", (
         _POLYNOMIAL, _PROJECTIVE,

@@ -1,6 +1,6 @@
 """The lct dispatcher: off the curve, smooth, the closed form at
-multiplicity-(d-1) points, the Newton boundary of a non-degenerate germ,
-and the resolution oracle for every other germ, tried in that order."""
+multiplicity-(d-1) points, and the Newton polygon in adapted coordinates
+for every other germ, tried in that order."""
 
 from __future__ import annotations
 
@@ -11,29 +11,26 @@ from .errors import DegreeOutOfRange, NotSquareFree, ZeroPolynomial
 from .extended import INF
 from .highmult import analyze_high_mult
 from .localinv import is_square_free, newton_lct
-from .resolution import DEFAULT_CAP, lct_from_tree, resolve_over_origin
 
 __all__ = ["LctResult", "lct", "lct_low_degree"]
 
 
 class LctResult(NamedTuple):
     """An lct and the route that gave it: ``"trivial"`` (off the curve or
-    smooth), ``"highmult"``, ``"newton"`` or ``"resolution"``."""
+    smooth), ``"highmult"`` or ``"newton"``."""
 
     value: Fraction
     method: str
 
 
-def lct(f, cap=DEFAULT_CAP):
+def lct(f):
     """lct of the germ of f at the origin, by the first route that applies.
 
     The off-curve answer ``INF`` and the smooth answer 1 hold for any
     curve, so they do not check that f is reduced.  A singular germ goes
     to the closed form when its multiplicity is deg(f) - 1, else to
-    ``newton_lct`` when its Newton boundary is certified non-degenerate,
-    else to the resolution oracle with at most ``cap`` blowups, whatever
-    its degree; each of these refuses a non-reduced curve with
-    ``NotSquareFree``, and only the last reads ``cap``.
+    ``newton_lct``, whatever its degree; both refuse a non-reduced curve
+    with ``NotSquareFree``.
     """
     if f.is_zero:
         raise ZeroPolynomial("curve is the zero polynomial")
@@ -45,12 +42,7 @@ def lct(f, cap=DEFAULT_CAP):
     # mult >= 2 here, so the closed form gets the degree >= 3 it needs
     if mult == f.degree - 1:
         return LctResult(analyze_high_mult(f).lct, "highmult")
-    value = newton_lct(f)
-    if value is not None:
-        if not is_square_free(f):
-            raise NotSquareFree("curve must be reduced")
-        return LctResult(value, "newton")
-    return LctResult(lct_from_tree(resolve_over_origin(f, cap=cap)), "resolution")
+    return LctResult(newton_lct(f), "newton")
 
 
 def lct_low_degree(f, p=(0, 0)):

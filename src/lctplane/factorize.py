@@ -6,12 +6,12 @@ one over Z up to a rational unit, so a ``BPoly``'s integer numerators are
 factored as they are.  ``form_coeffs`` reads a homogeneous part of the
 numerators, such as a tangent cone, as a coefficient list in t = y/x, and
 ``squarefree_parts`` is Yun's algorithm on such a list.  Every lct route
-reads its repeated tangent directions through Yun's parts; the resolution
-builds its cone lists off a Newton boundary, every other route through
-``form_coeffs``.  Irreducible factors
-(``factor_univariate``, sympy's exact Zassenhaus-based ``dup_factor_list``,
-imported on first use) are needed only by the resolution, for a repeated
-part of degree >= 2 on an exceptional divisor.
+reads its repeated directions through Yun's parts; the resolution builds
+its cone lists, and ``localinv.newton_lct`` its edge polynomials, off a
+Newton boundary, the closed form through ``form_coeffs``.  Irreducible
+factors (``factor_univariate``, sympy's exact Zassenhaus-based
+``dup_factor_list``, imported on first use) are needed only by the
+resolution, for a repeated part of degree >= 2 on an exceptional divisor.
 """
 
 from __future__ import annotations

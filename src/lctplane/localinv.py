@@ -1,12 +1,14 @@
 """Local invariants of a plane curve germ at the origin.
 
-``newton_lct`` reads the lct of a Newton non-degenerate germ off its
-Newton boundary: when every compact edge's polynomial has only simple
-roots, lct_0(f) = min(1, 1/t) for the point (t, t) at which the diagonal
-meets the boundary (Varchenko, "Zeta-function of monodromy and Newton's
-diagram", Invent. Math. 37, 1976, and "Complex exponents of a singularity
-do not change along the stratum mu = const", 1982; Howald, "Multiplier
-ideals of sufficiently general polynomials", 2003).
+``newton_lct`` reads the lct of a reduced germ off its Newton polygon in
+adapted coordinates: lct_0(f) = min(1, 1/d) for the point (d, d) at which
+the diagonal meets the boundary, once no root of the face through (d, d)
+has multiplicity above max(1, d); the changes y -> y + c x^m that get
+there, and the proof, are in its docstring (Varchenko, "Newton polyhedra
+and estimation of oscillating integrals", Funct. Anal. Appl. 10, 1976;
+Ikromov and Mueller, "On adapted coordinate systems", Trans. AMS 363,
+2011; Howald, "Multiplier ideals of sufficiently general polynomials",
+2003).
 
 Intersection multiplicity is computed by the classical exact recursion
 (restrict to y = 0, cancel the lowest x-power, extract y factors), with
@@ -23,24 +25,23 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotThroughOrigin, PreconditionError, ZeroPolynomial
+from .errors import NotSquareFree, NotThroughOrigin, PreconditionError, ZeroPolynomial
 from .extended import INF
 from .factorize import form_coeffs, squarefree_parts
 from .poly import (
     BPoly,
     _canonical,
-    _derivative,
     _face,
     _newton_boundary,
     add_terms,
     certify_coprime,
     certify_squarefree,
-    coprime_univariate,
     gcd_bivariate,
     gcd_many,
     mul_terms,
     restrict_coeffs,
     scale_terms,
+    shift_terms,
 )
 
 __all__ = [
@@ -202,34 +203,95 @@ def weighted_lct_upper_bound(f, w):
 
 
 def newton_lct(f):
-    """lct_0(f) off the Newton boundary of f, or None when f is not
-    certified Newton non-degenerate.  It does not check that f is reduced;
-    ``dispatch.lct`` does, as for every route.
+    """lct_0(f) of a reduced germ off its Newton polygon in adapted
+    coordinates, which a few changes y -> y + c x^m, and perhaps one swap
+    of x and y, reach.  A non-reduced f raises ``NotSquareFree`` first.
 
-    Non-degenerate: the polynomial of each compact edge, read along the
-    edge's lattice points, has only simple roots; both its ends are
-    vertices, so none is 0.  An edge with no term inside is a binomial and
-    passes; any other is certified by ``coprime_univariate(e, e')``, and an
-    undecided certificate gives None, with no Yun step.  The Newton polygon
-    is the intersection of the half-planes i >= i_min, j >= j_min and
-    w1 i + w2 j >= N over the edges, with (w1, w2) normal to the edge, so
-    the diagonal meets its boundary at t = max(i_min, j_min, N / (w1 + w2)):
-    on an edge, at a vertex, or, when f is not convenient, on a ray."""
+    Write G for the Newton polygon of f (the convex hull of its exponents
+    plus the quadrant),
+    d for its Newton distance, where the diagonal meets G's boundary at
+    (d, d), and the principal face for the face of least dimension holding
+    (d, d): a vertex, a ray, or a compact edge on w1 i + w2 j = N, with
+    coprime weights w1, w2 >= 1 and N = d (w1 + w2).  An edge's polynomial
+    is read along its lattice points; its roots are nonzero, since both
+    ends are vertices, and at most its lattice length g in number.
+
+    Theorem.  For reduced f with f(0) = 0: if the principal face is not a
+    compact edge, or every root of its polynomial has multiplicity
+    e <= max(1, d), then lct_0(f) = min(1, 1/d).
+
+    Proof.  (<=) f(0) = 0 gives lct <= 1.  The monomial valuation of
+    weights w supporting G at (d, d), (1, 0) or (0, 1) on a ray, has log
+    discrepancy w1 + w2 and takes d (w1 + w2) on f, so lct <= 1/d.  (>=) Fix
+    c < min(1, 1/d) and take the toric modification of a regular
+    subdivision of G's dual fan (Varchenko, "Zeta-function of monodromy
+    and Newton's diagram", 1976).  A ray (a, b) gives a divisor of log
+    discrepancy a + b - c N_ab > 0, as N_ab <= (a + b) d.  The strict
+    transform F misses the torus-fixed points, where f is a vertex
+    monomial times a unit, and the divisors of rays normal to no edge; it
+    meets the divisor E of a compact edge once per root, with intersection
+    number its multiplicity e.  There the pair is (1 - r) E + c F with
+    r = w1 + w2 - c N > 0.  By inversion of adjunction (Kollar and Mori,
+    "Birational geometry of algebraic varieties", 5.50), E + c F is log
+    canonical there iff c e <= 1, and lowering E's coefficient to
+    1 - r < 1 makes it klt.  An edge off the
+    principal face lies where i <= d or j <= d, so e <= g <= d; on the
+    principal face e <= max(1, d).  Either way c e < 1: f is klt with c.
+
+    The loop.  If a root has e > max(1, d), then w1 = 1 or w2 = 1, since
+    g w1 w2 <= N gives e <= d (1/w1 + 1/w2) < d otherwise.  Say w1 = 1
+    (else swap x and y; the lct is symmetric), m = w2: the edge is
+    x^N p(y/x^m), and p, of degree at most N/m <= 2d, has one root of
+    multiplicity e > d.  Galois fixes it, so it is rational, the linear
+    last Yun part of p.  The change y -> y + c x^m keeps every weight
+    i + m j at least N and turns p into t^e q(t), so the new boundary has
+    the vertex (N - m e, e) above the diagonal, and every edge below it
+    has w2 > m w1.  So (d, d) leaves G, d grows, and each later change is
+    again in y, with a larger m: the swap comes first, if at all.
+
+    Bound.  Let f = x^a h, x not dividing h, and let P be the Weierstrass
+    polynomial of h in y, with roots s_k.  A change moves each s_k by
+    c x^m and fixes a, so S = sum over k != l of ord(s_k - s_l)
+    = I_0(h, h_y) does not change.  By Bezout S <= D (D - 1) for
+    D = deg f: h and h_y share no component but factors x - b, b != 0,
+    units at 0 that can be divided out first.  The e >= 2
+    roots above c share the term c x^m, so 2 m < S, and the m of the
+    changes grow: fewer than D (D - 1) / 2 changes, which the loop
+    asserts, as ``intersection_multiplicity_origin`` does its recursion.
+    """
     if f.is_zero:
         raise ZeroPolynomial("Newton boundary of the zero polynomial")
     terms = f._terms
     if (0, 0) in terms:
         raise NotThroughOrigin("curve does not pass through the origin")
-    hull = _newton_boundary(terms)
-    num, den = max(hull[0][0], hull[-1][1]), 1  # t = num / den
-    for (i0, j0), (i1, j1) in zip(hull, hull[1:]):
-        w1, w2 = j0 - j1, i1 - i0
-        g = math.gcd(w1, w2)
-        di, dj = w2 // g, w1 // g
-        edge = [terms.get((i0 + k * di, j0 - k * dj), 0) for k in range(g + 1)]
-        if any(edge[1:-1]) and not coprime_univariate(edge, _derivative(edge)):
-            return None
-        n = w1 * i0 + w2 * j0
-        if n * den > num * (w1 + w2):
-            num, den = n, w1 + w2
-    return Fraction(den, num) if num > den else Fraction(1)
+    if not is_square_free(f):
+        raise NotSquareFree("curve must be reduced")
+    for _ in range(1 + math.comb(f.degree, 2)):  # fewer than D (D - 1) / 2 changes
+        hull = _newton_boundary(terms)
+        k = next((k for k, (i, j) in enumerate(hull) if i >= j), len(hull))
+        if k in (0, len(hull)) or hull[k][0] == hull[k][1]:  # a ray or a vertex
+            d = hull[0][0] if k == 0 else hull[-1][1] if k == len(hull) else hull[k][0]
+            return Fraction(1, d) if d > 1 else Fraction(1)
+        (i0, j0), (i1, j1) = hull[k - 1], hull[k]
+        g = math.gcd(j0 - j1, i1 - i0)
+        w1, w2 = (j0 - j1) // g, (i1 - i0) // g
+        n = w1 * i0 + w2 * j0  # d = n / (w1 + w2)
+        value = Fraction(w1 + w2, n) if n > w1 + w2 else Fraction(1)
+        # the edge's polynomial in s = x^w2 / y^w1, read along its lattice points;
+        # a binomial has simple roots, and no weight 1 means e < d (see above)
+        edge = [terms.get((i0 + r * w2, j0 - r * w1), 0) for r in range(g + 1)]
+        if min(w1, w2) > 1 or not any(edge[1:-1]):
+            return value
+        root, e = squarefree_parts(edge)[-1]
+        if e * value <= 1:  # e <= max(1, d)
+            return value
+        if w1 == 1:  # the root is y / x^m = 1 / s
+            m, c = w2, Fraction(-root[1], root[0])
+        else:  # x -> x + c y^m, which the lct's symmetry in x and y makes y's
+            m, c = w1, Fraction(-root[0], root[1])
+            terms = {(j, i): v for (i, j), v in terms.items()}
+        # y -> y + c x^m is a shift in t = y/x^m: key (i, j) as (i + m j, j)
+        shifted, _ = shift_terms({(i + m * j, j): v for (i, j), v in terms.items()}, 1, c)
+        content = math.gcd(*shifted.values())
+        terms = {(i - m * j, j): v // content for (i, j), v in shifted.items()}
+    raise AssertionError("more changes of coordinates than the bound allows")

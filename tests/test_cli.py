@@ -47,11 +47,11 @@ class TestLct:
         assert payload == {"lct": "9/20", "method": "highmult"}
 
     def test_low_degree_degenerate_dispatch(self, capsys):
-        # degree 5, multiplicity 2, a square on the Newton edge: the
-        # resolution engine, as at any degree
+        # degree 5, multiplicity 2, a square on the Newton edge: the Newton
+        # route after y -> y + x, as at any degree
         code, payload, _ = run_json(capsys, "lct", "(x-y)^2 + y^5")
         assert code == 0
-        assert payload == {"lct": "7/10", "method": "resolution"}
+        assert payload == {"lct": "7/10", "method": "newton"}
 
     def test_off_curve(self, capsys):
         code, payload, _ = run_json(capsys, "lct", "x^2+y^3", "--point", "7,5")
@@ -69,11 +69,11 @@ class TestLct:
         assert code == 0 and out.count("\n") == 1 and out.endswith("}\n")
 
     def test_resolution_dispatch(self, capsys):
-        # degree 7, multiplicity 2, a square on the Newton edge: only the
-        # resolution engine applies
+        # degree 7, multiplicity 2, a square on the Newton edge: no blowup,
+        # the Newton route in the coordinates (x, y - x)
         code, payload, _ = run_json(capsys, "lct", "(x-y)^2 + y^7")
         assert code == 0
-        assert payload == {"lct": "9/14", "method": "resolution"}
+        assert payload == {"lct": "9/14", "method": "newton"}
 
     def test_newton_dispatch(self, capsys):
         # 102 blowups past the default cap, but one Newton edge
@@ -134,10 +134,17 @@ class TestExitCodes:
         assert code == 4 and "irreducible" in err
 
     def test_square_on_a_newton_edge_keeps_its_route(self, capsys):
-        # (1 - 2 t^2)^2 on the edge: not the Newton route, and the resolution
-        # meets the irrational center
-        code, _, err = run(capsys, "lct", "(x^2-2*y^2)^2+y^7")
-        assert code == 4 and "irreducible" in err
+        # (1 - 2 t^2)^2 on the edge: its double roots, at d = 2, need no
+        # change of coordinates, so lct meets no irrational center (resolve does)
+        code, payload, _ = run_json(capsys, "lct", "(x^2-2*y^2)^2+y^7")
+        assert code == 0
+        assert payload == {"lct": "1/2", "method": "newton"}
+
+    def test_lct_takes_no_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lct", "x^2+y^3", "--cap", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
 
     def test_irrational_center_names_least_degree(self, capsys):
         # E1 carries t^3 - 3 twice and t^2 - 2 three times; the message
@@ -158,6 +165,7 @@ class TestExitCodes:
         code, _, err = run(capsys, "resolve", "x^2+y^3", "--cap", "1")
         assert code == 5
 
+    # lct takes no --cap, so there any value is a usage error too
     @pytest.mark.parametrize("argv", [("resolve", "x^2+y^3"), ("lct", "x^2+y^7")])
     @pytest.mark.parametrize("cap", ["-1", "x"])
     def test_cap_must_be_a_count(self, capsys, argv, cap):
@@ -237,7 +245,7 @@ class TestSignedValues:
         assert code == 3 and out == "" and "weights must be positive" in err
 
     def test_negative_cap_is_still_refused(self, capsys):
-        code, _, err = outcome(capsys, ["lct", "x^2+y^3", "--cap", "-1"])
+        code, _, err = outcome(capsys, ["resolve", "x^2+y^3", "--cap", "-1"])
         assert code == "SystemExit(2)" and "must be at least 0, got -1" in err
 
     def test_missing_point_value_is_a_usage_error(self, capsys):
@@ -355,6 +363,7 @@ class TestRouting:
             ["lct", "x^2+y^3"],
             ["lct", "x^2+y^7", "--format", "json", "--point", "0,0"],
             ["lct", "x^2+y^7", "--cap", "1"],
+            ["resolve", "x^2+y^7", "--cap", "1"],
             ["resolve", "x^2+y^3", "--cap=5", "--format=json"],
             ["classify", "x^2+y^5", "--projective", "z"],
             ["imult", "x", "y"],
@@ -366,6 +375,7 @@ class TestRouting:
             ["lct"],
             ["lct", "x^2+y^3", "--format", "xml"],
             ["lct", "x^2+y^3", "--cap", "-1"],
+            ["resolve", "x^2+y^3", "--cap", "-1"],
             ["lct", "x^2+y^3", "--point"],
             ["lct", "-h"],
             ["resolve", "x^2+y^3", "--he"],
@@ -383,8 +393,8 @@ class TestRouting:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["lct", "x^2+y^3", "--format", "json", "--point=1,2", "--cap", "3"],
-            ["lct", "--cap=0", "x^2+y^3", "--projective", "z"],
+            ["resolve", "x^2+y^3", "--format", "json", "--point=1,2", "--cap", "3"],
+            ["resolve", "--cap=0", "x^2+y^3", "--projective", "z"],
             ["resolve", "x^2+y^3", "--point", "-1,0", "--format=text"],
             ["imult", "x", "--point", "0,0", "y"],
             ["lambda-set", "4", "--format", "json"],
@@ -403,6 +413,7 @@ class TestRouting:
             ["lct", "x^2+y^3", "--format", "json", "--format", "text"],
             ["lct", "x^2+y^3", "--format", "xml"],
             ["lct", "x^2+y^3", "--cap", "x"],
+            ["resolve", "x^2+y^3", "--cap", "x"],
             ["lct", "--", "x^2+y^3"],
             ["lct", "x^2+y^3", "-h"],
             ["lct", "x^2+y^3", "--point"],

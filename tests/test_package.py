@@ -14,11 +14,11 @@ import pytest
 import lctplane
 
 # Off-curve, smooth, lambda-set and wbound queries need no algebra, and the
-# closed form, the Newton boundary, the resolution, the classifier and the
-# Milnor number of a reduced germ are decided by integer coprimality
-# certificates and Yun's squarefree parts, so none of them may load sympy;
-# only a repeated tangent part of degree >= 2 on an exceptional divisor is
-# factored, which does.
+# closed form, the Newton polygon in adapted coordinates, the resolution, the
+# classifier and the Milnor number of a reduced germ are decided by integer
+# coprimality certificates and Yun's squarefree parts, so none of them may
+# load sympy; only a repeated tangent part of degree >= 2 on an exceptional
+# divisor is factored, which does.
 _LAZY_SYMPY = textwrap.dedent(
     """
     import sys
@@ -37,6 +37,8 @@ _LAZY_SYMPY = textwrap.dedent(
         ["classify", "y^3-x^2*y+x^4"],
         ["milnor", "x^3+y^7+x*y^5"],
         ["lct", "(x-y^2)^2+y^7"],
+        # double roots of t^2 - 2 on the Newton edge, which resolve factors
+        ["lct", "(x^2-2*y^2)^2+y^7"],
         # x times a germ: the squarefree certificate reads the cofactor
         ["lct", "x^3*y^3 - 1/2*x^2*y^4 + 3*x^5 + x^4 - 8/3*x^3*y - 11/9*x^2*y^2 + 2/3*x*y^3"],
     ):
@@ -44,10 +46,10 @@ _LAZY_SYMPY = textwrap.dedent(
         assert "sympy" not in sys.modules, argv
     assert lct(parse_poly("x^2+y^3")).method == "highmult"
     assert lct(parse_poly("x^2+y^5")).method == "newton"
-    assert lct(parse_poly("(x-y)^2+y^5")).method == "resolution"
+    assert lct(parse_poly("(x-y)^2+y^5")).method == "newton"
     assert "sympy" not in sys.modules, "lct"
-    assert lct(parse_poly("(x-y)^2+y^7")).method == "resolution"
-    assert "sympy" not in sys.modules, "resolution lct"
+    assert lct(parse_poly("(x-y)^2+y^7")).method == "newton"
+    assert "sympy" not in sys.modules, "adapted lct"
     assert main(["resolve", "(x^2-2*y^2)^2+y^5"]) == 4
     assert "sympy" in sys.modules, "repeated irrational tangent"
     assert "lctplane.selftest" not in sys.modules, "selftest"
@@ -115,7 +117,7 @@ def test_cold_well_formed_argv_loads_no_argparse():
     proc = _run("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == '{"lct": "9/14", "method": "resolution"}' and lines[-4] == "lct = 5/6"
+    assert lines[0] == '{"lct": "9/14", "method": "newton"}' and lines[-4] == "lct = 5/6"
     assert lines[-3:] == ["", "2", "2"]  # no module of the list loaded; two usage errors
     # an unknown option is the top-level parser's error, a bad choice the subcommand's
     bogus, xml = proc.stderr.split("usage: ")[1:]
