@@ -31,14 +31,13 @@ from .errors import (
     IrrationalCenter,
     NotClassifiable,
     NotSingular,
-    NotSquareFree,
     ResolutionCap,
     ZeroPolynomial,
 )
 from .factorize import form_coeffs, squarefree_parts
-from .localinv import is_square_free, milnor_number_origin, tangent_cone_pattern
+from .localinv import milnor_number_origin, tangent_cone_pattern
 from .parse import parse_poly
-from .resolution import DEFAULT_CAP, _blowups
+from .resolution import resolve_over_origin
 
 __all__ = [
     "SingularityClass",
@@ -114,11 +113,13 @@ def classify_singularity(f):
     needs an irrational center is classified by the triple (multiplicity,
     tangent cone pattern, Milnor number) instead, which proves its row at
     every degree (``_classify_by_triple``).
+
+    ``resolve_over_origin`` alone checks that f is reduced, so a
+    non-reduced germ that is also not singular, or whose multiplicity no
+    row has, is refused for that, not with ``NotSquareFree``.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot classify the zero polynomial")
-    if not is_square_free(f):
-        raise NotSquareFree("curve must be reduced")
     mult = f.multiplicity()
     if f.coefficient(0, 0) != 0 or mult < 2:
         raise NotSingular("origin is not a singular point of the curve")
@@ -126,7 +127,7 @@ def classify_singularity(f):
     if not by_signature:
         raise NotClassifiable(f"no table row has multiplicity {mult}")
     try:
-        nodes = _blowups(f, cap)
+        nodes = resolve_over_origin(f, cap).nodes
     except IrrationalCenter:
         return _classify_by_triple(f, mult)
     except ResolutionCap:
@@ -169,7 +170,7 @@ def _ledger_rows(mult):
     cap, by_signature = 0, {}
     for symbol, row in _CLASSES.items():
         if row["mult"] == mult:
-            nodes = _blowups(sample_normal_form(symbol, 0), DEFAULT_CAP)
+            nodes = resolve_over_origin(sample_normal_form(symbol, 0)).nodes
             signature = _signature(nodes)
             assert signature not in by_signature, f"ambiguous ledger {signature}"
             by_signature[signature] = symbol
@@ -184,15 +185,15 @@ def _classify_by_triple(f, mult):
     A matched row is proven at every degree, by the germ's Enriques diagram
     (Casas-Alvero 2000) and Milnor's mu = 2 delta - r + 1, with delta the
     sum of m_p (m_p - 1) / 2 over the infinitely near points p and r <= mult
-    the number of branches.  ``_blowups`` raises ``IrrationalCenter`` only
-    at a repeated irreducible factor of degree >= 2 of a cone, so at a
-    point of multiplicity >= 4.  A 4-fold point infinitely near a 4- or
-    5-fold origin makes mu >= 21, above every row of multiplicity 4 or 5
-    (at most 13 and 16), and a 5-fold origin whose own cone has a square
-    factor matches no row's pattern.  So a matched germ has multiplicity 4
-    and cone c q^2, q an irreducible quadratic, whose two conjugate points
-    p on E1 are alike: mu = 13 + 2 (2 delta_p - r_p) = 11 + 2 mu_p, so
-    only mu_p = 0 or 1 stays within the rows.  The strict transform meets
+    the number of branches.  ``resolve_over_origin`` raises
+    ``IrrationalCenter`` only at a repeated irreducible factor of degree
+    >= 2 of a cone, so at a point of multiplicity >= 4.  A 4-fold point
+    infinitely near a 4- or 5-fold origin makes mu >= 21, above every row
+    of multiplicity 4 or 5 (at most 13 and 16), and a 5-fold origin whose
+    own cone has a square factor matches no row's pattern.  So a matched
+    germ has multiplicity 4 and cone c q^2, q an irreducible quadratic,
+    whose two conjugate points p on E1 are alike: mu = 13 + 2 (2 delta_p -
+    r_p) = 11 + 2 mu_p, so only mu_p = 0 or 1 stays within the rows.  The strict transform meets
     E1 twice at p, so mu = 11 is a smooth branch of contact 2 with E1
     (``T(2,5,5)``) and mu = 13 a node transverse to E1 (``T(2,6,6)``), each
     one Enriques diagram, that of its row; mu = 12 (``T(2,5,6)``) cannot

@@ -51,7 +51,7 @@ from .localinv import (
 )
 from .parse import MAX_COEFF_BITS, coeff_bits, parse_poly, parse_rational, parse_terms
 from .poly import BPoly
-from .resolution import DEFAULT_CAP, export_tree, lct_from_tree, resolve_over_origin
+from .resolution import DEFAULT_CAP, export_tree, resolve_over_origin
 
 __all__ = ["main"]
 
@@ -198,17 +198,7 @@ def _cmd_resolve(args):
                 fh.write(export_tree(tree, "dot") + "\n")
         except OSError as exc:
             raise LctError(f"cannot write DOT file {args.dot!r}: {exc.strerror}") from exc
-    if args.format == "json":
-        print(export_tree(tree, "json"))
-    else:
-        for node in tree.nodes:
-            div = node.divisor
-            parent = "origin" if node.parent is None else f"E{node.parent}"
-            print(
-                f"E{div.id} (over {parent}): m = {div.m}, a = {div.a}, "
-                f"candidate = {_render(div.candidate)}"
-            )
-        print(f"lct = {_render(lct_from_tree(tree))}")
+    print(export_tree(tree, args.format))
 
 
 def _cmd_wbound(args):
@@ -420,15 +410,7 @@ def _read(argv):
 def _parse(argv):
     """The namespace of argparse's ``parse_args`` on ``argv``; a usage
     error, or help, exits."""
-    parser, subparsers = _shared_parsers()
-    if argv and argv[0] in subparsers:
-        # parse_args in one pass: the subcommand reads the rest, the top level refuses leftovers
-        args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        args.subcommand = argv[0]
-        return args
-    return parser.parse_args(argv)  # no subcommand, help or an unknown name
+    return _shared_parsers()[0].parse_args(argv)
 
 
 # Built on the first argv that ``_read`` declines, not at import, and shared

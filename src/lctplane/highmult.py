@@ -120,7 +120,8 @@ def _special_values(d):
     component of the curve, ``(2k+1)/(kd)`` when it is not.
 
     The table has about d entries, so ``d`` above ``parse.MAX_EXPONENT``,
-    the largest degree an input polynomial may have, is refused."""
+    the largest exponent an input term may carry and the largest degree a
+    power may expand to, is refused."""
     if d < 3:
         raise DegreeTooSmall(f"degree must be at least 3, got {d}")
     if d > MAX_EXPONENT:

@@ -265,7 +265,7 @@ class BPoly:
     numerators ``_terms`` over the positive ``int`` denominator ``_den``,
     with no factor common to all of them."""
 
-    __slots__ = ("_terms", "_den", "_hash")
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms=None):
         """The polynomial with rational coefficients ``terms``, a map from
@@ -285,7 +285,6 @@ class BPoly:
             {exp: c.numerator * (den // c.denominator) for exp, c in coeffs.items()},
         )
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BPoly is immutable")
@@ -340,14 +339,9 @@ class BPoly:
         return NotImplemented
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            if self.is_constant():  # equal to its scalar, so hashed like it
-                h = hash(Fraction(self._terms.get((0, 0), 0), self._den))
-            else:
-                h = hash((self._den, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self.is_constant():  # equal to its scalar, so hashed like it
+            return hash(Fraction(self._terms.get((0, 0), 0), self._den))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def render(self):
         """Canonical text form, parseable back by ``parse_poly``."""
@@ -537,7 +531,6 @@ def _reduced(terms, den):
     self = BPoly.__new__(BPoly)
     object.__setattr__(self, "_terms", terms)
     object.__setattr__(self, "_den", den)
-    object.__setattr__(self, "_hash", None)
     return self
 
 

@@ -40,7 +40,7 @@ both charts compose into the map, and only a center at t != 0, reached
 by a Taylor shift, builds a new base.  Under the map the total degree of
 a base term is ``(p + r) i + (q + s) j + b0 + b1``, with both weights
 positive, so mu and the tangent cone lie on the Newton boundary of the
-base, read once per base, when a second center reads it
+base, read once per base, when the base is built
 (``poly._newton_boundary``): mu is least over its vertices, and the cone is
 one vertex's term, or, when two vertices tie, every base term on their
 edge (``poly._face``).  A local equation is built only when
@@ -111,10 +111,6 @@ class ExcDivisor(NamedTuple):
     id: int
     m: int
     a: int
-
-    @property
-    def candidate(self):
-        return Fraction(self.a + 1, self.m)
 
 
 class ChartPoint(NamedTuple):
@@ -206,30 +202,30 @@ def _centers_on(ph, t0_kept):
 
 
 def resolve_over_origin(f, cap=DEFAULT_CAP):
-    """Log resolution of the germ of f over the origin; returns the tree."""
+    """Log resolution of the germ of f over the origin: the tree whose
+    nodes are every blowup the loop makes, at most ``cap`` of them.
+
+    f must be nonzero, through the origin and reduced, each checked once,
+    here; a smooth germ needs no blowup.  A center past the cap raises
+    ``ResolutionCap``, and a repeated irrational root of a cone raises
+    ``IrrationalCenter`` (``_centers_on``)."""
     if f.is_zero:
         raise ZeroPolynomial("cannot resolve the zero polynomial")
     if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
-    return ResolutionTree(f, _blowups(f, cap), True)
-
-
-def _blowups(f, cap):
-    """The ledger's nodes for the reduced f through the origin: the blowup
-    loop of ``resolve_over_origin``, which checks its preconditions."""
     nodes = []
     if f.multiplicity() <= 1:
-        return nodes  # smooth germ, nothing to do
+        return ResolutionTree(f, nodes, True)  # smooth germ, nothing to do
 
     # each pending center is (base, hull, emap, on_x, on_y, parent, chart,
     # location): the local strict transform with the center at the origin,
-    # as a base polynomial, its Newton boundary (None until a second center
-    # reads the base) and an exponent map; the old divisors through it along
-    # x = 0 and along y = 0 (or None), the id of the divisor it lies on, and
-    # its place on that divisor
-    stack = [(f, None, _IDENTITY, None, None, None, ("x", "y"), (0, 0))]
+    # as a base polynomial, its Newton boundary, read when the base is
+    # built, and an exponent map; the old divisors through it along x = 0
+    # and along y = 0 (or None), the id of the divisor it lies on, and its
+    # place on that divisor
+    stack = [(f, _newton_boundary(f._terms), _IDENTITY, None, None, None, ("x", "y"), (0, 0))]
 
     while stack:
         if len(nodes) >= cap:
@@ -272,7 +268,6 @@ def _blowups(f, cap):
             # a run (module docstring): V = (i0, j0) stays the whole cone at
             # the next n centers of this chart, each on the last one's
             # divisor; their nodes are written here in one step
-            hull = hull or _newton_boundary(base._terms)
             dw1, dw2 = (r, s) if at_zero else (p, q)
             n = cap  # no neighbour overtakes V: the cap ends the run
             vi = hull.index((i0, j0))
@@ -320,20 +315,19 @@ def _blowups(f, cap):
             if t0:
                 if strict1 is None:
                     strict1 = _relabel(base, chart1)
-                entry = (strict1.translate((0, t0)), None, _IDENTITY, divisor, None)
+                shifted = strict1.translate((0, t0))
+                entry = (shifted, _newton_boundary(shifted._terms), _IDENTITY, divisor, None)
             else:
-                hull = hull or _newton_boundary(base._terms)
                 entry = (base, hull, chart1, divisor, on_y)
             pending.append((*entry, k, (f"u{k}", f"v{k}"), (_ZERO, t0)))
         if at_inf:
-            hull = hull or _newton_boundary(base._terms)
             pending.append((
                 base, hull, (p, q, w1, w2, b0, -low), on_x, divisor,
                 k, (f"s{k}", f"w{k}"), _ORIGIN,
             ))
         stack.extend(reversed(pending))  # visit t ascending, infinity last
 
-    return nodes
+    return ResolutionTree(f, nodes, True)
 
 
 def lct_from_tree(tree):
@@ -349,7 +343,8 @@ def lct_from_tree(tree):
 
 
 def _candidate_text(div):
-    """``str(div.candidate)``, without building the ``Fraction``."""
+    """The divisor's candidate (a + 1) / m as ``str`` writes its
+    ``Fraction``, without building one."""
     g = math.gcd(div.a + 1, div.m)
     return f"{(div.a + 1) // g}/{div.m // g}" if div.m != g else str((div.a + 1) // g)
 
@@ -366,7 +361,18 @@ def log_pullback_coefficients(tree, lam):
 
 
 def export_tree(tree, fmt="json"):
-    """Serialize the tree as DOT or JSON (rationals rendered 'p/q')."""
+    """Serialize the tree as text, DOT or JSON (rationals rendered 'p/q').
+
+    The text is the ledger ``lctplane resolve`` prints: one line per
+    divisor, in the order of the nodes, then the lct."""
+    if fmt == "text":
+        lines = [
+            f"E{div.id} (over {'origin' if parent is None else f'E{parent}'}): "
+            f"m = {div.m}, a = {div.a}, candidate = {_candidate_text(div)}"
+            for div, parent, _ in tree.nodes
+        ]
+        lines.append(f"lct = {lct_from_tree(tree)}")
+        return "\n".join(lines)
     if fmt == "json":
         # what json.dumps writes for the payload {"input", "divisors", "lct"},
         # one template per divisor: every value but the input is an int, null

@@ -100,6 +100,14 @@ class TestClassify:
         with pytest.raises(NotSquareFree):
             classify_singularity(P("x^4 + 2*x^2*y^2 + y^4"))
 
+    def test_refusals_before_reducedness(self):
+        # resolve_over_origin checks reducedness, after the classifier's own
+        # refusals: a smooth germ, then a multiplicity no row has
+        with pytest.raises(NotSingular):
+            classify_singularity(P("x*(y - 1)^2"))
+        with pytest.raises(NotClassifiable, match="no table row has multiplicity 9"):
+            classify_singularity(P("(x + y)^2*x^7"))
+
     def test_smooth_rejected(self):
         with pytest.raises(NotSingular):
             classify_singularity(P("y - x^2"))

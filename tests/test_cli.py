@@ -118,6 +118,34 @@ class TestLct:
         assert code == 3 and reason in err
 
 
+class TestResolve:
+    def test_cusp_text(self, capsys):
+        assert run(capsys, "resolve", "x^2+y^3") == (
+            0,
+            "E1 (over origin): m = 2, a = 1, candidate = 1\n"
+            "E2 (over E1): m = 3, a = 2, candidate = 1\n"
+            "E3 (over E2): m = 6, a = 4, candidate = 5/6\n"
+            "lct = 5/6\n",
+            "",
+        )
+
+    def test_center_off_zero_text(self, capsys):
+        # E1 carries (t^2 - 1)^2: its centers t = -1 and t = 1 each build a
+        # shifted base, and their subtrees hang off E1 in that order
+        assert run(capsys, "resolve", "(y^2-x^2)^2+x^7") == (
+            0,
+            "E1 (over origin): m = 4, a = 1, candidate = 1/2\n"
+            "E2 (over E1): m = 6, a = 2, candidate = 1/2\n"
+            "E3 (over E2): m = 7, a = 3, candidate = 4/7\n"
+            "E4 (over E3): m = 14, a = 6, candidate = 1/2\n"
+            "E5 (over E1): m = 6, a = 2, candidate = 1/2\n"
+            "E6 (over E5): m = 7, a = 3, candidate = 4/7\n"
+            "E7 (over E6): m = 14, a = 6, candidate = 1/2\n"
+            "lct = 1/2\n",
+            "",
+        )
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "lct", "x^2 + @")
@@ -189,6 +217,25 @@ class TestExitCodes:
         # the largest multiplicity-2 row ledger
         code, _, err = run(capsys, "classify", "x^2+y^201")
         assert code == 3 and "more than 8 blowups" in err
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # not reduced either, but refused as the classifier's own
+            # precondition first: the origin is a smooth point
+            ("x*(y-1)^2", "NotSingular", "origin is not a singular point of the curve"),
+            # not reduced either, but no row has its multiplicity
+            ("(x+y)^2*x^7", "NotClassifiable", "no table row has multiplicity 9"),
+            # singular, of a table multiplicity, and not reduced
+            ("x^4+2*x^2*y^2+y^4", "NotSquareFree", "curve must be reduced"),
+        ],
+    )
+    def test_classify_refusal_order(self, capsys, text, error, message):
+        code, out, err = run(capsys, "classify", text)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        code, _, err = run_json(capsys, "classify", text)
+        assert code == 3
+        assert json.loads(err) == {"status": "error", "error": error, "message": message}
 
     def test_point_coefficient_limit(self, capsys, monkeypatch):
         def shift(self, point):

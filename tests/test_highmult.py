@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from lctplane.errors import (
     DegreeOutOfRange,
@@ -20,10 +20,42 @@ from lctplane.highmult import (
     lambda_set,
     reducibility_hint,
 )
-from lctplane.localinv import is_square_free
+from lctplane.dispatch import lct
+from lctplane.localinv import is_square_free, newton_lct
 from lctplane.parse import MAX_EXPONENT, parse_poly as P
 from lctplane.poly import BPoly, X, Y, divides
 from lctplane.resolution import lct_from_tree, resolve_over_origin
+
+# The factors a tangent cone is drawn from: rational lines, and quadratics
+# irreducible over the rationals.
+_LINES = (X, Y, X - Y, X + Y, X - 2 * Y, 2 * X + 3 * Y)
+_QUADRATICS = (X**2 - 2 * Y**2, X**2 + Y**2, X**2 + X * Y + Y**2)
+
+
+@st.composite
+def _high_mult_part(draw, e, line):
+    """A germ of degree e and multiplicity e - 1 (e >= 2): a cone of degree
+    e - 1, ``line`` to a drawn power times further lines and quadratics,
+    plus a form of degree e with small integer coefficients."""
+    cone = line ** draw(st.integers(0, e - 1))
+    for _ in range(draw(st.integers(0, (e - 1 - cone.degree) // 2))):
+        cone *= draw(st.sampled_from(_QUADRATICS))
+    while cone.degree < e - 1:
+        cone *= draw(st.sampled_from(_LINES))
+    top = BPoly({(i, e - i): draw(st.integers(-3, 3)) for i in range(e + 1)})
+    return draw(st.integers(1, 3)) * cone + top
+
+
+@st.composite
+def high_mult_germs(draw):
+    """A degree-d germ of multiplicity d - 1, d = 3..8, often with a special
+    line L (a cone factor of multiplicity above (d - 1) / 2); half of them
+    L times such a germ of degree d - 1, so that L is a component."""
+    d = draw(st.integers(3, 8))
+    line = draw(st.sampled_from(_LINES))
+    if draw(st.booleans()):
+        return line * draw(_high_mult_part(d - 1, line))
+    return draw(_high_mult_part(d, line))
 
 
 class TestAnalyzeHighMult:
@@ -68,6 +100,14 @@ class TestAnalyzeHighMult:
         line = BPoly({(1, 0): q[0], (0, 1): q[1]})
         f = BPoly(terms) * line if times_line else BPoly(terms)
         assert _line_divides(*q, f._terms) == divides(line, f)
+
+    @given(high_mult_germs())
+    def test_agrees_with_newton(self, f):
+        # two independent proofs: the paper's closed form and the Newton
+        # polygon in adapted coordinates; lct takes the closed form
+        assume(f.degree == f.multiplicity() + 1 and is_square_free(f))
+        assert analyze_high_mult(f).lct == newton_lct(f)
+        assert lct(f).method == "highmult"
 
     def test_d4_no_special(self):
         a = analyze_high_mult(P("x*y*(x - y) + x^4"))

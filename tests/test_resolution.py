@@ -529,6 +529,30 @@ class TestExport:
         text = export_tree(resolve_over_origin(f, cap), "json")
         assert text == json.dumps(json.loads(text))
 
+    def test_text_cusp(self):
+        text = export_tree(resolve_over_origin(P("x^2 + y^3")), "text")
+        assert text == (
+            "E1 (over origin): m = 2, a = 1, candidate = 1\n"
+            "E2 (over E1): m = 3, a = 2, candidate = 1\n"
+            "E3 (over E2): m = 6, a = 4, candidate = 5/6\n"
+            "lct = 5/6"
+        )
+
+    def test_text_smooth(self):
+        assert export_tree(resolve_over_origin(P("y - x^2")), "text") == "lct = 1"
+
+    @pytest.mark.parametrize("text", ["x^2 + y^201", "(y^2 - x^2)^2 + x^7", "x*y*(x - y)*(x + 2*y)"])
+    def test_text_reads_the_ledger(self, text):
+        # one line per node, candidate (a + 1) / m in lowest terms, then the lct
+        tree = resolve_over_origin(P(text), 102)
+        *lines, last = export_tree(tree, "text").split("\n")
+        assert last == f"lct = {lct_from_tree(tree)}"
+        assert lines == [
+            f"E{div.id} (over {'origin' if parent is None else f'E{parent}'}): "
+            f"m = {div.m}, a = {div.a}, candidate = {Fraction(div.a + 1, div.m)}"
+            for div, parent, _ in tree.nodes
+        ]
+
     def test_dot_cusp(self):
         dot = export_tree(resolve_over_origin(P("x^2 + y^3")), "dot")
         assert dot.startswith("digraph")
