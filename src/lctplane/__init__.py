@@ -15,8 +15,7 @@ arithmetic:
 
 ``lct`` has three routes: off the curve or smooth, then the closed form,
 then the Newton polygon for every other germ at the origin (the
-``lctplane lct`` command calls it); ``lct_low_degree`` uses it at any
-rational point of a curve of degree at most 5.  The oracle answers
+``lctplane lct`` command calls it), at any degree.  The oracle answers
 ``resolve`` and the classifier names a germ's type (the ``classify``
 command); both stay independent references for ``lct``.
 """
@@ -30,7 +29,7 @@ from .classify import (
     sample_normal_form,
     table1_values,
 )
-from .dispatch import LctResult, lct, lct_low_degree
+from .dispatch import LctResult, lct
 from .errors import LctError
 from .extended import INF, NEG_INF
 from .highmult import (
@@ -82,7 +81,6 @@ __all__ = [
     "lambda_set",
     "lct",
     "lct_from_tree",
-    "lct_low_degree",
     "log_pullback_coefficients",
     "milnor_number_origin",
     "newton_lct",

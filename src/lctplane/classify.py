@@ -34,7 +34,7 @@ from .errors import (
     ResolutionCap,
     ZeroPolynomial,
 )
-from .factorize import form_coeffs, squarefree_parts
+from .factorize import form_lines
 from .localinv import milnor_number_origin, tangent_cone_pattern
 from .parse import parse_poly
 from .resolution import resolve_over_origin
@@ -231,11 +231,8 @@ def _restriction_holds(row, params, poly):
     if restriction["kind"] == "nonzero_poly":
         return not _substitute(restriction["poly"], params).is_zero
     if restriction["kind"] == "squarefree_top_degree":
-        # a form of degree k >= 1 is squarefree iff its lines are distinct:
-        # x = 0 (t = infinity) at most once, and its polynomial in t squarefree
-        k = restriction["degree"]
-        top = form_coeffs(poly._terms, k)
-        return len(top) >= k and all(e == 1 for _, e in squarefree_parts(top))
+        # a form is squarefree iff its lines are distinct
+        return all(e == 1 for _, e in form_lines(poly._terms, restriction["degree"]))
     raise AssertionError(f"unknown restriction kind {restriction['kind']!r}")
 
 

@@ -3,7 +3,8 @@
 Subcommands cover every library capability: ``lct`` (with automatic
 method dispatch), ``classify``, ``milnor``, ``imult``, ``lambda-set``,
 ``witness``, ``resolve``, ``wbound`` and ``selftest``.  Output is plain
-text by default or JSON with ``--format json``; rationals are always
+text by default or JSON with ``--format json``, and ``resolve`` also
+writes its tree as DOT with ``--format dot``; rationals are always
 rendered ``p/q`` in lowest terms and infinity as ``inf``.
 
 Exit codes, each error class's ``exit_code``: 0 success, 2 parse error,
@@ -190,15 +191,7 @@ def _cmd_witness(args):
 
 
 def _cmd_resolve(args):
-    f = _input_poly(args)
-    tree = resolve_over_origin(f, cap=args.cap)
-    if args.dot:
-        try:
-            with open(args.dot, "w") as fh:
-                fh.write(export_tree(tree, "dot") + "\n")
-        except OSError as exc:
-            raise LctError(f"cannot write DOT file {args.dot!r}: {exc.strerror}") from exc
-    print(export_tree(tree, args.format))
+    print(export_tree(resolve_over_origin(_input_poly(args), cap=args.cap), args.format))
 
 
 def _cmd_wbound(args):
@@ -261,15 +254,13 @@ def _cap(text):
 _FORMAT = ("--format", dict(choices=("text", "json"), default="text", help="output format"))
 _POINT = ("--point", dict(metavar="X,Y", help="rational point to analyze (default origin)"))
 _POLYNOMIAL = ("polynomial", {})
-_PROJECTIVE = ("--projective", dict(metavar="CHART"))
+_PROJECTIVE = ("--projective", dict(
+    metavar="CHART", help="treat input as a form in x, y, z; dehomogenize at this chart"
+))
 
 _COMMANDS = {
     "lct": (_cmd_lct, "lct of a curve at a point", (
-        _POLYNOMIAL,
-        ("--projective", dict(
-            metavar="CHART", help="treat input as a form in x, y, z; dehomogenize at this chart"
-        )),
-        _FORMAT, _POINT,
+        _POLYNOMIAL, _PROJECTIVE, _FORMAT, _POINT,
     )),
     "classify": (_cmd_classify, "singularity type at a point (degree <= 5)", (
         _POLYNOMIAL, _PROJECTIVE, _FORMAT, _POINT,
@@ -288,8 +279,8 @@ _COMMANDS = {
     )),
     "resolve": (_cmd_resolve, "embedded resolution tree over a point", (
         _POLYNOMIAL, _PROJECTIVE,
-        ("--dot", dict(metavar="FILE", help="also write the tree as DOT")),
-        _FORMAT, _POINT,
+        ("--format", dict(choices=("text", "json", "dot"), default="text", help="output format")),
+        _POINT,
         ("--cap", dict(
             type=_cap, default=DEFAULT_CAP, metavar="N", help="blowup cap of the resolution"
         )),
@@ -393,14 +384,11 @@ def _read(argv):
     values = {"subcommand": argv[0], "func": func}
     try:
         for dest, spec in specs:
+            value = spec.get("default")
             if dest in texts:
                 value = spec["type"](texts[dest]) if "type" in spec else texts[dest]
                 if "choices" in spec and value not in spec["choices"]:
                     return None
-            else:  # argparse passes a string default through the type
-                value = spec.get("default")
-                if isinstance(value, str) and "type" in spec:
-                    value = spec["type"](value)
             values[dest] = value
     except Exception:  # argparse calls the type again and reports or raises it
         return None

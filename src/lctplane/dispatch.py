@@ -7,12 +7,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegreeOutOfRange, NotSquareFree, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .extended import INF
 from .highmult import analyze_high_mult
-from .localinv import is_square_free, newton_lct
+from .localinv import newton_lct
 
-__all__ = ["LctResult", "lct", "lct_low_degree"]
+__all__ = ["LctResult", "lct"]
 
 
 class LctResult(NamedTuple):
@@ -24,7 +24,8 @@ class LctResult(NamedTuple):
 
 
 def lct(f):
-    """lct of the germ of f at the origin, by the first route that applies.
+    """lct of the germ of f at the origin, by the first route that applies;
+    at a rational point p, call ``lct(f.translate(p))``.
 
     The off-curve answer ``INF`` and the smooth answer 1 hold for any
     curve, so they do not check that f is reduced.  A singular germ goes
@@ -43,20 +44,3 @@ def lct(f):
     if mult == f.degree - 1:
         return LctResult(analyze_high_mult(f).lct, "highmult")
     return LctResult(newton_lct(f), "newton")
-
-
-def lct_low_degree(f, p=(0, 0)):
-    """lct of a reduced curve of degree <= 5 at a rational point.
-
-    Returns ``INF`` when the point is not on the curve (convention) and
-    1 at smooth points.
-    """
-    if f.is_zero:
-        raise ZeroPolynomial("cannot analyze the zero polynomial")
-    if not 1 <= f.degree <= 5:
-        raise DegreeOutOfRange(f"reduced curves of degree 1..5 only, got {f.degree}")
-    result = lct(f.translate(p))
-    # the singular routes have already refused a non-reduced curve
-    if result.method == "trivial" and not is_square_free(f):
-        raise NotSquareFree("curve must be reduced")
-    return result.value

@@ -8,7 +8,7 @@ numerators, such as a tangent cone, as a coefficient list in t = y/x, and
 ``squarefree_parts`` is Yun's algorithm on such a list.  Every lct route
 reads its repeated directions through Yun's parts; the resolution builds
 its cone lists, and ``localinv.newton_lct`` its edge polynomials, off a
-Newton boundary, the closed form through ``form_coeffs``.  Irreducible
+Newton boundary, the closed form through ``form_lines``.  Irreducible
 factors (``factor_univariate``, sympy's exact Zassenhaus-based
 ``dup_factor_list``, imported on first use) are needed only by the
 resolution, for a repeated part of degree >= 2 on an exceptional divisor.
@@ -24,6 +24,7 @@ from .poly import _derivative, coprime_univariate
 __all__ = [
     "factor_univariate",
     "form_coeffs",
+    "form_lines",
     "squarefree_parts",
 ]
 
@@ -51,9 +52,7 @@ def form_coeffs(terms, k):
     coefficient list in t = y/x: entry j is the coefficient of
     x^(k-j) y^j, the last entry is nonzero, and a zero part is ``[]``.
 
-    The form's lines are its roots in t, a linear part ``[q0, q1]`` being
-    the line q0 x + q1 y, and the line x = 0 at t = infinity, of
-    multiplicity ``k + 1 - len``."""
+    The form's lines are read by ``form_lines``."""
     coeffs = [0] * (k + 1)
     for (i, j), c in terms.items():
         if i + j == k:
@@ -61,6 +60,17 @@ def form_coeffs(terms, k):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def form_lines(terms, k):
+    """The lines of the degree-``k`` part of ``terms`` (``form_coeffs``) as
+    ``(part, multiplicity)``, over the algebraic closure: first the line
+    x = 0, at t = infinity, as ``[1, 0]`` when the form vanishes there, then
+    the squarefree parts of the form in t, a part of degree g being g
+    lines, and a linear part ``[q0, q1]`` the line q0 x + q1 y."""
+    coeffs = form_coeffs(terms, k)
+    at_infinity = [([1, 0], k + 1 - len(coeffs))] if len(coeffs) <= k else []
+    return at_infinity + squarefree_parts(coeffs)
 
 
 def _primitive(a):

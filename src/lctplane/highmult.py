@@ -29,7 +29,7 @@ from .errors import (
     TargetNotRealizable,
     WrongMultiplicity,
 )
-from .factorize import form_coeffs, squarefree_parts
+from .factorize import form_lines
 from .localinv import is_square_free
 from .parse import MAX_EXPONENT
 from .poly import ONE, BPoly, X, Y
@@ -69,12 +69,8 @@ def analyze_high_mult(f):
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
 
-    cone = form_coeffs(f._terms, d - 1)
-    # each line q0 x + q1 y with its multiplicity m: x = 0 at t = infinity,
-    # then the squarefree parts [q0, q1, ...] in t = y/x, where m times the
-    # degree is at most d-1, so a part with 2m > d-1 is linear
-    lines = [([1, 0], d - len(cone)), *squarefree_parts(cone)]
-    special = next(((q, m) for q, m in lines if 2 * m > d - 1), None)
+    # m times a part's degree is at most d-1, so a part with 2m > d-1 is linear
+    special = next(((q, m) for q, m in form_lines(f._terms, d - 1) if 2 * m > d - 1), None)
     if special is None:
         return HighMultAnalysis(d=d, has_special_q=False, lct=Fraction(2, d - 1))
 

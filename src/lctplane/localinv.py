@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import NotSquareFree, NotThroughOrigin, PreconditionError, ZeroPolynomial
 from .extended import INF
-from .factorize import form_coeffs, squarefree_parts
+from .factorize import form_lines, squarefree_parts
 from .poly import (
     BPoly,
     _canonical,
@@ -151,22 +151,16 @@ def milnor_number_origin(f):
 
 def tangent_cone_pattern(f):
     """Line multiplicities of the tangent cone of f at the origin, as a
-    tuple sorted descending: over the algebraic closure, a squarefree part
-    of degree g with exponent e of the cone in t = y/x (``form_coeffs``)
-    is g distinct lines and contributes g copies of e, and the line x = 0
-    at t = infinity contributes its own multiplicity, so the entries sum to
-    the multiplicity at the origin.  No irreducible factorization is
-    needed."""
+    tuple sorted descending: each part of degree g with multiplicity e
+    (``form_lines``) is g distinct lines and contributes g copies of e, so
+    the entries sum to the multiplicity at the origin.  No irreducible
+    factorization is needed."""
     if f.is_zero:
         raise ZeroPolynomial("tangent cone of the zero polynomial")
     if f.coefficient(0, 0) != 0:
         raise NotThroughOrigin("curve does not pass through the origin")
-    mult = f.multiplicity()
-    cone = form_coeffs(f._terms, mult)
-    entries = [mult + 1 - len(cone)] if len(cone) <= mult else []
-    for part, exp in squarefree_parts(cone):
-        entries.extend([exp] * (len(part) - 1))
-    return tuple(sorted(entries, reverse=True))
+    lines = form_lines(f._terms, f.multiplicity())
+    return tuple(sorted((e for part, e in lines for _ in range(len(part) - 1)), reverse=True))
 
 
 def is_square_free(f):

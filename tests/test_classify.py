@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from test_dispatch import singular_germs
 
-from lctplane import lct_low_degree
+from lctplane import lct
 from lctplane.classify import (
     _signature,
     all_symbols,
@@ -185,22 +185,26 @@ class TestLedgerClassifier:
 
 
 class TestLctLowDegree:
+    """``lct`` on curves of degree <= 5, where Table 1 holds, and past them;
+    at a rational point p, as ``lct(f.translate(p))``."""
+
     def test_smooth(self):
-        assert lct_low_degree(P("y - x^2")) == 1
+        assert lct(P("y - x^2")).value == 1
 
     def test_d5_type(self):
-        assert lct_low_degree(P("x^2*y + y^4")) == Fraction(5, 8)
+        f = P("x^2*y + y^4")
+        assert lct(f).value == classify_singularity(f).lct == Fraction(5, 8)
 
     def test_off_curve(self):
-        assert lct_low_degree(P("x^2 + y^3"), (7, 5)) is INF
+        assert lct(P("x^2 + y^3").translate((7, 5))).value is INF
 
     def test_translated_point(self):
         f = P("x^2 + y^3").translate((-1, -2))
-        assert lct_low_degree(f, (1, 2)) == Fraction(5, 6)
+        assert lct(f.translate((1, 2))).value == Fraction(5, 6)
 
     def test_degree_out_of_range(self):
-        with pytest.raises(DegreeOutOfRange):
-            lct_low_degree(P("x^6 + y^6 + x*y"))
+        # past the classifier's degrees, lct answers by its own routes
+        assert lct(P("x^6 + y^6 + x*y")) == (1, "newton")
 
 
 class TestTable1:

@@ -19,8 +19,9 @@ from lctplane.errors import (
     PreconditionError,
     ResolutionCap,
 )
-from lctplane.parse import MAX_COEFF_BITS
+from lctplane.parse import MAX_COEFF_BITS, parse_poly
 from lctplane.poly import BPoly
+from lctplane.resolution import export_tree, resolve_over_origin
 from lctplane.selftest import SelfTestReport
 
 
@@ -180,14 +181,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "resolve", "(y^2-2*x^2)^3*(y^3-3*x^3)^2+x^13")
         assert code == 4 and err.endswith("polynomial t^2 - 2\n")
 
-    def test_unwritable_dot_file(self, capsys, tmp_path):
-        path = str(tmp_path / "missing" / "tree.dot")
-        code, out, err = run(capsys, "resolve", "x^2+y^3", "--dot", path)
-        assert code == 1 and out == "" and path in err
-        code, out, err = run(capsys, "resolve", "x^2+y^3", "--dot", path, "--format", "json")
-        payload = json.loads(err)
-        assert code == 1 and out == ""
-        assert payload["error"] == "LctError" and path in payload["message"]
+    def test_dot_option_is_a_usage_error(self, capsys, tmp_path):
+        # the tree's DOT goes to stdout under --format dot; no option writes a file
+        path = tmp_path / "tree.dot"
+        with pytest.raises(SystemExit) as exc:
+            main(["resolve", "x^2+y^3", "--dot", str(path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dot" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_cap(self, capsys):
         code, _, err = run(capsys, "resolve", "x^2+y^3", "--cap", "1")
@@ -443,6 +444,7 @@ class TestRouting:
             ["resolve", "x^2+y^3", "--format", "json", "--point=1,2", "--cap", "3"],
             ["resolve", "--cap=0", "x^2+y^3", "--projective", "z"],
             ["resolve", "x^2+y^3", "--point", "-1,0", "--format=text"],
+            ["resolve", "x^2+y^3", "--format", "dot"],
             ["imult", "x", "--point", "0,0", "y"],
             ["lambda-set", "4", "--format", "json"],
         ],
@@ -478,8 +480,7 @@ class TestRouting:
 
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argvs)
-    def test_drawn_argv_same_as_argparse(self, capsys, monkeypatch, tmp_path, argv):
-        monkeypatch.chdir(tmp_path)  # where a drawn ``--dot`` writes
+    def test_drawn_argv_same_as_argparse(self, capsys, monkeypatch, argv):
         # a well-formed selftest argv would run the whole suite, twice
         monkeypatch.setattr(
             selftest, "run_selftest", lambda scope, seed: SelfTestReport(scope, seed, ())
@@ -527,12 +528,11 @@ class TestSubcommands:
             (6, 4),
         ]
 
-    def test_resolve_dot(self, capsys, tmp_path):
-        dot_file = tmp_path / "tree.dot"
-        code, _, _ = run(capsys, "resolve", "x^2+y^3", "--dot", str(dot_file))
+    def test_resolve_dot(self, capsys):
+        code, out, _ = run(capsys, "resolve", "x^2+y^3", "--format", "dot")
         assert code == 0
-        text = dot_file.read_text()
-        assert text.startswith("digraph") and "E2 -> E3;" in text
+        assert out == export_tree(resolve_over_origin(parse_poly("x^2+y^3")), "dot") + "\n"
+        assert out.startswith("digraph") and "E2 -> E3;" in out
 
     def test_wbound(self, capsys):
         code, payload, _ = run_json(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lctplane import LctResult, lct, lct_low_degree
+from lctplane import LctResult, lct
 from lctplane.errors import IrrationalCenter, NotSquareFree, ZeroPolynomial
 from lctplane.extended import INF
 from lctplane.localinv import is_square_free
@@ -109,11 +109,12 @@ class TestRoutes:
 
 
 class TestLctLowDegree:
+    """``lct`` at a rational point p of a low-degree curve, as
+    ``lct(f.translate(p))``: the off-curve and smooth answers hold for any
+    curve, so a non-reduced one gets them too."""
+
     def test_non_reduced_off_curve(self):
-        # the point is off the curve, but the curve is still refused
-        with pytest.raises(NotSquareFree):
-            lct_low_degree(P("x^2 + x^2*y"), (5, 5))
+        assert lct(P("x^2 + x^2*y").translate((5, 5))) == (INF, "trivial")
 
     def test_non_reduced_smooth_point(self):
-        with pytest.raises(NotSquareFree):
-            lct_low_degree(P("(x + y)*y^2"), (1, -1))
+        assert lct(P("(x + y)*y^2").translate((1, -1))) == (1, "trivial")

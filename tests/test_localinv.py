@@ -75,9 +75,12 @@ class TestMilnorNumber:
 
     def test_smooth(self):
         assert milnor(P("y + x^2")) == 0
+        assert milnor(P("x")) == 0  # f_y is zero
 
     def test_non_isolated(self):
         assert milnor(P("x^2*y^2")) is INF
+        # one partial zero, the other through the origin
+        assert milnor(P("y^3")) is INF and milnor(P("x^2")) is INF
 
     def test_not_through_origin(self):
         with pytest.raises(NotThroughOrigin):

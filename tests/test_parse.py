@@ -96,6 +96,7 @@ class TestGrammar:
             assert parse_poly(f"(x - 2*y + 1/3)^{n}") == base**n
         assert parse_poly("(-2/3*x^2*y)^3") == BPoly.monomial(6, 3, Fraction(-8, 27))
         assert parse_poly("(x^40)^0") == BPoly.constant(1)
+        assert parse_poly("x^(3)+y^(2)") == parse_poly("x^3+y^2")
 
     def test_leading_sign(self):
         assert parse_poly("-x + y") == parse_poly("y") - parse_poly("x")

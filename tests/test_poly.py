@@ -25,6 +25,7 @@ from lctplane.poly import (
     coprime_univariate,
     divides,
     gcd_bivariate,
+    gcd_many,
     mul_terms,
     normalize_primitive,
     pow_terms,
@@ -426,6 +427,7 @@ class TestGcd:
 
     def test_coprime(self):
         assert gcd_bivariate(P("x^2 + y^2"), X).is_constant()
+        assert gcd_many([X * Y, X, Y]) == ONE  # returns once the gcd is constant
 
     def test_common_linear(self):
         f = P("(x+y)^2") * P("x - y")
