@@ -61,11 +61,6 @@ def _load_tables():
 
 _TABLES = _load_tables()
 _CLASSES = {row["symbol"]: row for row in _TABLES["classes"]}
-_BY_TRIPLE = {}
-for _row in _TABLES["classes"]:
-    _key = (_row["mult"], tuple(sorted(_row["pattern"], reverse=True)), _row["mu"])
-    assert _key not in _BY_TRIPLE, f"ambiguous classification key {_key}"
-    _BY_TRIPLE[_key] = _row["symbol"]
 
 
 class SingularityClass(NamedTuple):
@@ -180,7 +175,9 @@ def _ledger_rows(mult):
 
 def _classify_by_triple(f, mult):
     """The row of the triple (multiplicity, tangent cone pattern, Milnor
-    number), for a germ whose resolution needs an irrational center.
+    number), for a germ whose resolution needs an irrational center, found
+    by a scan of the table rows: the test suite asserts that no two rows
+    share a triple.
 
     A matched row is proven at every degree, by the germ's Enriques diagram
     (Casas-Alvero 2000) and Milnor's mu = 2 delta - r + 1, with delta the
@@ -200,13 +197,14 @@ def _classify_by_triple(f, mult):
     occur."""
     pattern = tangent_cone_pattern(f)
     mu = milnor_number_origin(f)  # finite: f is reduced, so the point is isolated
-    symbol = _BY_TRIPLE.get((mult, pattern, mu))
-    if symbol is None:
-        raise NotClassifiable(
-            f"no table row matches mult={mult}, tangent cone pattern="
-            f"{list(pattern)}, Milnor number={mu}"
-        )
-    return class_info(symbol)
+    key = (mult, list(pattern), mu)
+    for symbol, row in _CLASSES.items():
+        if (row["mult"], sorted(row["pattern"], reverse=True), row["mu"]) == key:
+            return class_info(symbol)
+    raise NotClassifiable(
+        f"no table row matches mult={mult}, tangent cone pattern="
+        f"{list(pattern)}, Milnor number={mu}"
+    )
 
 
 def table1_values(d):

@@ -25,18 +25,18 @@ Each subcommand's arguments are declared once, in ``_COMMANDS``.  ``main``
 reads argv straight off that table when every token after the subcommand
 is a plain positional (not beginning with ``-``), an exact long option
 followed by a value that does not begin with ``-``, or ``--option=value``,
-each option at most once, the positionals all there, and every value
-passing its type and choices.  Any other argv (``-h``, ``--``, an
-abbreviated, unknown or repeated option, a missing or extra positional, a
-bad value, and every ``wbound`` and ``selftest`` argv, whose specs use
-``required`` or ``nargs``) goes unchanged to argparse, which is imported
-only then.  So argparse alone writes help, usage and error text, and
-every outcome is what one ``parse_args`` on ``build_parser()`` gives.
+each option at most once, every required positional and option there, and
+every value passing its type and choices.  Any other argv (``-h``, ``--``,
+an abbreviated, unknown, repeated or missing option, a missing or extra
+positional, a bad value) goes unchanged to argparse, which is imported
+only then.  So argparse alone writes help, usage and error text: an
+unknown or extra argument after a subcommand is reported by that
+subcommand's parser, under its own usage line, and every other outcome is
+what one ``parse_args`` on ``build_parser()`` gives.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -339,8 +339,9 @@ def _dest(flag):
 
 
 # What ``_read`` needs of each subcommand: its handler, its positionals'
-# names, its options' names by flag, and every (name, spec).  A subcommand
-# with an ``nargs`` or ``required`` spec has none: argparse reads its argv.
+# names, its options' names by flag, and every (name, spec).  A positional
+# is required unless its ``nargs`` is "?", an option only when its spec says
+# so; an optional positional comes last, so plain tokens fill them in order.
 _READERS = {
     name: (
         func,
@@ -349,7 +350,6 @@ _READERS = {
         [(_dest(flag), spec) for flag, spec in arguments],
     )
     for name, (func, _, arguments) in _COMMANDS.items()
-    if not any("nargs" in spec or "required" in spec for _, spec in arguments)
 }
 
 
@@ -357,8 +357,9 @@ def _read(argv):
     """The namespace one ``parse_args`` gives for ``argv``, read off the
     table, or None when some token after the subcommand is not a plain
     positional, an exact option and a value that does not begin with ``-``,
-    or ``--option=value``; when an option repeats or a positional is missing
-    or extra; or when a value fails its type or choices."""
+    or ``--option=value``; when an option repeats, a required positional or
+    option is missing or a positional is extra; or when a value fails its
+    type or choices."""
     reader = _READERS.get(argv[0]) if argv else None
     if reader is None:
         return None
@@ -378,7 +379,7 @@ def _read(argv):
         if dest is None or dest in texts:
             return None
         texts[dest] = text
-    if len(found) != len(positionals):
+    if len(found) > len(positionals):
         return None
     texts.update(zip(positionals, found))
     values = {"subcommand": argv[0], "func": func}
@@ -389,6 +390,8 @@ def _read(argv):
                 value = spec["type"](texts[dest]) if "type" in spec else texts[dest]
                 if "choices" in spec and value not in spec["choices"]:
                     return None
+            elif spec.get("required", dest in positionals and "nargs" not in spec):
+                return None
             values[dest] = value
     except Exception:  # argparse calls the type again and reports or raises it
         return None
@@ -396,14 +399,15 @@ def _read(argv):
 
 
 def _parse(argv):
-    """The namespace of argparse's ``parse_args`` on ``argv``; a usage
-    error, or help, exits."""
-    return _shared_parsers()[0].parse_args(argv)
-
-
-# Built on the first argv that ``_read`` declines, not at import, and shared
-# by later calls: parsing only reads the parsers and returns a fresh namespace.
-_shared_parsers = functools.cache(build_parser)
+    """The namespace argparse reads from ``argv``; a usage error, or help,
+    exits.  An argument left over after the subcommand is reported by the
+    subcommand's parser, one before it by the top-level parser."""
+    parser, commands = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        owner = commands[args.subcommand] if argv[0] == args.subcommand else parser
+        owner.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None):

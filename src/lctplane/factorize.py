@@ -113,25 +113,8 @@ def squarefree_parts(f):
     ``a_i``, primitive with positive leading coefficients, squarefree and
     pairwise coprime, with ``f = c * prod(a_i ** i)`` for an integer ``c``,
     as ``(a_i, i)`` in increasing ``i``.  It runs on integer multiples of the
-    polynomials, which Yun's recurrences allow.
-
-    The power ``t^v`` dividing ``f`` is split off first and Yun runs on
-    ``f / t^v`` alone; ``t`` then joins its part of exponent ``v``, or
-    enters as a part of its own."""
-    v = next((i for i, c in enumerate(f) if c), 0)
-    if not v:
-        return _yun(f)
-    parts = _yun(f[v:])
-    k = next((k for k, (_, i) in enumerate(parts) if i >= v), len(parts))
-    if k < len(parts) and parts[k][1] == v:
-        parts[k] = ([0, *parts[k][0]], v)
-    else:
-        parts.insert(k, ([0, 1], v))
-    return parts
-
-
-def _yun(f):
-    """``squarefree_parts`` by Yun's recurrences alone."""
+    polynomials, which Yun's recurrences allow; a factor ``t`` is a part like
+    any other."""
     if len(f) < 2:
         return []
     df = _derivative(f)

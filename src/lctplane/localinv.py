@@ -167,7 +167,8 @@ def is_square_free(f):
     """True iff no non-unit square divides f.
 
     ``certify_squarefree`` proves most reduced curves squarefree without
-    sympy.  When it cannot, ``gcd(f, f_x, f_y)`` being constant decides
+    sympy, and x^2 or y^2 dividing f, read off its least exponents, refutes
+    it.  Otherwise ``gcd(f, f_x, f_y)`` being constant decides
     (``gcd_many``, sympy's exact dense gcd), which is equivalent over a
     field of characteristic zero (and, unlike the per-variable test, also
     correct for factors involving a single variable).
@@ -176,6 +177,8 @@ def is_square_free(f):
         raise ZeroPolynomial("square-freeness of the zero polynomial")
     if certify_squarefree(f):
         return True
+    if min(f._terms)[0] > 1 or min(j for _, j in f._terms) > 1:
+        return False
     return gcd_many([f, f.derivative("x"), f.derivative("y")]).is_constant()
 
 

@@ -121,16 +121,13 @@ def pow_terms(a, n, one):
     dict of 1 with keys as long as ``a``'s, where the repeated product
     starts: the zero base has no key to take the length from.
 
-    A monomial has its exponents scaled, with no products.  A binomial is
-    written out by the binomial theorem: each k gives its own exponent, so
-    no two terms collide and none is zero.  Any other base is multiplied in
-    ``n`` times: squaring a dense bivariate power costs more than the
-    ``n - 1`` products it saves (Gentleman, "Optimal multiplication chains
-    for computing a power of a symbolic polynomial", Math. Comp. 26, 1972).
+    A binomial is written out by the binomial theorem: each k gives its own
+    exponent, so no two terms collide and none is zero.  Any other base, a
+    monomial among them, is multiplied in ``n`` times: squaring a dense
+    bivariate power costs more than the ``n - 1`` products it saves
+    (Gentleman, "Optimal multiplication chains for computing a power of a
+    symbolic polynomial", Math. Comp. 26, 1972).
     """
-    if len(a) == 1:
-        ((exp, c),) = a.items()
-        return {tuple(e * n for e in exp): c**n}
     if len(a) == 2:
         (e1, c1), (e2, c2) = a.items()
         c1pow = [1]

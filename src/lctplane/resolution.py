@@ -164,8 +164,6 @@ def _relabel(base, emap):
     The map is injective on exponents (its matrix has determinant 1), so
     the numerators over ``base._den`` stay in lowest terms with no gcd
     pass; the charts keep every image exponent non-negative."""
-    if emap == _IDENTITY:
-        return base
     p, q, r, s, b0, b1 = emap
     return _reduced(
         {(p * i + q * j + b0, r * i + s * j + b1): c for (i, j), c in base._terms.items()},

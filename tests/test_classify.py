@@ -6,8 +6,8 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import assume, given, settings
-from test_dispatch import singular_germs
+from hypothesis import assume, given, settings, strategies as st
+from test_dispatch import branch_products, singular_germs
 
 from lctplane import lct
 from lctplane.classify import (
@@ -29,6 +29,7 @@ from lctplane.errors import (
 from lctplane.extended import INF
 from lctplane.localinv import is_square_free, milnor_number_origin
 from lctplane.parse import parse_poly as P
+from lctplane.poly import BPoly
 from lctplane.resolution import lct_from_tree, resolve_over_origin
 
 TABLES_SHA256 = "e94a12e9fd237a46c0cbc1f4b2f5c4aaebe4c890239b9a10c8cbf3e0b26f4d53"
@@ -182,6 +183,36 @@ class TestLedgerClassifier:
         # a cone c q^2 with q an irreducible quadratic: mu 11 or 13 proves
         # the row at any degree, with no Newton-edge check
         assert classify_singularity(P(text)).symbol == symbol
+
+
+# q^2 plus terms of degree 5 to 8, q an irreducible quadratic: a cone c q^2,
+# whose resolution needs an irrational center, so the triple classifies it
+squared_quadratics = st.builds(
+    lambda q, tail: P(q) ** 2 + BPoly(tail),
+    st.sampled_from(("x^2 - 2*y^2", "x^2 + y^2", "x^2 + x*y + y^2")),
+    st.dictionaries(
+        st.sampled_from([(i, d - i) for d in range(5, 9) for i in range(d + 1)]),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+class TestClassifierAgainstIndependentRoutes:
+    @settings(max_examples=300)
+    @given(st.one_of(singular_germs, branch_products(), squared_quadratics))
+    def test_row_invariants_match_lct_and_milnor(self, f):
+        # the row is read off the ledger or the triple; lct in adapted
+        # coordinates and Fulton's recursion read neither
+        assume(f.degree <= 8 and is_square_free(f))
+        try:
+            cls = classify_singularity(f)
+        except (NotClassifiable, NotSingular):
+            assume(False)
+        assert (cls.mult, cls.lct, cls.mu) == (
+            f.multiplicity(), lct(f).value, milnor_number_origin(f)
+        )
 
 
 class TestLctLowDegree:

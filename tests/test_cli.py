@@ -346,11 +346,9 @@ def outcome(capsys, argv):
 
 def argparse_outcome(capsys, monkeypatch, argv):
     """``outcome`` with argparse alone: ``main`` reads nothing off the
-    argument table and, with no subcommand map, routes every argv through a
-    fresh parser's ``parse_args``."""
+    argument table and routes every argv through a fresh parser."""
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_read", lambda argv: None)
-        patch.setattr(cli, "_shared_parsers", lambda: (build_parser()[0], {}))
         return outcome(capsys, argv)
 
 
@@ -401,9 +399,9 @@ argvs = st.sampled_from(sorted(_ACTIONS) + ["lcx"]).flatmap(_argv)
 
 class TestRouting:
     """``main`` reads a well-formed argv straight off the argument table and
-    hands a named subcommand's other arguments straight to its parser; every
-    answer, usage error and help text must be what one ``parse_args`` on a
-    fresh top-level parser, then the same dispatch, gives."""
+    hands every other argv to argparse; every answer, usage error and help
+    text must be what argparse alone, on a fresh parser, then the same
+    dispatch, gives."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -447,6 +445,8 @@ class TestRouting:
             ["resolve", "x^2+y^3", "--format", "dot"],
             ["imult", "x", "--point", "0,0", "y"],
             ["lambda-set", "4", "--format", "json"],
+            ["wbound", "x^3+y^4", "--weights", "4,3"],
+            ["selftest", "fast"],
         ],
         ids=" ".join,
     )
@@ -468,8 +468,6 @@ class TestRouting:
             ["lct", "x^2+y^3", "--point"],
             ["lct", "x^2+y^3", "--point", "-x"],
             ["imult", "x"],
-            ["wbound", "x^3+y^4", "--weights", "4,3"],
-            ["selftest", "fast"],
             ["lcx", "x^2+y^3"],
             [],
         ],

@@ -144,6 +144,11 @@ class TestSquareFree:
         assert is_square_free(P("(y + 1)*(x^2 + y)"))
         assert not is_square_free(P("x*(y + 1)^2"))
 
+    def test_square_of_x_or_y_refused_without_gcd(self, monkeypatch):
+        monkeypatch.setattr(localinv, "gcd_many", lambda polys: pytest.fail("gcd_many ran"))
+        for text in ("x^2*y", "y^2*(x + y)", "x^3 + x^2*y^5"):
+            assert not is_square_free(P(text)), text
+
 
 class TestWeightedBound:
     def test_e6(self):

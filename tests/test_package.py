@@ -50,6 +50,9 @@ _LAZY_SYMPY = textwrap.dedent(
     assert "sympy" not in sys.modules, "lct"
     assert lct(parse_poly("(x-y)^2+y^7")).method == "newton"
     assert "sympy" not in sys.modules, "adapted lct"
+    # x^2 divides it: refused without the gcd
+    assert main(["lct", "x^2*y^2"]) == 3
+    assert "sympy" not in sys.modules, "non-reduced"
     assert main(["resolve", "(x^2-2*y^2)^2+y^5"]) == 4
     assert "sympy" in sys.modules, "repeated irrational tangent"
     assert "lctplane.selftest" not in sys.modules, "selftest"
@@ -119,9 +122,9 @@ def test_cold_well_formed_argv_loads_no_argparse():
     lines = proc.stdout.splitlines()
     assert lines[0] == '{"lct": "9/14", "method": "newton"}' and lines[-4] == "lct = 5/6"
     assert lines[-3:] == ["", "2", "2"]  # no module of the list loaded; two usage errors
-    # an unknown option is the top-level parser's error, a bad choice the subcommand's
+    # an unknown option and a bad choice are both the subcommand parser's errors
     bogus, xml = proc.stderr.split("usage: ")[1:]
-    assert bogus.startswith("lctplane [-h]") and "unrecognized arguments: --bogus" in bogus
+    assert bogus.startswith("lctplane lct [-h]") and "unrecognized arguments: --bogus" in bogus
     assert xml.startswith("lctplane lct [-h]") and "invalid choice: 'xml'" in xml
 
 
