@@ -119,7 +119,7 @@ def _dehomogenize(text, chart):
 
 
 def _input_poly(args):
-    if getattr(args, "projective", None):
+    if args.projective:
         f = _dehomogenize(args.polynomial, args.projective)
     else:
         f = parse_poly(args.polynomial)
@@ -416,7 +416,7 @@ def main(argv=None):
     try:
         code = args.func(args)
     except LctError as exc:
-        if getattr(args, "format", "text") == "json":
+        if args.format == "json":
             print(
                 json.dumps(
                     {

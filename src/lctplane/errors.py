@@ -129,9 +129,5 @@ class ResolutionCap(LctError):
     exit_code = 5
 
 
-class IncompleteTree(LctError):
-    pass
-
-
 class SelfTestFailure(LctError):
     pass

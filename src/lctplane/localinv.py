@@ -129,20 +129,25 @@ def intersection_multiplicity_origin(f, g):
         g = {exp: c // content for exp, c in g.items()}
 
 
+def _check_germ(f, zero_message):
+    """Refuse f = 0 with ``zero_message``, and f(0) != 0: every invariant
+    at the origin needs a germ of a curve through it."""
+    if f.is_zero:
+        raise ZeroPolynomial(zero_message)
+    if (0, 0) in f._terms:
+        raise NotThroughOrigin("curve does not pass through the origin")
+
+
 def milnor_number_origin(f):
     """Milnor number at the origin: I_0(f_x, f_y).
 
     Finite iff the origin is an isolated critical point; 0 iff the curve
-    is smooth at the origin.
+    is smooth at the origin.  A germ f != 0 with f(0) = 0 has a term of
+    degree >= 1, so f_x and f_y are not both zero.
     """
-    if f.is_zero:
-        raise ZeroPolynomial("Milnor number of the zero polynomial")
-    if f.coefficient(0, 0) != 0:
-        raise NotThroughOrigin("curve does not pass through the origin")
+    _check_germ(f, "Milnor number of the zero polynomial")
     fx = f.derivative("x")
     fy = f.derivative("y")
-    if fx.is_zero and fy.is_zero:
-        raise ZeroPolynomial("constant polynomial has no Milnor number")
     if fx.is_zero or fy.is_zero:
         other = fy if fx.is_zero else fx
         return 0 if other.coefficient(0, 0) != 0 else INF
@@ -155,10 +160,7 @@ def tangent_cone_pattern(f):
     (``form_lines``) is g distinct lines and contributes g copies of e, so
     the entries sum to the multiplicity at the origin.  No irreducible
     factorization is needed."""
-    if f.is_zero:
-        raise ZeroPolynomial("tangent cone of the zero polynomial")
-    if f.coefficient(0, 0) != 0:
-        raise NotThroughOrigin("curve does not pass through the origin")
+    _check_germ(f, "tangent cone of the zero polynomial")
     lines = form_lines(f._terms, f.multiplicity())
     return tuple(sorted((e for part, e in lines for _ in range(len(part) - 1)), reverse=True))
 
@@ -188,10 +190,7 @@ def weighted_lct_upper_bound(f, w):
     w1, w2 = Fraction(w[0]), Fraction(w[1])
     if w1 <= 0 or w2 <= 0:
         raise PreconditionError("weights must be positive")
-    if f.is_zero:
-        raise ZeroPolynomial("weighted bound of the zero polynomial")
-    if f.coefficient(0, 0) != 0:
-        raise NotThroughOrigin("curve does not pass through the origin")
+    _check_germ(f, "weighted bound of the zero polynomial")
     scale = math.lcm(w1.denominator, w2.denominator)
     low, face = _face(f._terms, None, int(w1 * scale), int(w2 * scale))
     wt = Fraction(low, scale)
@@ -256,13 +255,10 @@ def newton_lct(f):
     changes grow: fewer than D (D - 1) / 2 changes, which the loop
     asserts, as ``intersection_multiplicity_origin`` does its recursion.
     """
-    if f.is_zero:
-        raise ZeroPolynomial("Newton boundary of the zero polynomial")
-    terms = f._terms
-    if (0, 0) in terms:
-        raise NotThroughOrigin("curve does not pass through the origin")
+    _check_germ(f, "Newton boundary of the zero polynomial")
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
+    terms = f._terms
     for _ in range(1 + math.comb(f.degree, 2)):  # fewer than D (D - 1) / 2 changes
         hull = _newton_boundary(terms)
         k = next((k for k, (i, j) in enumerate(hull) if i >= j), len(hull))

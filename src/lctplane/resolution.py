@@ -7,7 +7,9 @@ simple normal crossings, maintaining the standard recurrences
     m_new = mult(strict transform at center) + sum of incident m,
     a_new = 1 + sum of incident a,
 
-and read off lct = min(1, min (a_E + 1) / m_E).
+and read off lct = min(1, min (a_E + 1) / m_E).  ``resolve_over_origin``
+returns its tree only whole: a center past the cap raises
+``ResolutionCap``.
 
 All blowup centers must be rational points; a required center that is a
 root of a nonlinear irreducible polynomial raises ``IrrationalCenter``
@@ -75,16 +77,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    IncompleteTree,
-    IrrationalCenter,
-    NotSquareFree,
-    NotThroughOrigin,
-    ResolutionCap,
-    ZeroPolynomial,
-)
+from .errors import IrrationalCenter, NotSquareFree, ResolutionCap
 from .factorize import factor_univariate, squarefree_parts
-from .localinv import is_square_free
+from .localinv import _check_germ, is_square_free
 from .poly import BPoly, _face, _newton_boundary, _reduced
 
 __all__ = [
@@ -146,12 +141,12 @@ class BlowupNode(NamedTuple):
 
 
 class ResolutionTree(NamedTuple):
-    """Ledger of all blowups performed over the origin; divisor k is
-    ``nodes[k - 1]``."""
+    """Ledger of all blowups performed over the origin, the tree
+    ``resolve_over_origin`` returns, always whole; a cap that is too small
+    raises.  Divisor k is ``nodes[k - 1]``."""
 
     input: BPoly
-    nodes: Sequence = ()
-    complete: bool = False
+    nodes: Sequence
 
     def divisors(self):
         return [node.divisor for node in self.nodes]
@@ -207,15 +202,12 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
     here; a smooth germ needs no blowup.  A center past the cap raises
     ``ResolutionCap``, and a repeated irrational root of a cone raises
     ``IrrationalCenter`` (``_centers_on``)."""
-    if f.is_zero:
-        raise ZeroPolynomial("cannot resolve the zero polynomial")
-    if f.coefficient(0, 0) != 0:
-        raise NotThroughOrigin("curve does not pass through the origin")
+    _check_germ(f, "cannot resolve the zero polynomial")
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")
     nodes = []
     if f.multiplicity() <= 1:
-        return ResolutionTree(f, nodes, True)  # smooth germ, nothing to do
+        return ResolutionTree(f, nodes)  # smooth germ, nothing to do
 
     # each pending center is (base, hull, emap, on_x, on_y, parent, chart,
     # location): the local strict transform with the center at the origin,
@@ -325,14 +317,13 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
             ))
         stack.extend(reversed(pending))  # visit t ascending, infinity last
 
-    return ResolutionTree(f, nodes, True)
+    return ResolutionTree(f, nodes)
 
 
 def lct_from_tree(tree):
-    """lct at the origin: min(1, min over divisors of (a + 1) / m), the
-    candidates compared as integer cross products."""
-    if not tree.complete:
-        raise IncompleteTree("resolution has pending centers")
+    """lct at the origin of a tree ``resolve_over_origin`` returned:
+    min(1, min over divisors of (a + 1) / m), the candidates compared as
+    integer cross products."""
     num, den = 1, 1
     for _, m, a in tree.divisors():
         if (a + 1) * den < num * m:
@@ -350,8 +341,6 @@ def _candidate_text(div):
 def log_pullback_coefficients(tree, lam):
     """Coefficient of each exceptional divisor in the log pullback of
     lambda times the curve: lambda * m_E - a_E."""
-    if not tree.complete:
-        raise IncompleteTree("resolution has pending centers")
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")

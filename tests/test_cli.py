@@ -9,7 +9,6 @@ from lctplane import cli, selftest
 from lctplane.cli import build_parser, main
 from lctplane.errors import (
     CoefficientTooLarge,
-    IncompleteTree,
     IrrationalCenter,
     LctError,
     NonPolynomial,
@@ -261,7 +260,6 @@ class TestExitCodes:
     def test_exit_code_on_error_types(self):
         expected = {
             LctError: 1,
-            IncompleteTree: 1,
             ParseError: 2,
             NonPolynomial: 2,
             PreconditionError: 3,

@@ -4,6 +4,7 @@ the Newton polygon in adapted coordinates)."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -64,6 +65,28 @@ class TestIntersectionMultiplicity:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
             imult(ZERO, P("x"))
+
+
+class TestGermCheck:
+    """The refusals every invariant at the origin shares."""
+
+    _CHECKED = [
+        (milnor, "Milnor number of the zero polynomial"),
+        (tangent_cone_pattern, "tangent cone of the zero polynomial"),
+        (lambda f: weighted_lct_upper_bound(f, (1, 2)), "weighted bound of the zero polynomial"),
+        (newton_lct, "Newton boundary of the zero polynomial"),
+        (resolve_over_origin, "cannot resolve the zero polynomial"),
+    ]
+
+    @pytest.mark.parametrize("func, message", _CHECKED)
+    def test_zero(self, func, message):
+        with pytest.raises(ZeroPolynomial, match=f"^{re.escape(message)}$"):
+            func(ZERO)
+
+    @pytest.mark.parametrize("func", [func for func, _ in _CHECKED])
+    def test_not_through_origin(self, func):
+        with pytest.raises(NotThroughOrigin, match="^curve does not pass through the origin$"):
+            func(P("1 + x"))
 
 
 class TestMilnorNumber:

@@ -16,7 +16,6 @@ from hypothesis import assume, example, given, strategies as st
 import lctplane
 from lctplane import resolution
 from lctplane.errors import (
-    IncompleteTree,
     IrrationalCenter,
     NotSquareFree,
     NotThroughOrigin,
@@ -26,7 +25,6 @@ from lctplane.localinv import is_square_free
 from lctplane.parse import parse_poly as P
 from lctplane.poly import BPoly, X, Y, _face, _newton_boundary, _quotient
 from lctplane.resolution import (
-    ResolutionTree,
     _centers_on,
     _poly_text,
     _relabel,
@@ -129,7 +127,7 @@ class TestResolveOverOrigin:
 
     def test_smooth_short_circuit(self):
         tree = resolve_over_origin(P("y - x^2"))
-        assert tree.complete and tree.nodes == []
+        assert tree.nodes == []
         assert lct_from_tree(tree) == 1
 
     def test_e6(self):
@@ -228,6 +226,22 @@ class TestResolveOverOrigin:
     def test_cap(self):
         with pytest.raises(ResolutionCap):
             resolve_over_origin(P("x^2 + y^3"), cap=1)
+
+    @pytest.mark.parametrize("text, size", [
+        ("x^2+y^63", 33),  # a Euclid run written in one loop step
+        ("(y^2-x^2)^2+x^7", 7),  # centers at t = -1 and t = 1
+        ("(x^2+y^3)*(x^3+y^2)", 5),
+    ])
+    def test_tree_is_only_returned_whole(self, text, size):
+        # every cap below the ledger's size raises; a cap of its size
+        # returns every node
+        f = P(text)
+        for cap in range(size):
+            with pytest.raises(ResolutionCap, match=f"^more than {cap} blowups; cap exceeded$"):
+                resolve_over_origin(f, cap=cap)
+        tree = resolve_over_origin(f, cap=size)
+        assert [node.divisor.id for node in tree.nodes] == list(range(1, size + 1))
+        assert _chain(tree) == _chain(resolve_over_origin(f))
 
     def test_not_square_free(self):
         with pytest.raises(NotSquareFree):
@@ -483,13 +497,6 @@ class TestLogPullback:
             assert all(v <= 1 for v in log_pullback_coefficients(tree, lct).values())
             above = lct + Fraction(1, 1000)
             assert any(v > 1 for v in log_pullback_coefficients(tree, above).values())
-
-    def test_incomplete_tree(self):
-        tree = ResolutionTree(input=P("x*y"))
-        with pytest.raises(IncompleteTree):
-            lct_from_tree(tree)
-        with pytest.raises(IncompleteTree):
-            log_pullback_coefficients(tree, Fraction(1, 2))
 
 
 class TestExport:
