@@ -16,23 +16,27 @@ or 5.  These exit 3 before any computation: an exponent above
 product that could expand to more than ``parse.MAX_TERMS`` (10000)
 terms, as ``(1+x+y)^1000``; a power or a ``--point`` shift charged more
 than ``parse.MAX_COEFF_BITS`` (65536) coefficient bits
-(``CoefficientTooLarge``), as ``(10^1000)^1000``; and a ``lambda-set`` or
-``witness`` degree above 1000.  ``classify`` exits 3 on
+(``CoefficientTooLarge``), as ``(10^1000)^1000``; a ``lambda-set`` or
+``witness`` degree above 1000; and a negative ``resolve --cap``, which
+``resolve_over_origin`` refuses.  ``classify`` exits 3 on
 a germ whose resolution ledger matches no table row, as ``x^3+y^7``, or
 needs more blowups than every row of its multiplicity, as ``x^2+y^201``.
 
 Each subcommand's arguments are declared once, in ``_COMMANDS``.  ``main``
-reads argv straight off that table when every token after the subcommand
-is a plain positional (not beginning with ``-``), an exact long option
-followed by a value that does not begin with ``-``, or ``--option=value``,
-each option at most once, every required positional and option there, and
-every value passing its type and choices.  Any other argv (``-h``, ``--``,
-an abbreviated, unknown, repeated or missing option, a missing or extra
-positional, a bad value) goes unchanged to argparse, which is imported
-only then.  So argparse alone writes help, usage and error text: an
-unknown or extra argument after a subcommand is reported by that
-subcommand's parser, under its own usage line, and every other outcome is
-what one ``parse_args`` on ``build_parser()`` gives.
+first joins each option the subcommand declares to the value after it,
+as ``--option=value``, up to a ``--``; so a value may begin with a minus
+sign and a digit, as in ``--point -1,0``, which argparse would otherwise
+take for an option.  It then reads the joined argv straight off the table
+when every token after the subcommand is a plain positional (not
+beginning with ``-``) or ``--option=value``, each option at most once,
+every required positional and option there, and every value passing its
+type and choices.  Any other argv (``-h``, ``--``, an abbreviated,
+unknown, repeated or missing option, a missing or extra positional, a bad
+value) goes to argparse, which is imported only then.  So every outcome
+is argparse's on the joined argv, and argparse alone writes help, usage
+and error text: an unknown or extra argument after a subcommand is
+reported by that subcommand's parser, under its own usage line, and every
+other outcome is what one ``parse_args`` on ``build_parser()`` gives.
 """
 
 from __future__ import annotations
@@ -232,25 +236,11 @@ def _cmd_selftest(args):
     return 0 if report.passed else 1
 
 
-def _cap(text):
-    """``--cap``: a blowup count, so an integer of at least 0."""
-    try:
-        cap = int(text)
-    except ValueError:
-        message = f"invalid int value: {text!r}"
-    else:
-        if cap >= 0:
-            return cap
-        message = f"must be at least 0, got {cap}"
-    import argparse  # only a usage error needs it
-
-    raise argparse.ArgumentTypeError(message)
-
-
 # Each subcommand's handler, help line and arguments, declared once.  An
 # argument is (flag, add_argument keyword arguments), in the order the help
 # lists them: ``build_parser`` adds them to argparse, and ``_read`` reads a
-# well-formed argv straight off them.
+# well-formed argv straight off them.  Each spec's type is a builtin: a
+# value's range is judged by the library function that uses it.
 _FORMAT = ("--format", dict(choices=("text", "json"), default="text", help="output format"))
 _POINT = ("--point", dict(metavar="X,Y", help="rational point to analyze (default origin)"))
 _POLYNOMIAL = ("polynomial", {})
@@ -282,7 +272,7 @@ _COMMANDS = {
         ("--format", dict(choices=("text", "json", "dot"), default="text", help="output format")),
         _POINT,
         ("--cap", dict(
-            type=_cap, default=DEFAULT_CAP, metavar="N", help="blowup cap of the resolution"
+            type=int, default=DEFAULT_CAP, metavar="N", help="blowup cap of the resolution"
         )),
     )),
     "wbound": (_cmd_wbound, "weighted-order upper bound for the lct", (
@@ -315,24 +305,6 @@ def build_parser():
     return parser, sub.choices
 
 
-# Options whose value may begin with a minus sign.  argparse takes a token
-# such as "-1,0" for an option (only a lone number like "-1" passes as a
-# value), so "--point -1,0" is handed on as "--point=-1,0".
-_SIGNED_OPTIONS = ("--point", "--weights")
-
-
-def _join_signed(argv):
-    """argv with each signed value of a ``_SIGNED_OPTIONS`` option joined to
-    it by ``=``."""
-    out = []
-    for arg in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def _dest(flag):
     """The namespace attribute argparse gives ``flag``."""
     return flag[2:].replace("-", "_") if flag[:1] == "-" else flag
@@ -353,29 +325,41 @@ _READERS = {
 }
 
 
+def _join_values(argv):
+    """argv with each option its subcommand declares joined by ``=`` to the
+    token after it, unless that token begins with ``-`` and no digit; no
+    token from ``--`` on is joined.  argparse takes any other token after
+    the option for its value, but a signed one such as "-1,0" for an
+    option, unless it is joined."""
+    options = _READERS[argv[0]][2] if argv and argv[0] in _READERS else {}
+    out, tokens = argv[:1], iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            return [*out, token, *tokens]
+        if out[-1] in options and (token[:1] != "-" or token[1:2].isdigit()):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _read(argv):
-    """The namespace one ``parse_args`` gives for ``argv``, read off the
-    table, or None when some token after the subcommand is not a plain
-    positional, an exact option and a value that does not begin with ``-``,
-    or ``--option=value``; when an option repeats, a required positional or
-    option is missing or a positional is extra; or when a value fails its
-    type or choices."""
+    """The namespace one ``parse_args`` gives for a joined ``argv``, read
+    off the table, or None when some token after the subcommand is neither
+    a plain positional nor ``--option=value`` for an exact option; when an
+    option repeats, a required positional or option is missing or a
+    positional is extra; or when a value fails its type or choices."""
     reader = _READERS.get(argv[0]) if argv else None
     if reader is None:
         return None
     func, positionals, options, specs = reader
     texts, found = {}, []
-    tokens = iter(argv[1:])
-    for token in tokens:
+    for token in argv[1:]:
         if token[:1] != "-":
             found.append(token)
             continue
         flag, joined, text = token.partition("=")
-        if not joined:
-            text = next(tokens, "-")
-            if text[:1] == "-":
-                return None
-        dest = options.get(flag)
+        dest = options.get(flag) if joined else None
         if dest is None or dest in texts:
             return None
         texts[dest] = text
@@ -411,7 +395,7 @@ def _parse(argv):
 
 
 def main(argv=None):
-    argv = _join_signed(sys.argv[1:] if argv is None else list(argv))
+    argv = _join_values(sys.argv[1:] if argv is None else list(argv))
     args = _read(argv) or _parse(argv)
     try:
         code = args.func(args)

@@ -247,8 +247,11 @@ class _Parser:
         if kind == "int":
             self.advance()
             return value
+        # a sign is read only to diagnose x^-1 and x^(-1) as NonPolynomial,
+        # per the grammar
+        if value == "-" and self.tokens[self.idx + 1][0] == "int":
+            raise NonPolynomial("negative exponent", pos)
         if self.take("("):
-            # only to diagnose x^(-1) as NonPolynomial, per the grammar
             sign_pos = self.peek()[2]
             sign = self.take("+-")
             kind, value, pos = self.peek()

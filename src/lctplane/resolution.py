@@ -77,7 +77,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import IrrationalCenter, NotSquareFree, ResolutionCap
+from .errors import IrrationalCenter, NotSquareFree, PreconditionError, ResolutionCap
 from .factorize import factor_univariate, squarefree_parts
 from .localinv import _check_germ, is_square_free
 from .poly import BPoly, _face, _newton_boundary, _reduced
@@ -198,10 +198,12 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
     """Log resolution of the germ of f over the origin: the tree whose
     nodes are every blowup the loop makes, at most ``cap`` of them.
 
-    f must be nonzero, through the origin and reduced, each checked once,
-    here; a smooth germ needs no blowup.  A center past the cap raises
-    ``ResolutionCap``, and a repeated irrational root of a cone raises
-    ``IrrationalCenter`` (``_centers_on``)."""
+    ``cap`` must be at least 0, checked first, and f nonzero, through the
+    origin and reduced, each checked once, here; a smooth germ needs no
+    blowup.  A center past the cap raises ``ResolutionCap``, and a repeated
+    irrational root of a cone raises ``IrrationalCenter`` (``_centers_on``)."""
+    if cap < 0:
+        raise PreconditionError(f"cap must be at least 0, got {cap}")
     _check_germ(f, "cannot resolve the zero polynomial")
     if not is_square_free(f):
         raise NotSquareFree("curve must be reduced")

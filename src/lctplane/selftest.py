@@ -136,9 +136,9 @@ def _random_high_mult_instance(d, rng):
         for j in range(1, e + 1):
             if rng.random() < 0.5:
                 high = high + BPoly.monomial(j, e - j, _random_rational(rng))
+        # low has x^k y^(e-1-k) and high has y^e, so f has degree d and
+        # multiplicity d-1 by construction
         f = X * (low + high) if component_case else low + high
-        if f.degree != d or f.multiplicity() != d - 1:
-            continue
         try:
             resolve_over_origin(f)
         except (NotSquareFree, IrrationalCenter):

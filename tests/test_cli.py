@@ -193,13 +193,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "resolve", "x^2+y^3", "--cap", "1")
         assert code == 5
 
-    # lct takes no --cap, so there any value is a usage error too
+    # lct takes no --cap, so there any value is a usage error too; resolve
+    # reads any int, and the library refuses a negative one
     @pytest.mark.parametrize("argv", [("resolve", "x^2+y^3"), ("lct", "x^2+y^7")])
     @pytest.mark.parametrize("cap", ["-1", "x"])
     def test_cap_must_be_a_count(self, capsys, argv, cap):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--cap", cap])
-        assert exc.value.code == 2 and "--cap" in capsys.readouterr().err
+        code, out, err = outcome(capsys, [*argv, "--cap", cap])
+        if (argv[0], cap) == ("resolve", "-1"):
+            assert (code, out, err) == (3, "", "error: cap must be at least 0, got -1\n")
+        else:
+            assert code == "SystemExit(2)" and "--cap" in err
 
     def test_degree_limit(self, capsys):
         code, _, err = run(capsys, "lambda-set", "1001")
@@ -279,7 +282,7 @@ class TestExitCodes:
 
 
 class TestSignedValues:
-    """A ``--point`` or ``--weights`` value may begin with a minus sign."""
+    """Any option's value may begin with a minus sign and a digit."""
 
     def test_point_as_separate_token(self, capsys):
         joined = outcome(capsys, ["lct", "(x+1)^2+y^3", "--point=-1,0", "--format", "json"])
@@ -291,8 +294,10 @@ class TestSignedValues:
         assert code == 3 and out == "" and "weights must be positive" in err
 
     def test_negative_cap_is_still_refused(self, capsys):
-        code, _, err = outcome(capsys, ["resolve", "x^2+y^3", "--cap", "-1"])
-        assert code == "SystemExit(2)" and "must be at least 0, got -1" in err
+        code, out, err = run(capsys, "resolve", "x^2+y^3", "--cap", "-1")
+        assert (code, out, err) == (3, "", "error: cap must be at least 0, got -1\n")
+        code, out, err = run(capsys, "resolve", "x^2+y^3", "--cap", "-1", "--format", "json")
+        assert code == 3 and out == "" and json.loads(err)["error"] == "PreconditionError"
 
     def test_missing_point_value_is_a_usage_error(self, capsys):
         code, _, err = outcome(capsys, ["lct", "x^2+y^3", "--point", "--format", "json"])
@@ -445,12 +450,14 @@ class TestRouting:
             ["lambda-set", "4", "--format", "json"],
             ["wbound", "x^3+y^4", "--weights", "4,3"],
             ["selftest", "fast"],
+            ["selftest", "--seed", "-2"],
+            ["wbound", "x^3+y^4", "--weights", "-1,2"],
         ],
         ids=" ".join,
     )
     def test_well_formed_argv_is_read_off_the_table(self, argv):
         parser = build_parser()[0]
-        argv = cli._join_signed(argv)
+        argv = cli._join_values(argv)
         assert vars(cli._read(argv)) == vars(parser.parse_args(argv))
 
     @pytest.mark.parametrize(
@@ -472,7 +479,14 @@ class TestRouting:
         ids=lambda argv: " ".join(argv) or "(empty)",
     )
     def test_everything_else_goes_to_argparse(self, argv):
-        assert cli._read(argv) is None
+        assert cli._read(cli._join_values(argv)) is None
+
+    def test_nothing_after_double_dash_is_joined(self, capsys):
+        # the polynomial is "--point", and "-1,0" is left over
+        assert cli._join_values(["lct", "--", "--point", "-1,0"]) == ["lct", "--", "--point", "-1,0"]
+        code, out, err = outcome(capsys, ["lct", "--", "--point", "-1,0"])
+        assert code == "SystemExit(2)" and out == ""
+        assert "usage: lctplane lct " in err and "unrecognized arguments: -1,0" in err
 
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argvs)

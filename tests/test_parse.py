@@ -192,6 +192,8 @@ ERROR_CONTRACT = [
     ("   ", ParseError, "expected variable, rational or parenthesized expression", 3),
     ("x + z", ParseError, "unknown variable 'z', expected one of x/y", 4),
     ("x^(-1)", NonPolynomial, "negative exponent", 3),
+    ("x^-1", NonPolynomial, "negative exponent", 2),
+    ("2*x^-3", NonPolynomial, "negative exponent", 4),
     ("1/x", NonPolynomial, "division by a variable", 2),
     ("x/2", NonPolynomial, "division is only allowed inside rational literals", 1),
     ("3/0", ParseError, "zero denominator", 2),

@@ -19,6 +19,7 @@ from lctplane.errors import (
     IrrationalCenter,
     NotSquareFree,
     NotThroughOrigin,
+    PreconditionError,
     ResolutionCap,
 )
 from lctplane.localinv import is_square_free
@@ -226,6 +227,12 @@ class TestResolveOverOrigin:
     def test_cap(self):
         with pytest.raises(ResolutionCap):
             resolve_over_origin(P("x^2 + y^3"), cap=1)
+
+    @pytest.mark.parametrize("text", ["x^2+y^3", "y-x^2"])
+    def test_negative_cap_is_a_precondition(self, text):
+        # refused before the germ is read, so a smooth germ is refused too
+        with pytest.raises(PreconditionError, match="^cap must be at least 0, got -1$"):
+            resolve_over_origin(P(text), cap=-1)
 
     @pytest.mark.parametrize("text, size", [
         ("x^2+y^63", 33),  # a Euclid run written in one loop step
