@@ -29,9 +29,10 @@ chart, so a center carries at most two of them, one per axis.  Chart 1,
 meeting E_new = {u = 0} at t = 0, and loses the one along ``x = 0``;
 chart 2, ``(u, v) -> (u v, v)``, keeps the divisor along ``x = 0``,
 meeting E_new = {v = 0} at t = infinity, and loses the one along
-``y = 0``.  Centers are visited depth first, the points of each E_new in
-the order rational t ascending, then infinity, so the divisor numbering
-is the same in every process.
+``y = 0``.  Each center records its place on the divisor it lies on as
+``ChartPoint.t``, a rational t or ``INF``.  Centers are visited depth
+first, the points of each E_new in the order rational t ascending, then
+infinity, so the divisor numbering is the same in every process.
 
 Both charts at a center on an axis only relabel exponents: chart 1 sends
 ``x^i y^j`` to ``x^(i+j-mu) y^j`` and chart 2 to ``x^i y^(i+j-mu)``.  So
@@ -72,13 +73,13 @@ counts nodes, one per blowup.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IrrationalCenter, NotSquareFree, PreconditionError, ResolutionCap
-from .factorize import factor_univariate, squarefree_parts
+from .extended import INF
+from .factorize import factor_univariate, form_coeffs, squarefree_parts
 from .localinv import _check_germ, is_square_free
 from .poly import BPoly, _face, _newton_boundary, _reduced
 
@@ -94,8 +95,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 64
-_ZERO = Fraction(0)  # shared by every center location
-_ORIGIN = (_ZERO, _ZERO)  # a center at t = 0, or at t = infinity
+_ZERO = Fraction(0)  # the place t = 0 of every center there
 _IDENTITY = (1, 0, 0, 1, 0, 0)  # the exponent map of a base just built
 _new = tuple.__new__
 
@@ -109,12 +109,12 @@ class ExcDivisor(NamedTuple):
 
 
 class ChartPoint(NamedTuple):
-    """A blowup center: local chart, location, incident divisors, and the
-    local strict-transform equation (center translated to the origin).
+    """A blowup center: its place, incident divisors, and the local
+    strict-transform equation (center translated to the origin).
 
-    A center on E_k lies in chart ``("u<k>", "v<k>")`` at ``(0, t)`` for
-    a finite t, or in chart ``("s<k>", "w<k>")`` at ``(0, 0)`` for
-    t = infinity, so ``(chart, location)`` names one point of E_k.
+    ``t`` is the center's coordinate on the divisor it lies on, its node's
+    ``parent`` E_k: a ``Fraction`` t = y/x, or ``INF`` for t = infinity;
+    ``None`` at the root, which lies on no divisor.
 
     The local equation is stored as ``base``, the polynomial last built on
     the way to this center (the input, or the strict transform shifted to
@@ -123,8 +123,7 @@ class ChartPoint(NamedTuple):
     of the blowups at t = 0 and t = infinity since; reading
     ``local_equation`` builds it, each time it is read."""
 
-    chart: tuple
-    location: tuple
+    t: object
     incident: frozenset
     base: BPoly
     emap: tuple
@@ -211,18 +210,17 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
     if f.multiplicity() <= 1:
         return ResolutionTree(f, nodes)  # smooth germ, nothing to do
 
-    # each pending center is (base, hull, emap, on_x, on_y, parent, chart,
-    # location): the local strict transform with the center at the origin,
-    # as a base polynomial, its Newton boundary, read when the base is
-    # built, and an exponent map; the old divisors through it along x = 0
-    # and along y = 0 (or None), the id of the divisor it lies on, and its
-    # place on that divisor
-    stack = [(f, _newton_boundary(f._terms), _IDENTITY, None, None, None, ("x", "y"), (0, 0))]
+    # each pending center is (base, hull, emap, on_x, on_y, parent, t): the
+    # local strict transform with the center at the origin, as a base
+    # polynomial, its Newton boundary, read when the base is built, and an
+    # exponent map; the old divisors through it along x = 0 and along y = 0
+    # (or None), the id of the divisor it lies on, and its place t there
+    stack = [(f, _newton_boundary(f._terms), _IDENTITY, None, None, None, None)]
 
     while stack:
         if len(nodes) >= cap:
             raise ResolutionCap(f"more than {cap} blowups; cap exceeded")
-        base, hull, emap, on_x, on_y, parent, chart, location = stack.pop()
+        base, hull, emap, on_x, on_y, parent, t = stack.pop()
         p, q, r, s, b0, b1 = emap
         # a base term (i, j) has total degree w1 i + w2 j + b0 + b1 in the
         # local equation, so the tangent cone is the base's face of least w
@@ -236,7 +234,7 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
             m, a, incident = m + on_y.m, a + on_y.a, (*incident, on_y.id)
         k = len(nodes) + 1
         divisor = ExcDivisor(k, m, a)
-        center = ChartPoint(chart, location, frozenset(incident), base, emap)
+        center = ChartPoint(t, frozenset(incident), base, emap)
         nodes.append(BlowupNode(divisor, parent, center))
 
         # the curve on E_new, in the coordinate t of chart 1, is the cone:
@@ -247,11 +245,8 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
             at_zero = e >= 2 or (e == 1 and on_y is not None)
             centers = [_ZERO] if at_zero else []
         else:
-            terms, ph = base._terms, [0] * (mu + 1)
-            for i, j in face:
-                ph[r * i + s * j + b1] = terms[i, j]
-            while not ph[-1]:
-                ph.pop()
+            local = {(p * i + q * j + b0, r * i + s * j + b1): base._terms[i, j] for i, j in face}
+            ph = form_coeffs(local, mu)
             e = len(ph) - 1
             centers = _centers_on(ph, on_y is not None)
         # the curve's multiplicity at t = infinity is mu - e
@@ -273,7 +268,7 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
             dm, da, ids = (e if at_zero else mu - e), 1, ()
             if fixed is not None:
                 dm, da, ids = dm + fixed.m, da + fixed.a, (fixed.id,)
-            c1, c2 = ("u", "v") if at_zero else ("s", "w")
+            t = _ZERO if at_zero else INF
             stop = k + min(n, cap - k)  # cut by the cap: the next check raises
             while True:  # each center's emap is the chart map of the last
                 if at_zero:
@@ -284,17 +279,15 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
                     emap = (p, q, r, s, b0, -r * i0 - s * j0)
                 if k == stop:
                     break
-                t = str(k)
-                chart = (c1 + t, c2 + t)
                 k, m, a = k + 1, m + dm, a + da
                 divisor = ExcDivisor(k, m, a)
                 # the node and its center as the tuples their classes build,
                 # without a Python-level __new__ call each
-                center = _new(ChartPoint, (chart, _ORIGIN, frozenset((k - 1,) + ids), base, emap))
+                center = _new(ChartPoint, (t, frozenset((k - 1,) + ids), base, emap))
                 nodes.append(_new(BlowupNode, (divisor, k - 1, center)))
             # the center after the run goes through the general step
             entry = (divisor, on_y) if at_zero else (on_x, divisor)
-            stack.append((base, hull, emap, *entry, k, (f"{c1}{k}", f"{c2}{k}"), _ORIGIN))
+            stack.append((base, hull, emap, *entry, k, t))
             continue
         # chart 1: (u, v) -> (u, u v), E_new = {u = 0}, on which v is the
         # coordinate t; chart 2: (u, v) -> (u v, v), E_new = {v = 0}, whose
@@ -311,12 +304,9 @@ def resolve_over_origin(f, cap=DEFAULT_CAP):
                 entry = (shifted, _newton_boundary(shifted._terms), _IDENTITY, divisor, None)
             else:
                 entry = (base, hull, chart1, divisor, on_y)
-            pending.append((*entry, k, (f"u{k}", f"v{k}"), (_ZERO, t0)))
+            pending.append((*entry, k, t0))
         if at_inf:
-            pending.append((
-                base, hull, (p, q, w1, w2, b0, -low), on_x, divisor,
-                k, (f"s{k}", f"w{k}"), _ORIGIN,
-            ))
+            pending.append((base, hull, (p, q, w1, w2, b0, -low), on_x, divisor, k, INF))
         stack.extend(reversed(pending))  # visit t ascending, infinity last
 
     return ResolutionTree(f, nodes)
@@ -364,15 +354,16 @@ def export_tree(tree, fmt="json"):
         return "\n".join(lines)
     if fmt == "json":
         # what json.dumps writes for the payload {"input", "divisors", "lct"},
-        # one template per divisor: every value but the input is an int, null
-        # or a "p/q" string, none of which JSON escapes
+        # one template per divisor: every value is an int, null, a "p/q"
+        # string or the input's render, which writes only digits, x, y, ^, *,
+        # /, +, - and spaces; JSON escapes none of these
         divisors = ", ".join(
             f'{{"id": {div.id}, "parent": {"null" if parent is None else parent}, '
             f'"m": {div.m}, "a": {div.a}, "candidate": "{_candidate_text(div)}"}}'
             for div, parent, _ in tree.nodes
         )
         return (
-            f'{{"input": {json.dumps(tree.input.render())}, "divisors": [{divisors}], '
+            f'{{"input": "{tree.input.render()}", "divisors": [{divisors}], '
             f'"lct": "{lct_from_tree(tree)}"}}'
         )
     if fmt == "dot":

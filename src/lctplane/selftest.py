@@ -12,7 +12,10 @@ the acceptance tests run them with their own counts.  Deterministic for a
 given seed.  A check raises ``SelfTestFailure`` on its first failing
 instance, with the instance rendered verbatim; ``run_selftest`` records
 that text in the criterion's ``CheckResult`` and runs the others, so its
-report says which criteria failed.
+report says which criteria failed.  A refusal of the library inside a
+check (any other ``LctError``, such as ``TargetNotRealizable`` from
+``construct_witness``) fails its criterion the same way, recorded as
+``"<ErrorClass>: <message>"``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .classify import (
     table1_values,
 )
 from .dispatch import lct
-from .errors import IrrationalCenter, NotSquareFree, SelfTestFailure
+from .errors import IrrationalCenter, LctError, NotSquareFree, SelfTestFailure
 from .highmult import analyze_high_mult, construct_witness, lambda_set
 from .localinv import (
     intersection_multiplicity_origin,
@@ -186,6 +189,7 @@ def check_lambda_realization(rng, max_degree, per_degree):
     n = 0
     for d in range(3, max_degree + 1):
         for target in lambda_set(d):
+            # raises TargetNotRealizable when the witness's lct misses target
             f = construct_witness(d, target)
             if (f.degree, f.multiplicity()) != (d, d - 1):
                 _fail(
@@ -194,9 +198,6 @@ def check_lambda_realization(rng, max_degree, per_degree):
                     f"degree {d}, multiplicity {d - 1}",
                     f"degree {f.degree}, multiplicity {f.multiplicity()}",
                 )
-            got = analyze_high_mult(f).lct
-            if got != target:
-                _fail("lambda-realization", f.render(), target, got)
             n += 1
     for d in (3, 4, 5):
         for _ in range(per_degree):
@@ -387,7 +388,8 @@ def run_selftest(scope="fast", seed=1):
     ``scope`` is "fast" (a few seconds) or "full" (adds larger sample
     sizes and lambda-set realization up to degree 7).  A criterion that
     fails is reported with its first failing instance and no checks
-    counted, and the remaining criteria still run.
+    counted, and the remaining criteria still run; a library error raised
+    inside a criterion fails it too, recorded with its class name.
     """
     if scope not in ("fast", "full"):
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
@@ -412,6 +414,7 @@ def run_selftest(scope="fast", seed=1):
     for name, check in criteria:
         try:
             results.append(check())
-        except SelfTestFailure as exc:
-            results.append(CheckResult(name, False, 0, str(exc)))
+        except LctError as exc:  # a failed check, or a refusal of the library
+            failure = exc if isinstance(exc, SelfTestFailure) else f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(name, False, 0, str(failure)))
     return SelfTestReport(scope=scope, seed=seed, results=tuple(results))

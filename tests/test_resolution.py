@@ -22,6 +22,7 @@ from lctplane.errors import (
     PreconditionError,
     ResolutionCap,
 )
+from lctplane.extended import INF
 from lctplane.localinv import is_square_free
 from lctplane.parse import parse_poly as P
 from lctplane.poly import BPoly, X, Y, _face, _newton_boundary, _quotient
@@ -146,20 +147,19 @@ class TestResolveOverOrigin:
                 node.parent,
                 node.divisor.m,
                 node.divisor.a,
-                node.center.chart,
-                node.center.location,
+                node.center.t,
                 sorted(node.center.incident),
             )
             for node in tree.nodes
         ]
-        # t = infinity of E_k is the origin of chart (s<k>, w<k>), t = 0 that
-        # of chart (u<k>, v<k>), so E3 and E5 read apart from E4
+        # t = infinity of E_k and t = 0 are each a chart's origin, yet E3
+        # and E5 read apart from E4
         assert ledger == [
-            (1, None, 5, 1, ("x", "y"), (0, 0), []),
-            (2, 1, 7, 2, ("u1", "v1"), (0, 3), [1]),
-            (3, 2, 13, 4, ("s2", "w2"), (0, 0), [1, 2]),
-            (4, 3, 21, 7, ("u3", "v3"), (0, 0), [2, 3]),
-            (5, 1, 7, 2, ("s1", "w1"), (0, 0), [1]),
+            (1, None, 5, 1, None, []),
+            (2, 1, 7, 2, 3, [1]),
+            (3, 2, 13, 4, INF, [1, 2]),
+            (4, 3, 21, 7, 0, [2, 3]),
+            (5, 1, 7, 2, INF, [1]),
         ]
         # E3 and E4 blow up smooth points of the curve on two divisors
         assert [node.center.local_equation.multiplicity() for node in tree.nodes] == [
@@ -176,7 +176,7 @@ class TestResolveOverOrigin:
             for node in tree.nodes
         ]
         assert ledger == [(None, 3, 1, []), (1, 6, 2, [1]), (2, 7, 3, [2]), (3, 14, 6, [2, 3])]
-        assert tree.nodes[3 - 1].center.location == (0, 1)
+        assert tree.nodes[3 - 1].center.t == 1
         assert lct_from_tree(tree) == Fraction(1, 2)
 
     def test_numbering_ignores_import_history(self):
@@ -216,7 +216,7 @@ class TestResolveOverOrigin:
             (1, 6, 2), (2, 7, 3), (3, 14, 6),
             (1, 6, 2), (5, 7, 3), (6, 14, 6),
         ]
-        assert [tree.nodes[k - 1].center.location for k in (2, 5)] == [(0, -1), (0, 1)]
+        assert [tree.nodes[k - 1].center.t for k in (2, 5)] == [-1, 1]
         assert lct_from_tree(tree) == Fraction(1, 2)
 
     def test_irrational_center(self):
@@ -305,14 +305,14 @@ class TestRuns:
             [(2 * k, k) for k in range(1, 101)] + [(201, 101), (402, 202)]
         )
         assert [node.parent for node in tree.nodes] == [None, *range(1, 102)]
-        assert {node.center.chart[0][0] for node in tree.nodes[1:101]} == {"s"}
+        assert {node.center.t for node in tree.nodes[1:101]} == {INF}
         assert lct_from_tree(tree) == Fraction(203, 402)
         with pytest.raises(ResolutionCap, match="^more than 101 blowups; cap exceeded$"):
             resolve_over_origin(P("x^2 + y^201"), cap=101)
 
     def test_chart_one_run(self):
         tree = resolve_over_origin(P("y^2 + x^201"), cap=102)
-        assert {node.center.chart[0][0] for node in tree.nodes[1:101]} == {"u"}
+        assert {node.center.t for node in tree.nodes[1:101]} == {0}
         assert _chain(tree) == _chain(resolve_over_origin(P("x^2 + y^201"), cap=102))
         with pytest.raises(ResolutionCap):
             resolve_over_origin(P("y^2 + x^201"), cap=101)
@@ -407,8 +407,8 @@ def _through_chart(parent, node):
     t is x -> x, y -> x (y + t); chart 2 is x -> x y, y -> y."""
     g = parent.center.local_equation
     mu = g.multiplicity()
-    if node.center.chart[0].startswith("u"):
-        t = node.center.location[1]
+    if node.center.t is not INF:
+        t = node.center.t
         return _quotient(g.substitute(X, X * (Y + t)), BPoly.monomial(mu, 0))
     return _quotient(g.substitute(X * Y, Y), BPoly.monomial(0, mu))
 
@@ -443,7 +443,7 @@ class TestLedgerInvariant:
 
     def test_only_a_shifted_center_builds_a_base(self):
         centers = [node.center for node in resolve_over_origin(P(_AK)).nodes]
-        assert len(centers) == 28 and centers[1].location == (0, 1)
+        assert len(centers) == 28 and centers[1].t == 1
         assert centers[0].base == P(_AK) and len(centers[1].base._terms) == 104
         assert all(c.base is centers[1].base for c in centers[1:])
         assert [c.emap for c in centers[:2]] == [(1, 0, 0, 1, 0, 0)] * 2

@@ -1,6 +1,7 @@
 """A wrong Table 1 value fails both the self-test and the acceptance test,
 wherever it sits: in what ``table1_values`` returns, in a row of
-``data/tables.json``, or in the shipped copy of the table."""
+``data/tables.json``, or in the shipped copy of the table.  A refusal of
+the library inside a criterion fails that criterion alone."""
 
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 import test_acceptance
 from lctplane import classify, selftest
 from lctplane.cli import main
-from lctplane.errors import SelfTestFailure
+from lctplane.errors import NotClassifiable, SelfTestFailure, TargetNotRealizable
 
 
 def _drop_from_table1_values(monkeypatch):
@@ -78,3 +79,48 @@ def test_acceptance_literal_catches_a_table_wrong_in_both_shipped_copies(monkeyp
     assert selftest.check_table1().passed
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_1_table1_reproduction()
+
+
+def _refuse(exc):
+    def refuse(*args):
+        raise exc
+
+    return refuse
+
+
+def test_a_library_refusal_fails_only_its_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(
+        selftest, "classify_singularity", _refuse(NotClassifiable("no table row"))
+    )
+    report = selftest.run_selftest("fast")
+    assert len(report.results) == 8 and not report.passed
+    failed = [r for r in report.results if not r.passed]
+    assert [r.name for r in failed] == ["classifier-round-trip"]
+    assert failed[0].failure == "NotClassifiable: no table row"
+    assert failed[0].checked == 0
+
+    assert main(["selftest", "fast"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "\n[FAIL] classifier-round-trip: NotClassifiable: no table row\n" in captured.out
+    assert captured.out.count("[PASS] ") == 7
+
+    assert main(["selftest", "fast", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert [c["name"] for c in payload["criteria"] if not c["passed"]] == [
+        "classifier-round-trip"
+    ]
+
+
+def test_a_witness_refused_fails_realization_and_ledger(monkeypatch):
+    monkeypatch.setattr(
+        selftest, "construct_witness", _refuse(TargetNotRealizable("the witness misses"))
+    )
+    report = selftest.run_selftest("fast")
+    failed = {r.name: r.failure for r in report.results if not r.passed}
+    assert failed == {
+        "lambda-realization": "TargetNotRealizable: the witness misses",
+        "resolution-ledger": "TargetNotRealizable: the witness misses",
+    }
+    assert len(report.results) == 8
