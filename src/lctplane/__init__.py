@@ -1,6 +1,6 @@
 """Exact log canonical thresholds of reduced plane curves.
 
-Four routes to the lct of a curve germ, all in exact rational
+Four paths to the lct of a curve germ, all in exact rational
 arithmetic:
 
 * a closed-form fast path at points of multiplicity d-1 on degree-d

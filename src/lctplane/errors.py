@@ -3,16 +3,17 @@
 Every error raised by the public API on its input is a subclass of
 :class:`LctError`; a ``ValueError`` means misuse: lambda <= 0 in
 ``resolution.log_pullback_coefficients``, an unknown export format or
-selftest scope, or a ``BPoly`` given a negative exponent or power or an
-unknown variable.  Each class carries its CLI exit code as the class
-attribute ``exit_code``, which subclasses inherit: parse errors exit 2,
-precondition violations and unclassifiable germs 3, irrational blowup
-centers 4, the blowup cap 5 and any other error 1.  The input limits of
-``parse`` are precondition violations: :class:`ExponentTooLarge`,
-:class:`TooManyTerms` and :class:`CoefficientTooLarge`.  So is a
-``lambda_set`` (and with it ``construct_witness`` and
-``reducibility_hint``) degree above 1000, :class:`DegreeOutOfRange`, and
-a non-positive weight of ``weighted_lct_upper_bound``."""
+selftest scope, or a ``BPoly`` given a negative or non-integral
+exponent, a negative power or an unknown variable.  Each class carries
+its CLI exit code as the class attribute ``exit_code``, which subclasses
+inherit: parse errors exit 2, precondition violations and
+unclassifiable germs 3, irrational blowup centers 4, the blowup cap 5
+and any other error 1.  The input limits of ``parse`` are precondition
+violations: :class:`ExponentTooLarge`, :class:`TooManyTerms` and
+:class:`CoefficientTooLarge`.  So is a ``lambda_set`` (and with it
+``construct_witness`` and ``reducibility_hint``) degree above 1000,
+:class:`DegreeOutOfRange`, and a non-positive weight of
+``weighted_lct_upper_bound``."""
 
 
 class LctError(Exception):

@@ -6,9 +6,8 @@ x = 0 at t = infinity (no irreducible factorization, no sympy), and look
 for the unique part whose exponent m satisfies 2m > d-1.  Such a part
 is automatically linear (exponent times degree is at most d-1), so the
 distinguished direction is always rational.
-If no such part exists, lct = 2/(d-1); otherwise the two case
-formulas apply according to whether the line is a component of the
-curve.
+If no such part exists, lct = 2/(d-1); otherwise ``_special_lct`` gives
+it, by whether the line is a component of the curve.
 
 ``construct_witness`` realizes each value of ``lambda_set`` by one curve
 of the paper's families, proven reduced in its docstring: no search.
@@ -72,28 +71,16 @@ def analyze_high_mult(f):
     # m times a part's degree is at most d-1, so a part with 2m > d-1 is linear
     special = next(((q, m) for q, m in form_lines(f._terms, d - 1) if 2 * m > d - 1), None)
     if special is None:
-        return HighMultAnalysis(d=d, has_special_q=False, lct=Fraction(2, d - 1))
-
-    (q0, q1), m = special
-    if q0 < 0:  # the line with its first nonzero coefficient positive
-        q0, q1 = -q0, -q1
-    line = BPoly({(1, 0): q0, (0, 1): q1})
-    line_is_component = _line_divides(q0, q1, f._terms)
-    if line_is_component:
-        k_q = m - 1
-        lct = Fraction(2 * m - 1, d * (m - 1) + 1)
+        fields = (False, Fraction(2, d - 1))
     else:
-        k_q = m
-        lct = Fraction(2 * m + 1, d * m)
-    return HighMultAnalysis(
-        d=d,
-        has_special_q=True,
-        lct=lct,
-        m=m,
-        line_is_component=line_is_component,
-        k_q=k_q,
-        line=line,
-    )
+        (q0, q1), m = special
+        if q0 < 0:  # the line with its first nonzero coefficient positive
+            q0, q1 = -q0, -q1
+        component = _line_divides(q0, q1, f._terms)
+        k = m - 1 if component else m
+        line = BPoly({(1, 0): q0, (0, 1): q1})
+        fields = (True, _special_lct(k, d, component), m, component, k, line)
+    return HighMultAnalysis(d, *fields)
 
 
 def _line_divides(q0, q1, terms):
@@ -110,10 +97,16 @@ def _line_divides(q0, q1, terms):
     return not any(parts.values())
 
 
-def _special_values(d):
-    """The lcts at degree d with a special line, each mapped to
-    ``(k, line is a component)``: ``(2k+1)/(kd+1)`` when the line is a
-    component of the curve, ``(2k+1)/(kd)`` when it is not.
+def _special_lct(k, d, component):
+    """The lct with a special line: ``(2k+1)/(kd+1)`` when the line is a
+    component of the curve, ``(2k+1)/(kd)`` when it is not."""
+    return Fraction(2 * k + 1, k * d + (1 if component else 0))
+
+
+def _lambda_values(d):
+    """The lcts at degree d, each mapped to ``(k, line is a component)``:
+    the special-line values, and ``2/(d-1)``, the value with no special
+    line, mapped to ``(None, False)``.
 
     The table has about d entries, so ``d`` above ``parse.MAX_EXPONENT``,
     the largest exponent an input term may carry and the largest degree a
@@ -122,36 +115,36 @@ def _special_values(d):
         raise DegreeTooSmall(f"degree must be at least 3, got {d}")
     if d > MAX_EXPONENT:
         raise DegreeOutOfRange(f"degree {d} exceeds the degree limit {MAX_EXPONENT}")
-    values = {Fraction(2 * k + 1, k * d + 1): (k, True) for k in range((d - 1) // 2, d - 1)}
-    values.update({Fraction(2 * k + 1, k * d): (k, False) for k in range((d + 1) // 2, d)})
+    # k runs over (d-1)//2 .. d-2 for a component, (d+1)//2 .. d-1 otherwise
+    values = {
+        _special_lct(k, d, c): (k, c) for c in (True, False) for k in range((d + 1) // 2 - c, d - c)
+    }
+    values[Fraction(2, d - 1)] = (None, False)
     return values
 
 
 def lambda_set(d):
-    """All lcts achieved at multiplicity-(d-1) points of degree-d curves:
-    ``2/(d-1)`` and the special-line values."""
-    values = _special_values(d)
-    return tuple(sorted({Fraction(2, d - 1), *values}))
+    """All lcts achieved at multiplicity-(d-1) points of degree-d curves."""
+    return tuple(sorted(_lambda_values(d)))
 
 
 def reducibility_hint(lct, d):
     """True iff lct lies in the (2k+1)/(kd+1) family, forcing the curve
     to be reducible (the special line is then a component)."""
-    values = _special_values(d)
-    if lct == Fraction(2, d - 1):
-        return False
-    if lct not in values:
+    entry = _lambda_values(d).get(lct)
+    if entry is None:
         raise NotInLambdaSet(f"{lct} is not an lct value for degree {d}")
-    return values[lct][1]
+    return entry[1]
 
 
 def construct_witness(d, target):
     """The paper's reduced degree-d curve with mult d-1 and lct ``target``.
 
-    2/(d-1): ``prod_{i=0}^{d-2} (x - i y) + y^d``.  A special value, with
-    ``(k, component) = _special_values(d)[target]`` and e = d-1 if the line
-    is a component, else d: ``x g`` or ``g`` for ``g = y^e + sum_{i=k}^{e-1}
-    x^i y^(e-1-i)``, whose cone is x^k times a form prime to x.
+    With ``(k, component) = _lambda_values(d)[target]``: for 2/(d-1), where
+    k is None, ``prod_{i=0}^{d-2} (x - i y) + y^d``; for a special value,
+    with e = d-1 if the line is a component, else d, ``x g`` or ``g`` for
+    ``g = y^e + sum_{i=k}^{e-1} x^i y^(e-1-i)``, whose cone is x^k times a
+    form prime to x.
 
     Reduced: an irreducible h with h^2 | f passes through the origin, or
     f / h^2 would have multiplicity d-1 above its degree.  The 2/(d-1) cone
@@ -162,14 +155,15 @@ def construct_witness(d, target):
     de Milnor", Invent. Math. 32, 1976); and x does not divide g, as
     g(0, y) = y^e.  The check below still keeps a wrong witness from
     leaving."""
-    values = _special_values(d)
+    values = _lambda_values(d)
     target = Fraction(target)
-    if target == Fraction(2, d - 1):
-        f = math.prod((X - i * Y for i in range(d - 1)), start=ONE) + Y**d
-    elif target not in values:
+    entry = values.get(target)
+    if entry is None:
         raise TargetNotRealizable(f"{target} is not in the lct value set of degree {d}")
+    k, component = entry
+    if k is None:
+        f = math.prod((X - i * Y for i in range(d - 1)), start=ONE) + Y**d
     else:
-        k, component = values[target]
         e = d - 1 if component else d
         g = BPoly({**{(i, e - 1 - i): 1 for i in range(k, e)}, (0, e): 1})
         f = X * g if component else g

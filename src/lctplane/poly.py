@@ -271,9 +271,12 @@ class BPoly:
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term {(i, j)}")
+            exp = (int(i), int(j))
+            if exp != (i, j):
+                raise ValueError(f"non-integral exponent in term {(i, j)}")
             c = c if type(c) in (int, Fraction) else Fraction(c)
             if c:
-                coeffs[(int(i), int(j))] = c
+                coeffs[exp] = c
         # over the lcm of the reduced denominators, the numerators share no
         # factor with it
         den = math.lcm(*(c.denominator for c in coeffs.values()))
@@ -298,8 +301,7 @@ class BPoly:
 
     @classmethod
     def monomial(cls, i, j, c=1):
-        c = Fraction(c)
-        return _canonical({(i, j): c.numerator} if c else {}, c.denominator)
+        return cls({(i, j): c})
 
     # -- basic structure -------------------------------------------------
 

@@ -25,11 +25,12 @@ from lctplane.errors import (
     NotClassifiable,
     NotSingular,
     NotSquareFree,
+    ZeroPolynomial,
 )
 from lctplane.extended import INF
 from lctplane.localinv import is_square_free, milnor_number_origin
 from lctplane.parse import parse_poly as P
-from lctplane.poly import BPoly
+from lctplane.poly import ZERO, BPoly
 from lctplane.resolution import lct_from_tree, resolve_over_origin
 
 TABLES_SHA256 = "e94a12e9fd237a46c0cbc1f4b2f5c4aaebe4c890239b9a10c8cbf3e0b26f4d53"
@@ -82,6 +83,16 @@ class TestAllowedTypes:
         for d in (0, 6):
             with pytest.raises(DegreeOutOfRange):
                 allowed_types(d)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: classify_singularity(ZERO), ZeroPolynomial, "cannot classify the zero polynomial"),
+    (lambda: class_info("nope"), KeyError, "unknown singularity symbol 'nope'"),
+], ids=["classify_singularity", "class_info"])
+def test_documented_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error and caught.value.args == (message,)
 
 
 class TestClassify:

@@ -306,7 +306,7 @@ class TestSignedValues:
 
 
 class TestRepeatedCalls:
-    """``main`` shares one parser between calls; no option may carry over."""
+    """No option may carry over from one ``main`` call to the next."""
 
     def test_point_and_cap_do_not_leak(self, capsys):
         code, payload, _ = run_json(capsys, "lct", "x^2+y^3", "--point", "7,5")

@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.sqfreetools import dup_sqf_list
 
+from lctplane.errors import ZeroPolynomial
 from lctplane.factorize import factor_univariate, form_coeffs, squarefree_parts
 from lctplane.localinv import tangent_cone_pattern
 from lctplane.poly import BPoly, X, Y
@@ -132,6 +134,12 @@ class TestSquarefreeParts:
 
 
 class TestFactorUnivariate:
+    def test_zero(self):
+        with pytest.raises(ZeroPolynomial) as caught:
+            factor_univariate([])
+        assert caught.type is ZeroPolynomial
+        assert caught.value.args == ("factorization of the zero polynomial",)
+
     @given(_coeffs, st.one_of(st.none(), _coeffs))
     def test_rebuilds_input(self, a, b):
         # about half the inputs carry a square factor b^2

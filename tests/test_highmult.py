@@ -10,6 +10,7 @@ from lctplane.errors import (
     DegreeTooSmall,
     NotInLambdaSet,
     NotSquareFree,
+    NotThroughOrigin,
     TargetNotRealizable,
     WrongMultiplicity,
 )
@@ -135,6 +136,12 @@ class TestAnalyzeHighMult:
     def test_not_square_free(self):
         with pytest.raises(NotSquareFree):
             analyze_high_mult(P("y^2*(y + x^2)"))
+
+    def test_not_through_origin(self):
+        with pytest.raises(NotThroughOrigin) as caught:
+            analyze_high_mult(P("1 + x^3"))
+        assert caught.type is NotThroughOrigin
+        assert caught.value.args == ("curve does not pass through the origin",)
 
     def test_scalar_invariance(self):
         f = P("y^3 + x^4")

@@ -148,6 +148,12 @@ class TestTangentConePattern:
 
 
 class TestSquareFree:
+    def test_zero(self):
+        with pytest.raises(ZeroPolynomial) as caught:
+            is_square_free(ZERO)
+        assert caught.type is ZeroPolynomial
+        assert caught.value.args == ("square-freeness of the zero polynomial",)
+
     def test_three_lines(self):
         assert is_square_free(P("x*y*(x - y)"))
 

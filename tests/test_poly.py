@@ -7,7 +7,8 @@ import pytest
 import sympy
 from hypothesis import Phase, given, settings, strategies as st
 
-from lctplane.errors import BothZero, DivisorZero
+from lctplane.dispatch import lct
+from lctplane.errors import BothZero, DivisorZero, ZeroPolynomial
 from lctplane.extended import INF, NEG_INF
 from lctplane.parse import parse_poly
 from lctplane.poly import (
@@ -158,6 +159,32 @@ class TestConstruction:
         assert const == c and hash(const) == hash(c)
         assert len({const, c}) == 1 and len({c, const}) == 1
         assert {c: "scalar", const: "polynomial"} == {c: "polynomial"}
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BPoly.monomial(-1, 0, 3), "negative exponent in term (-1, 0)"),
+        (lambda: lct(BPoly.monomial(-1, 2) + BPoly.monomial(2, 0)), "negative exponent in term (-1, 2)"),
+        (lambda: BPoly({(-1, 0): 1}), "negative exponent in term (-1, 0)"),
+        (lambda: BPoly.monomial(1.5, 0), "non-integral exponent in term (1.5, 0)"),
+        (lambda: BPoly({(1.5, 0): 1}), "non-integral exponent in term (1.5, 0)"),
+    ], ids=["monomial-negative", "lct-of-negative", "init-negative", "monomial-half", "init-half"])
+    def test_exponents_are_non_negative_integers(self, make, message):
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert caught.type is ValueError and caught.value.args == (message,)
+
+    def test_integral_exponents_of_any_type(self):
+        assert BPoly({(2.0, Fraction(1)): 1}) == BPoly.monomial(2, 1) == P("x^2*y")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: X.derivative("z"), ValueError, "unknown variable 'z'"),
+    (lambda: normalize_primitive(ZERO), ZeroPolynomial, "cannot normalize the zero polynomial"),
+    (lambda: gcd_many([ZERO, ZERO]), BothZero, "gcd of all-zero sequence"),
+], ids=["derivative", "normalize_primitive", "gcd_many"])
+def test_documented_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error and caught.value.args == (message,)
 
 
 def _plain(pairs):

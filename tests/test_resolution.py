@@ -486,6 +486,12 @@ class TestLogPullback:
             (6, 4): Fraction(1),
         }
 
+    def test_lambda_must_be_positive(self):
+        tree = resolve_over_origin(P("x^2 + y^3"))
+        with pytest.raises(ValueError) as caught:
+            log_pullback_coefficients(tree, 0)
+        assert caught.type is ValueError and caught.value.args == ("lambda must be positive",)
+
     def test_small_lambda(self):
         tree = resolve_over_origin(P("x^2 + y^3"))
         coeffs = log_pullback_coefficients(tree, Fraction(1, 1000))

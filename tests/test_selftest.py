@@ -124,3 +124,10 @@ def test_a_witness_refused_fails_realization_and_ledger(monkeypatch):
         "resolution-ledger": "TargetNotRealizable: the witness misses",
     }
     assert len(report.results) == 8
+
+
+def test_an_unknown_scope_is_refused():
+    with pytest.raises(ValueError) as caught:
+        selftest.run_selftest("medium")
+    assert caught.type is ValueError
+    assert caught.value.args == ("scope must be 'fast' or 'full', got 'medium'",)
